@@ -13,11 +13,9 @@ from .hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     Projector,
-    RankDeficiencyError,
     SpectralDecomposition,
     Subspace,
     UnitVector,
-    gram_schmidt,
     haar_random_basis,
     nearest_density_matrix,
     projector_of,
@@ -48,7 +46,6 @@ from .valuation import (
     TabulatedOracle,
     ValuationOracle,
     extend,
-    load_tabulated_oracle,
     sesquilinear,
     subspace_measure,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "OracleLookupError",
     "OrthonormalBasis",
     "Projector",
-    "RankDeficiencyError",
     "ReconstructionReport",
     "SpectralDecomposition",
     "Subspace",
@@ -95,11 +91,9 @@ __all__ = [
     "explicit_reconstruct",
     "explicit_reconstruct_real",
     "extend",
-    "gram_schmidt",
     "haar_average_reconstruct",
     "haar_random_basis",
     "implicit_reconstruct",
-    "load_tabulated_oracle",
     "nearest_density_matrix",
     "pauli_reconstruct_2d",
     "projector_of",

@@ -16,7 +16,6 @@ numerical contracts are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +31,6 @@ __all__ = [
     "Subspace",
     "DensityMatrix",
     "SpectralDecomposition",
-    "RankDeficiencyError",
-    "gram_schmidt",
     "haar_random_basis",
     "random_density_matrix",
     "projector_of",
@@ -41,18 +38,6 @@ __all__ = [
     "spectral_decomposition",
     "standard_basis",
 ]
-
-
-class RankDeficiencyError(ValueError):
-    """Raised when an input vector set is numerically linearly dependent."""
-
-    def __init__(self, index: int, residual: float):
-        self.index = index
-        self.residual = residual
-        super().__init__(
-            f"vector {index} is numerically dependent on its predecessors "
-            f"(residual norm {residual:.3e})"
-        )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -76,7 +61,7 @@ class UnitVector:
         if arr.size < 1:
             raise ValueError("dim must be >= 1")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"vector norm {norm!r} is not 1 within {ATOL}")
         object.__setattr__(self, "components", arr)
 
@@ -98,12 +83,12 @@ class Projector:
         arr = _freeze(np.atleast_2d(np.asarray(self.matrix)))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("projector must be square")
-        if np.max(np.abs(arr - arr.conj().T)) > ATOL:
+        if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
             raise ValueError("projector is not Hermitian within tolerance")
-        if np.max(np.abs(arr @ arr - arr)) > ATOL:
+        if not np.max(np.abs(arr @ arr - arr)) <= ATOL:
             raise ValueError("projector is not idempotent within tolerance")
         tr = np.trace(arr).real
-        if abs(tr - round(tr)) > ATOL * arr.shape[0]:
+        if not abs(tr - round(tr)) <= ATOL * arr.shape[0]:
             raise ValueError(f"projector trace {tr!r} is not an integer")
         object.__setattr__(self, "matrix", arr)
 
@@ -133,7 +118,7 @@ class OrthonormalBasis:
             raise ValueError(f"need exactly {d} vectors for a basis of dim {d}")
         m = np.column_stack([v.components for v in vecs])
         gram = m.conj().T @ m
-        if np.max(np.abs(gram - np.eye(d))) > ATOL:
+        if not np.max(np.abs(gram - np.eye(d))) <= ATOL:
             raise ValueError("vectors are not orthonormal within tolerance")
         object.__setattr__(self, "vectors", vecs)
 
@@ -170,7 +155,7 @@ class Subspace:
             raise ValueError("spanning vectors must live in the ambient space")
         m = np.column_stack([v.components for v in vecs])
         gram = m.conj().T @ m
-        if np.max(np.abs(gram - np.eye(len(vecs)))) > ATOL:
+        if not np.max(np.abs(gram - np.eye(len(vecs)))) <= ATOL:
             raise ValueError("spanning set is not orthonormal within tolerance")
         object.__setattr__(self, "spanning_set", vecs)
 
@@ -193,13 +178,13 @@ class DensityMatrix:
         arr = _freeze(np.atleast_2d(np.asarray(self.matrix)))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.max(np.abs(arr - arr.conj().T)) > ATOL:
+        if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = np.trace(arr)
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"trace {tr!r} is not 1 within {ATOL}")
         wmin = float(np.linalg.eigvalsh(arr)[0])
-        if wmin < -EIG_ATOL:
+        if not wmin >= -EIG_ATOL:
             raise ValueError(f"minimum eigenvalue {wmin!r} below -{EIG_ATOL}")
         object.__setattr__(self, "matrix", arr)
 
@@ -254,52 +239,6 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))
     pivot = v[idx[0]]
     return v * (np.conj(pivot) / abs(pivot))
-
-
-def gram_schmidt(
-    vectors: Sequence[np.ndarray | UnitVector],
-) -> OrthonormalBasis | list[UnitVector]:
-    """Orthonormalize a list of linearly independent vectors.
-
-    Modified Gram-Schmidt with a re-orthogonalization pass; the span is
-    preserved and the first output vector stays parallel to the first
-    input.  Returns a full :class:`OrthonormalBasis` when as many vectors
-    as dimensions are supplied, otherwise the partial orthonormal set.
-
-    Raises
-    ------
-    RankDeficiencyError
-        If some vector is numerically dependent on its predecessors
-        (residual below 1e-10 of its norm).
-    """
-    arrs = [
-        np.asarray(v.components if isinstance(v, UnitVector) else v,
-                   dtype=np.complex128).reshape(-1)
-        for v in vectors
-    ]
-    if not arrs:
-        raise ValueError("need at least one vector")
-    d = arrs[0].size
-    if any(a.size != d for a in arrs):
-        raise ValueError("vectors have mixed dimensions")
-    if len(arrs) > d:
-        raise ValueError(f"cannot orthonormalize {len(arrs)} vectors in dim {d}")
-
-    out: list[np.ndarray] = []
-    for idx, v in enumerate(arrs):
-        w = v.copy()
-        for _ in range(2):  # second pass keeps Gram deviations at machine level
-            for q in out:
-                w -= q * (q.conj() @ w)
-        norm = float(np.linalg.norm(w))
-        if norm <= 1e-10 * max(float(np.linalg.norm(v)), 1e-300):
-            raise RankDeficiencyError(idx, norm)
-        out.append(w / norm)
-
-    units = [UnitVector(q) for q in out]
-    if len(units) == d:
-        return OrthonormalBasis(tuple(units))
-    return units
 
 
 def haar_basis_matrices(

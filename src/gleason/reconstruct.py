@@ -1,7 +1,6 @@
 """Density-matrix reconstruction from ray-valuation oracles.
 
-Four routes are implemented, all consuming nothing but valuations of
-unit vectors:
+The routes below consume nothing but valuations of unit vectors:
 
 * ``explicit_reconstruct``: queries the 2d^2 - d vectors n_j,
   (n_j +/- n_k)/sqrt(2) and (n_j +/- i n_k)/sqrt(2) of an arbitrary
@@ -9,12 +8,17 @@ unit vectors:
   oracles, for any basis.
 * ``explicit_reconstruct_real``: the real-Hilbert-space variant, d^2
   queries, symmetric output.
+* ``pauli_reconstruct_2d``: the explicit route at d=2 in either field
+  (6 or 4 queries), whose Bloch view is ``bloch_vector_of``.
 * ``implicit_reconstruct``: iterated sphere maximization with deflation;
   returns the spectral form  sum_i v(n_i) |n_i><n_i|  where each n_i
   maximizes the valuation on the unit sphere orthogonal to its
   predecessors.
 * ``haar_average_reconstruct``: Monte Carlo average of basis-decohered
   states, unbiased via  rho = (d+1) <rho_P> - I.
+
+The explicit family shares one assembly step over the polarization kernel
+(``pair_probes``, ``polarize``) of :mod:`gleason.valuation`.
 
 Together with the decoherence map and basis transition matrices these
 cover every operator identity the valuation determines.
@@ -23,6 +27,7 @@ cover every operator identity the valuation determines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +38,7 @@ from .hilbert import (
     nearest_density_matrix,
 )
 from .serialize import matrix_to_json
-from .valuation import ExactOracle, ValuationOracle
+from .valuation import ExactOracle, ValuationOracle, pair_probes, polarize
 
 __all__ = [
     "TransitionMatrix",
@@ -53,9 +58,6 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 # Averaging chunk for the Monte Carlo route; fixed so the pairwise
 # reduction tree (and hence the float result) is reproducible per seed.
@@ -86,11 +88,11 @@ class TransitionMatrix:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("transition matrix must be square")
-        if np.min(arr) < -1e-12 or np.max(arr) > 1 + 1e-12:
+        if not (np.min(arr) >= -1e-12 and np.max(arr) <= 1 + 1e-12):
             raise ValueError("entries must lie in [0, 1]")
-        if np.max(np.abs(arr.sum(axis=0) - 1.0)) > 1e-12:
+        if not np.max(np.abs(arr.sum(axis=0) - 1.0)) <= 1e-12:
             raise ValueError("column sums differ from 1")
-        if np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-12:
+        if not np.max(np.abs(arr.sum(axis=1) - 1.0)) <= 1e-12:
             raise ValueError("row sums differ from 1")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -146,9 +148,9 @@ def bloch_vector_of(state: DensityMatrix | np.ndarray) -> BlochVector:
     if m.shape != (2, 2):
         raise ValueError("Bloch vector is defined for 2x2 states")
     return BlochVector(
-        float(np.trace(m @ _SIGMA_X).real),
-        float(np.trace(m @ _SIGMA_Y).real),
-        float(np.trace(m @ _SIGMA_Z).real),
+        float((m[0, 1] + m[1, 0]).real),  # tr(m sigma_x)
+        float((m[1, 0] - m[0, 1]).imag),  # tr(m sigma_y)
+        float((m[0, 0] - m[1, 1]).real),  # tr(m sigma_z)
     )
 
 
@@ -169,6 +171,12 @@ def _check_dims(oracle: ValuationOracle, basis: OrthonormalBasis) -> None:
         raise ValueError(f"basis dim {basis.dim} != oracle dim {oracle.dim}")
 
 
+@lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (j, k) of the basis pairs j < k, in row-major order; computed once per d."""
+    return np.triu_indices(d, 1)
+
+
 def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> np.ndarray:
     """The unit vectors the explicit route queries, as stacked rows.
 
@@ -178,38 +186,30 @@ def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> n
     in complex mode, d^2 in real mode.
     """
     b = basis.matrix
+    j, k = _pairs(basis.dim)
+    probes = pair_probes(b[:, j].T, b[:, k].T, field)
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    return np.vstack([b.T, probes])
+
+
+def _polarization_report(
+    method: str, oracle: ValuationOracle, basis: OrthonormalBasis
+) -> ReconstructionReport:
+    """The explicit construction shared by every explicit-family route.
+
+    A pair's probes have squared norm 2 before normalization, so f = 2 v."""
     d = basis.dim
-    rows = [b[:, j] for j in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            nj, nk = b[:, j], b[:, k]
-            probes = [nj + nk, nj - nk]
-            if field == "complex":
-                probes += [nj + 1j * nk, nj - 1j * nk]
-            for p in probes:
-                rows.append(p / np.linalg.norm(p))
-    return np.vstack(rows)
-
-
-def _polarized_matrix(vals: np.ndarray, d: int, field: str) -> np.ndarray:
-    """Assemble the matrix of the state in basis coordinates from valuations."""
-    per_pair = 4 if field == "complex" else 2
-    m = np.zeros((d, d), dtype=np.complex128)
-    np.fill_diagonal(m, vals[:d])
-    off = vals[d:].reshape(-1, per_pair)
-    idx = 0
-    for j in range(d):
-        for k in range(j + 1, d):
-            if field == "complex":
-                vp, vm, vpi, vmi = off[idx]
-                w = 0.5 * (vp - vm) - 0.5j * (vpi - vmi)
-            else:
-                vp, vm = off[idx]
-                w = 0.5 * (vp - vm)
-            m[j, k] = w
-            m[k, j] = np.conj(w)
-            idx += 1
-    return m
+    if d == 1:
+        return _trivial_report(method)
+    before = oracle.query_count
+    vals = oracle.query_batch(explicit_query_vectors(basis, oracle.field))
+    w = polarize(2 * vals[d:], oracle.field)
+    j, k = _pairs(d)
+    m = np.diag(vals[:d].astype(np.complex128))
+    m[j, k] = w
+    m[k, j] = np.conj(w)
+    b = basis.matrix
+    return _finish(method, b @ m @ b.conj().T, oracle.query_count - before)
 
 
 def explicit_reconstruct(
@@ -230,14 +230,7 @@ def explicit_reconstruct(
         raise ValueError("explicit_reconstruct needs a complex-mode oracle; "
                          "use explicit_reconstruct_real instead")
     _check_dims(oracle, basis)
-    if oracle.dim == 1:
-        return _trivial_report("explicit")
-    before = oracle.query_count
-    rows = explicit_query_vectors(basis, "complex")
-    vals = oracle.query_batch(rows)
-    b = basis.matrix
-    estimate = b @ _polarized_matrix(vals, basis.dim, "complex") @ b.conj().T
-    return _finish("explicit", estimate, oracle.query_count - before)
+    return _polarization_report("explicit", oracle, basis)
 
 
 def explicit_reconstruct_real(
@@ -249,47 +242,21 @@ def explicit_reconstruct_real(
     _check_dims(oracle, basis)
     if not basis.is_real():
         raise ValueError("real-mode reconstruction needs a real basis")
-    if oracle.dim == 1:
-        return _trivial_report("explicit-real")
-    before = oracle.query_count
-    rows = explicit_query_vectors(basis, "real")
-    vals = oracle.query_batch(rows)
-    b = basis.matrix
-    estimate = b @ _polarized_matrix(vals, basis.dim, "real") @ b.conj().T
-    return _finish("explicit-real", estimate, oracle.query_count - before)
+    return _polarization_report("explicit-real", oracle, basis)
 
 
 def pauli_reconstruct_2d(
     oracle: ValuationOracle, basis: OrthonormalBasis
 ) -> ReconstructionReport:
-    """Qubit reconstruction in Bloch form from 6 valuations (4 in real mode).
+    """Qubit reconstruction from 6 valuations (4 in real mode).
 
-    With basis vectors x, y the components are r_z = v(x) - v(y),
-    r_x = v((x+y)/sqrt2) - v((x-y)/sqrt2) and, in complex mode,
-    r_y = v((x+iy)/sqrt2) - v((x-iy)/sqrt2); the state in basis
-    coordinates is (c0 I + r.sigma)/2 with c0 = v(x) + v(y).
-    """
+    Its probes x, y, (x +/- y)/sqrt2, (x +/- iy)/sqrt2 are the d=2 explicit
+    probes in order, so this is the explicit route at d=2, in either field.
+    ``bloch_vector_of`` gives the Bloch view (r_z = v(x) - v(y), ...)."""
     if oracle.dim != 2:
         raise ValueError("pauli_reconstruct_2d is defined for dim 2 only")
     _check_dims(oracle, basis)
-    x, y = basis.matrix[:, 0], basis.matrix[:, 1]
-    rows = [x, y, (x + y) / _SQRT2, (x - y) / _SQRT2]
-    if oracle.field == "complex":
-        rows += [(x + 1j * y) / _SQRT2, (x - 1j * y) / _SQRT2]
-    before = oracle.query_count
-    vals = oracle.query_batch(np.vstack(rows))
-    c0 = vals[0] + vals[1]
-    r = BlochVector(
-        float(vals[2] - vals[3]),
-        float(vals[4] - vals[5]) if oracle.field == "complex" else 0.0,
-        float(vals[0] - vals[1]),
-    )
-    in_basis = 0.5 * (
-        c0 * np.eye(2) + r.r_x * _SIGMA_X + r.r_y * _SIGMA_Y + r.r_z * _SIGMA_Z
-    )
-    b = basis.matrix
-    estimate = b @ in_basis @ b.conj().T
-    return _finish("pauli2d", estimate, oracle.query_count - before)
+    return _polarization_report("pauli2d", oracle, basis)
 
 
 def decohere(

@@ -10,7 +10,9 @@ form from it, are what the explicit reconstruction routes consume:
     f(x)       = ||x||^2 v(x / ||x||)
     <x|rho|y>  = [f(x+y) - f(x-y)]/4 - i [f(x+iy) - f(x-iy)]/4
 
-with the imaginary bracket dropped on real Hilbert spaces.
+with the imaginary bracket dropped on real Hilbert spaces.  ``pair_probes``
+and ``polarize`` implement this identity once, for ``sesquilinear`` and for
+every explicit reconstruction route.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import threading
 import numpy as np
 
 from .hilbert import ATOL, DensityMatrix, Subspace, UnitVector
-from .serialize import load_json, oracle_table_from_json
 
 ZERO_NORM = 1e-14
 TABLE_MATCH_TOL = 1e-9
@@ -34,7 +35,6 @@ __all__ = [
     "extend",
     "sesquilinear",
     "subspace_measure",
-    "load_tabulated_oracle",
 ]
 
 
@@ -72,12 +72,16 @@ class ValuationOracle:
         return float(self.query_batch(v.components[None, :])[0])
 
     def query_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Valuations of a stack of unit row vectors, shape (k, dim)."""
+        """Valuations of a stack of unit row vectors, shape (k, dim), k >= 1.
+
+        Bad input (empty, NaN, inf, non-unit rows) is rejected uncharged."""
         vecs = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
         if vecs.shape[1] != self.dim:
             raise ValueError(f"vectors have dim {vecs.shape[1]}, oracle dim {self.dim}")
+        if vecs.shape[0] == 0:
+            raise ValueError("empty query batch")
         norms = np.linalg.norm(vecs, axis=1)
-        if np.max(np.abs(norms - 1.0)) > ATOL:
+        if not np.max(np.abs(norms - 1.0)) <= ATOL:
             raise ValueError("queried vectors must be unit norm")
         if self.field == "real" and np.max(np.abs(vecs.imag), initial=0.0) > ATOL:
             raise ValueError("real-mode oracle queried with complex vector")
@@ -171,7 +175,7 @@ class TabulatedOracle(ValuationOracle):
         values = np.asarray(values, dtype=float).reshape(-1)
         if vectors.shape[0] != values.size:
             raise ValueError("one value per vector required")
-        if np.any(values < -1e-9) or np.any(values > 1 + 1e-9):
+        if not np.all((values >= -1e-9) & (values <= 1 + 1e-9)):
             raise ValueError("tabulated values must lie in [0, 1]")
         super().__init__(vectors.shape[1], field)
         self._table = vectors
@@ -193,38 +197,52 @@ class TabulatedOracle(ValuationOracle):
         return self._vals[idx]
 
 
-def load_tabulated_oracle(path, field: str = "complex") -> TabulatedOracle:
-    """Read a tabulated oracle from its JSON record-list file."""
-    vectors, values = oracle_table_from_json(load_json(path))
-    return TabulatedOracle(vectors, values, field=field)
+def pair_probes(x: np.ndarray, y: np.ndarray, field: str) -> np.ndarray:
+    """Probe rows x+y, x-y (and x+iy, x-iy in complex mode) of each stacked
+    row pair (x_p, y_p) in turn: shape (4p, d), or (2p, d) in real mode."""
+    probes = [x + y, x - y] + ([x + 1j * y, x - 1j * y] if field == "complex" else [])
+    return np.stack(probes, axis=1).reshape(-1, x.shape[1])
+
+
+def polarize(f: np.ndarray, field: str) -> np.ndarray:
+    """Combine f on the rows of ``pair_probes`` into <x_p|rho|y_p>, shape (p,)."""
+    f = f.reshape(-1, 4 if field == "complex" else 2)
+    re = (f[:, 0] - f[:, 1]) / 4
+    return re - 0.25j * (f[:, 2] - f[:, 3]) if field == "complex" else re
+
+
+def _extend_rows(oracle: ValuationOracle, rows: np.ndarray) -> np.ndarray:
+    """f on each row in one ``query_batch``; rows of norm below ZERO_NORM cost nothing."""
+    if rows.shape[1] != oracle.dim:
+        raise ValueError(f"vector dim {rows.shape[1]} != oracle dim {oracle.dim}")
+    norms = np.linalg.norm(rows, axis=1)
+    live = ~(norms < ZERO_NORM)  # NaN stays live, so query_batch rejects it
+    f = np.zeros(rows.shape[0])
+    if live.any():
+        n = norms[live]
+        f[live] = n**2 * oracle.query_batch(rows[live] / n[:, None])
+    return f
 
 
 def extend(oracle: ValuationOracle, x: np.ndarray) -> float:
     """Quadratic-form extension f(x) = ||x||^2 v(x/||x||), with f(0) = 0."""
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.size != oracle.dim:
-        raise ValueError(f"vector dim {x.size} != oracle dim {oracle.dim}")
-    norm = float(np.linalg.norm(x))
-    if norm < ZERO_NORM:
-        return 0.0
-    return norm**2 * float(oracle.query_batch((x / norm)[None, :])[0])
+    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
+    return float(_extend_rows(oracle, x)[0])
 
 
 def sesquilinear(oracle: ValuationOracle, x: np.ndarray, y: np.ndarray) -> complex:
     """Recover <x|rho|y> from quadratic-form evaluations by polarization.
 
     Complex mode uses the four probes x+y, x-y, x+iy, x-iy; real mode
-    uses only the first two (the form is then symmetric and real).
+    uses only the first two (the form is then symmetric and real).  All
+    probes go out in one ``query_batch``.
     """
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if x.size != y.size:
+    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
+    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
+    if x.shape != y.shape:
         raise ValueError("x and y must have the same dimension")
-    re = (extend(oracle, x + y) - extend(oracle, x - y)) / 4
-    if oracle.field == "real":
-        return complex(re)
-    im = (extend(oracle, x + 1j * y) - extend(oracle, x - 1j * y)) / 4
-    return complex(re - 1j * im)
+    f = _extend_rows(oracle, pair_probes(x, y, oracle.field))
+    return complex(polarize(f, oracle.field)[0])
 
 
 def subspace_measure(oracle: ValuationOracle, a: Subspace) -> float:

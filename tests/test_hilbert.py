@@ -8,10 +8,8 @@ from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     Projector,
-    RankDeficiencyError,
     Subspace,
     UnitVector,
-    gram_schmidt,
     haar_basis_matrices,
     haar_random_basis,
     nearest_density_matrix,
@@ -68,44 +66,17 @@ class TestTypes:
             Subspace(3, (u, w))
         Subspace(3, (u, UnitVector(e(1, 3))))  # fine
 
+    def test_unit_vector_rejects_nan(self):
+        with pytest.raises(ValueError):
+            UnitVector(np.array([np.nan, 0.0]))
 
-class TestGramSchmidt:
-    def test_standard_basis_unchanged(self):
-        d = 4
-        basis = gram_schmidt([e(i, d) for i in range(d)])
-        np.testing.assert_allclose(basis.matrix, np.eye(d), atol=1e-15)
+    def test_basis_rejects_nan(self):
+        with pytest.raises(ValueError):
+            OrthonormalBasis.from_matrix(np.full((2, 2), np.nan))
 
-    def test_two_vector_example(self):
-        basis = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-        np.testing.assert_allclose(basis.matrix[:, 0], [1, 0], atol=1e-15)
-        np.testing.assert_allclose(basis.matrix[:, 1], [0, 1], atol=1e-15)
-
-    def test_random_complex_gram_is_identity(self):
-        rng = np.random.default_rng(3)
-        vecs = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        basis = gram_schmidt(list(vecs))
-        m = basis.matrix
-        gram = m.conj().T @ m
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-    def test_first_vector_parallel_to_input(self):
-        rng = np.random.default_rng(4)
-        v0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        basis = gram_schmidt([v0, rng.standard_normal(3), rng.standard_normal(3)])
-        q0 = basis.matrix[:, 0]
-        overlap = abs(np.vdot(q0, v0)) / np.linalg.norm(v0)
-        assert abs(overlap - 1.0) < 1e-12
-
-    def test_partial_set(self):
-        out = gram_schmidt([e(0, 4), np.array([1.0, 1.0, 0, 0])])
-        assert isinstance(out, list) and len(out) == 2
-        np.testing.assert_allclose(out[1].components, e(1, 4), atol=1e-15)
-
-    def test_dependent_input_names_index(self):
-        v = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(RankDeficiencyError) as err:
-            gram_schmidt([v, np.array([0.0, 1.0, 0.0]), v + np.array([0, 1, 0])])
-        assert err.value.index == 2
+    def test_density_matrix_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.full((2, 2), np.nan))
 
 
 class TestHaarBasis:

@@ -127,6 +127,34 @@ class TestExplicit:
         assert report.query_count == 0
 
 
+def pairwise_query_vectors(basis, field):
+    """Reference: the probe rows built one pair at a time, in the documented order."""
+    b = basis.matrix
+    d = basis.dim
+    rows = [b[:, j] for j in range(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            nj, nk = b[:, j], b[:, k]
+            probes = [nj + nk, nj - nk]
+            if field == "complex":
+                probes += [nj + 1j * nk, nj - 1j * nk]
+            for p in probes:
+                rows.append(p / np.linalg.norm(p))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_query_vectors_match_pairwise_reference(dim, field):
+    basis = haar_random_basis(dim, seed=dim + 30, field=field)
+    rows = explicit_query_vectors(basis, field)
+    ref = pairwise_query_vectors(basis, field)
+    budget = 2 * dim**2 - dim if field == "complex" else dim**2
+    assert rows.shape == ref.shape == (budget, dim)
+    # same rows in the same order; normalization may round in the last bit
+    np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-15)
+
+
 class TestExplicitReal:
     def test_mixed_state_budget(self):
         d = 3
@@ -187,6 +215,20 @@ class TestPauli2d:
             b = explicit_reconstruct(ExactOracle(rho), basis)
             assert np.linalg.norm(a.estimate - b.estimate) <= 1e-12
             assert a.query_count == 6 and b.query_count == 6
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_is_explicit_route_at_dim_two(self, field):
+        explicit = explicit_reconstruct if field == "complex" else explicit_reconstruct_real
+        for seed in range(5):
+            rho = random_density_matrix(2, 2, seed=seed, field=field)
+            basis = haar_random_basis(2, seed=seed + 200, field=field)
+            for make in (lambda: ExactOracle(rho, field=field),
+                         lambda: NoisyOracle(rho, shots=100, seed=seed, field=field)):
+                a = pauli_reconstruct_2d(make(), basis)
+                b = explicit(make(), basis)
+                assert np.array_equal(a.estimate, b.estimate)
+                assert a.query_count == b.query_count == (6 if field == "complex" else 4)
+                assert a.method == "pauli2d"
 
     def test_real_mode_uses_four_queries(self):
         rho = random_density_matrix(2, 2, seed=16, field="real")
@@ -386,6 +428,8 @@ class TestTransitionMatrix:
     def test_validation_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             TransitionMatrix(np.array([[0.9, 0.2], [0.1, 0.8]]))
+        with pytest.raises(ValueError):
+            TransitionMatrix(np.full((2, 2), np.nan))
 
 
 class TestCrossMethod:

@@ -14,14 +14,13 @@ from gleason.hilbert import (
     random_density_matrix,
     standard_basis,
 )
-from gleason.serialize import dump_json, oracle_table_to_json
+from gleason.serialize import dump_json, load_json, oracle_table_from_json, oracle_table_to_json
 from gleason.valuation import (
     ExactOracle,
     NoisyOracle,
     OracleLookupError,
     TabulatedOracle,
     extend,
-    load_tabulated_oracle,
     sesquilinear,
     subspace_measure,
 )
@@ -77,6 +76,21 @@ class TestExactOracle:
             oracle.query_batch(np.array([[1.0, 1.0, 0.0]]))
         with pytest.raises(ValueError):
             oracle.query_batch(np.array([[1.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_nan_row_without_charge(self):
+        oracle = ExactOracle(random_density_matrix(2, 2, seed=5))
+        with pytest.raises(ValueError, match="unit norm"):
+            oracle.query_batch(np.array([[np.nan, 0.0]]))
+        with pytest.raises(ValueError, match="unit norm"):
+            oracle.query_batch(np.array([[1.0, 0.0], [np.inf, 0.0]]))
+        assert oracle.query_count == 0
+
+    def test_rejects_empty_batch_without_charge(self):
+        oracle = ExactOracle(random_density_matrix(2, 2, seed=5))
+        with pytest.raises(ValueError, match="empty query batch"):
+            oracle.query_batch(np.empty((0, 2)))
+        assert oracle.query_count == 0
 
     def test_real_mode_contract(self):
         with pytest.raises(ValueError):
@@ -173,6 +187,38 @@ class TestSesquilinear:
         assert oracle.query_count - before == 2
         assert val.imag == 0.0
         assert abs(val.real - float(x @ rho.matrix.real @ y)) < 1e-12
+
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_one_query_batch_call(self, field):
+        oracle = ExactOracle(random_density_matrix(3, 3, seed=20, field=field), field=field)
+        calls = []
+        query_batch = oracle.query_batch
+        oracle.query_batch = lambda rows: calls.append(len(rows)) or query_batch(rows)
+        rng = np.random.default_rng(21)
+        x, y = random_vec(rng, 3, real=field == "real"), random_vec(rng, 3, real=field == "real")
+        sesquilinear(oracle, x, y)
+        assert calls == [4 if field == "complex" else 2]
+        # x - x has zero norm, so that probe is neither sent nor charged
+        calls.clear()
+        before = oracle.query_count
+        sesquilinear(oracle, x, x)
+        assert calls == [3 if field == "complex" else 1]
+        assert oracle.query_count - before == calls[0]
+
+    def test_zero_vectors_cost_nothing(self):
+        oracle = ExactOracle(random_density_matrix(3, 3, seed=22))
+        assert sesquilinear(oracle, np.zeros(3), np.zeros(3)) == 0
+        assert oracle.query_count == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_nan(self):
+        oracle = ExactOracle(random_density_matrix(3, 3, seed=23))
+        with pytest.raises(ValueError):
+            sesquilinear(oracle, np.array([np.nan, 0, 0]), e(1, 3))
+        with pytest.raises(ValueError):
+            extend(oracle, np.array([np.nan, 0, 0]))
+        assert oracle.query_count == 0
 
 
 class TestSubspaceMeasure:
@@ -275,7 +321,7 @@ class TestTabulatedOracle:
         vectors, values = self.make_table()
         path = tmp_path / "table.json"
         dump_json(oracle_table_to_json(vectors, values), path)
-        oracle = load_tabulated_oracle(path)
+        oracle = TabulatedOracle(*oracle_table_from_json(load_json(path)))
         got = oracle.query_batch(vectors)
         np.testing.assert_allclose(got, values, atol=1e-15)
 
@@ -283,9 +329,11 @@ class TestTabulatedOracle:
         vectors, values = self.make_table()
         with pytest.raises(ValueError):
             TabulatedOracle(vectors, values + 2.0)
+        with pytest.raises(ValueError):
+            TabulatedOracle(vectors, np.full_like(values, np.nan))
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"vector": 3}]))
         with pytest.raises(ValueError):
-            load_tabulated_oracle(path)
+            TabulatedOracle(*oracle_table_from_json(load_json(path)))
