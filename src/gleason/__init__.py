@@ -18,7 +18,6 @@ from .hilbert import (
     UnitVector,
     haar_random_basis,
     nearest_density_matrix,
-    projector_of,
     random_density_matrix,
     spectral_decomposition,
     standard_basis,
@@ -96,7 +95,6 @@ __all__ = [
     "implicit_reconstruct",
     "nearest_density_matrix",
     "pauli_reconstruct_2d",
-    "projector_of",
     "random_density_matrix",
     "sesquilinear",
     "spectral_decomposition",

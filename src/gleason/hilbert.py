@@ -6,7 +6,10 @@ utilities the reconstruction routines are built on.  Everything is stored
 as complex128; real-Hilbert-space objects simply carry zero imaginary
 parts and are produced by passing ``field="real"`` to the generators.
 
-All types are immutable value objects validated at construction.  The
+All types are immutable value objects, each holding one frozen array
+validated at construction: ``UnitVector`` its components, every other type
+its matrix (a basis or a subspace is the matrix whose columns are its
+orthonormal vectors).  Non-finite entries are rejected by every type.  The
 numerical contracts are:
 
 * algebraic identities on exact inputs hold within ``ATOL`` (1e-12),
@@ -33,7 +36,6 @@ __all__ = [
     "SpectralDecomposition",
     "haar_random_basis",
     "random_density_matrix",
-    "projector_of",
     "nearest_density_matrix",
     "spectral_decomposition",
     "standard_basis",
@@ -42,12 +44,36 @@ __all__ = [
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.complex128)
+    if not np.isfinite(out).all():
+        raise ValueError("entries must be finite")
     out.setflags(write=False)
     return out
 
 
 def _is_real(arr: np.ndarray, tol: float = ATOL) -> bool:
     return bool(np.max(np.abs(arr.imag), initial=0.0) <= tol)
+
+
+def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` frozen, after checking it is square and Hermitian within ATOL."""
+    arr = _freeze(np.atleast_2d(np.asarray(m)))
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{what} must be square")
+    if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
+        raise ValueError(f"{what} is not Hermitian within tolerance")
+    return arr
+
+
+def _orthonormal_columns(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` frozen, after checking it is d x r, 1 <= r <= d, with orthonormal
+    columns within ATOL.  The Gram check also covers the unit norms."""
+    arr = _freeze(m)
+    if arr.ndim != 2 or not 1 <= arr.shape[1] <= arr.shape[0]:
+        raise ValueError(f"{what} must be a d x r matrix with 1 <= r <= d")
+    gram = arr.conj().T @ arr
+    if not np.max(np.abs(gram - np.eye(arr.shape[1]))) <= ATOL:
+        raise ValueError(f"{what} columns are not orthonormal within tolerance")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +106,7 @@ class Projector:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze(np.atleast_2d(np.asarray(self.matrix)))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("projector must be square")
-        if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
-            raise ValueError("projector is not Hermitian within tolerance")
+        arr = _hermitian(self.matrix, "projector")
         if not np.max(np.abs(arr @ arr - arr)) <= ATOL:
             raise ValueError("projector is not idempotent within tolerance")
         tr = np.trace(arr).real
@@ -103,69 +125,47 @@ class Projector:
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """A complete orthonormal basis, kept as an ordered tuple of vectors."""
+    """A complete orthonormal basis: the unitary whose columns are the basis
+    vectors, in order."""
 
-    vectors: tuple[UnitVector, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        vecs = tuple(self.vectors)
-        if not vecs:
-            raise ValueError("basis cannot be empty")
-        d = vecs[0].dim
-        if any(v.dim != d for v in vecs):
-            raise ValueError("basis vectors have mixed dimensions")
-        if len(vecs) != d:
+        arr = _orthonormal_columns(self.matrix, "basis")
+        d = arr.shape[0]
+        if arr.shape[1] != d:
             raise ValueError(f"need exactly {d} vectors for a basis of dim {d}")
-        m = np.column_stack([v.components for v in vecs])
-        gram = m.conj().T @ m
-        if not np.max(np.abs(gram - np.eye(d))) <= ATOL:
-            raise ValueError("vectors are not orthonormal within tolerance")
-        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "matrix", arr)
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Unitary whose columns are the basis vectors, in order."""
-        return np.column_stack([v.components for v in self.vectors])
+        return self.matrix.shape[0]
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "OrthonormalBasis":
-        m = np.asarray(m, dtype=np.complex128)
-        return cls(tuple(UnitVector(m[:, j]) for j in range(m.shape[1])))
+        return cls(m)
 
     def is_real(self, tol: float = ATOL) -> bool:
-        return all(v.is_real(tol) for v in self.vectors)
+        return _is_real(self.matrix, tol)
 
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A closed subspace given by an orthonormal spanning set."""
+    """A closed subspace: the d x r matrix whose columns are an orthonormal
+    spanning set, 1 <= r <= d."""
 
-    dim: int
-    spanning_set: tuple[UnitVector, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        vecs = tuple(self.spanning_set)
-        if not 1 <= len(vecs) <= self.dim:
-            raise ValueError("spanning set size must be in [1, dim]")
-        if any(v.dim != self.dim for v in vecs):
-            raise ValueError("spanning vectors must live in the ambient space")
-        m = np.column_stack([v.components for v in vecs])
-        gram = m.conj().T @ m
-        if not np.max(np.abs(gram - np.eye(len(vecs)))) <= ATOL:
-            raise ValueError("spanning set is not orthonormal within tolerance")
-        object.__setattr__(self, "spanning_set", vecs)
+        object.__setattr__(self, "matrix", _orthonormal_columns(self.matrix, "spanning set"))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def rank(self) -> int:
-        return len(self.spanning_set)
-
-    def projector(self) -> Projector:
-        m = np.column_stack([v.components for v in self.spanning_set])
-        return Projector(m @ m.conj().T)
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +175,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze(np.atleast_2d(np.asarray(self.matrix)))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("density matrix must be square")
-        if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        arr = _hermitian(self.matrix, "density matrix")
         tr = np.trace(arr)
         if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"trace {tr!r} is not 1 within {ATOL}")
@@ -191,9 +187,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
     def is_real(self, tol: float = ATOL) -> bool:
         return _is_real(self.matrix, tol)
@@ -213,25 +206,6 @@ class SpectralDecomposition:
         for lam, proj in zip(self.eigenvalues, self.eigenprojectors):
             out += lam * proj.matrix
         return out
-
-    def grouped(self, gap_tol: float = 1e-6) -> list[tuple[float, np.ndarray]]:
-        """Merge eigenvalues closer than ``gap_tol`` into degenerate groups.
-
-        Returns (mean eigenvalue, summed projector matrix) per group; the
-        summed projectors are basis-independent even when individual
-        eigenvectors are not.
-        """
-        groups: list[tuple[float, np.ndarray]] = []
-        vals = list(self.eigenvalues)
-        i = 0
-        while i < len(vals):
-            j = i + 1
-            while j < len(vals) and vals[j - 1] - vals[j] <= gap_tol:
-                j += 1
-            block = sum(p.matrix for p in self.eigenprojectors[i:j])
-            groups.append((float(np.mean(vals[i:j])), block))
-            i = j
-        return groups
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -271,8 +245,7 @@ def haar_random_basis(dim: int, seed: int, field: str = "complex") -> Orthonorma
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    m = haar_basis_matrices(dim, 1, rng, field)[0]
-    return OrthonormalBasis.from_matrix(m)
+    return OrthonormalBasis(haar_basis_matrices(dim, 1, rng, field)[0])
 
 
 def random_density_matrix(
@@ -298,12 +271,6 @@ def random_density_matrix(
     m /= np.trace(m).real
     m = (m + m.conj().T) / 2
     return DensityMatrix(m)
-
-
-def projector_of(v: UnitVector) -> Projector:
-    """Rank-1 projector onto the ray of ``v``."""
-    c = v.components
-    return Projector(np.outer(c, c.conj()))
 
 
 def _project_to_simplex(w: np.ndarray) -> np.ndarray:
@@ -358,4 +325,4 @@ def spectral_decomposition(rho: DensityMatrix | np.ndarray) -> SpectralDecomposi
 
 def standard_basis(dim: int) -> OrthonormalBasis:
     """The computational basis e_1, ..., e_d."""
-    return OrthonormalBasis.from_matrix(np.eye(dim, dtype=np.complex128))
+    return OrthonormalBasis(np.eye(dim))

@@ -80,7 +80,7 @@ class ValuationOracle:
             raise ValueError(f"vectors have dim {vecs.shape[1]}, oracle dim {self.dim}")
         if vecs.shape[0] == 0:
             raise ValueError("empty query batch")
-        norms = np.linalg.norm(vecs, axis=1)
+        norms = np.linalg.norm(np.abs(vecs), axis=1)  # abs first: inf rows raise no warning
         if not np.max(np.abs(norms - 1.0)) <= ATOL:
             raise ValueError("queried vectors must be unit norm")
         if self.field == "real" and np.max(np.abs(vecs.imag), initial=0.0) > ATOL:
@@ -114,10 +114,10 @@ class ExactOracle(ValuationOracle):
 class NoisyOracle(ValuationOracle):
     """Finite-shot oracle: each query returns k/n, k ~ Binomial(n, <n|rho|n>).
 
-    Repeated queries of the same vector draw fresh samples unless
-    ``memoize=True``.  Sampling is seeded; per-call reproducibility holds
-    under single-threaded use (concurrent callers see the same marginal
-    distribution but an order-dependent stream).
+    Repeated queries of the same ray draw fresh samples.  Sampling is
+    seeded; per-call reproducibility holds under single-threaded use
+    (concurrent callers see the same marginal distribution but an
+    order-dependent stream).
     """
 
     def __init__(
@@ -125,7 +125,6 @@ class NoisyOracle(ValuationOracle):
         state: DensityMatrix,
         shots: int = 10_000,
         seed: int = 0,
-        memoize: bool = False,
         field: str = "complex",
     ):
         super().__init__(state.dim, field)
@@ -134,34 +133,24 @@ class NoisyOracle(ValuationOracle):
             raise ValueError("shots must be >= 1")
         self._state = state.matrix
         self.shots = int(shots)
-        self.memoize = bool(memoize)
         self._rng = np.random.default_rng(seed)
-        self._memo: dict[bytes, float] = {}
         self._rng_lock = threading.Lock()
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
         probs = np.einsum("ki,ij,kj->k", vecs.conj(), self._state, vecs).real
         probs = np.clip(probs, 0.0, 1.0)
-        out = np.empty(vecs.shape[0])
         with self._rng_lock:
-            if self.memoize:
-                for i in range(vecs.shape[0]):
-                    key = vecs[i].tobytes()
-                    if key not in self._memo:
-                        self._memo[key] = (
-                            self._rng.binomial(self.shots, probs[i]) / self.shots
-                        )
-                    out[i] = self._memo[key]
-            else:
-                out[:] = self._rng.binomial(self.shots, probs) / self.shots
-        return out
+            return self._rng.binomial(self.shots, probs) / self.shots
 
 
 class TabulatedOracle(ValuationOracle):
     """Oracle backed by a finite table of (vector, value) records.
 
-    Lookups match vectors within Euclidean distance ``TABLE_MATCH_TOL``
-    and raise :class:`OracleLookupError` on a miss.
+    Lookups match rays: a query q hits the row t of largest |<t|q>| when
+    min over phases of ||q - e^{i phi} t|| is within ``match_tol``, so every
+    phase multiple of a tabulated vector returns its value.  A miss raises
+    :class:`OracleLookupError`.  Rows must be finite and of unit norm within
+    ``match_tol``.
     """
 
     def __init__(
@@ -177,22 +166,25 @@ class TabulatedOracle(ValuationOracle):
             raise ValueError("one value per vector required")
         if not np.all((values >= -1e-9) & (values <= 1 + 1e-9)):
             raise ValueError("tabulated values must lie in [0, 1]")
+        self.match_tol = float(match_tol)
+        norms = np.linalg.norm(np.abs(vectors), axis=1)
+        if not np.max(np.abs(norms - 1.0)) <= self.match_tol:
+            raise ValueError("tabulated vectors must be finite and unit norm")
         super().__init__(vectors.shape[1], field)
         self._table = vectors
         self._vals = np.clip(values, 0.0, 1.0)
-        self.match_tol = float(match_tol)
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
-        # (k, m) distance matrix; the table is CLI-scale so this is fine
-        diff = vecs[:, None, :] - self._table[None, :, :]
-        dists = np.linalg.norm(diff, axis=2)
-        idx = np.argmin(dists, axis=1)
-        misses = dists[np.arange(vecs.shape[0]), idx] > self.match_tol
+        idx = np.argmax(np.abs(vecs @ self._table.conj().T), axis=1)
+        t = self._table[idx]
+        inner = np.einsum("ki,ki->k", t.conj(), vecs)
+        dists = np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * t, axis=1)
+        misses = ~(dists <= self.match_tol)
         if np.any(misses):
             bad = int(np.flatnonzero(misses)[0])
             raise OracleLookupError(
-                f"no tabulated vector within {self.match_tol} of query "
-                f"(nearest at distance {dists[bad, idx[bad]]:.3e})"
+                f"no tabulated ray within {self.match_tol} of query "
+                f"(nearest at distance {dists[bad]:.3e})"
             )
         return self._vals[idx]
 
@@ -215,8 +207,10 @@ def _extend_rows(oracle: ValuationOracle, rows: np.ndarray) -> np.ndarray:
     """f on each row in one ``query_batch``; rows of norm below ZERO_NORM cost nothing."""
     if rows.shape[1] != oracle.dim:
         raise ValueError(f"vector dim {rows.shape[1]} != oracle dim {oracle.dim}")
-    norms = np.linalg.norm(rows, axis=1)
-    live = ~(norms < ZERO_NORM)  # NaN stays live, so query_batch rejects it
+    norms = np.linalg.norm(np.abs(rows), axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("vectors must be finite")
+    live = norms >= ZERO_NORM
     f = np.zeros(rows.shape[0])
     if live.any():
         n = norms[live]
@@ -241,6 +235,8 @@ def sesquilinear(oracle: ValuationOracle, x: np.ndarray, y: np.ndarray) -> compl
     y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
     if x.shape != y.shape:
         raise ValueError("x and y must have the same dimension")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("vectors must be finite")
     f = _extend_rows(oracle, pair_probes(x, y, oracle.field))
     return complex(polarize(f, oracle.field)[0])
 
@@ -249,5 +245,4 @@ def subspace_measure(oracle: ValuationOracle, a: Subspace) -> float:
     """Valuation of a subspace by additivity over an orthonormal spanning set."""
     if a.dim != oracle.dim:
         raise ValueError(f"subspace dim {a.dim} != oracle dim {oracle.dim}")
-    rows = np.vstack([v.components for v in a.spanning_set])
-    return float(np.sum(oracle.query_batch(rows)))
+    return float(np.sum(oracle.query_batch(a.matrix.T)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import OrthonormalBasis, Subspace, UnitVector, haar_basis_matrices
+from .hilbert import OrthonormalBasis, Subspace, haar_basis_matrices
 from .reconstruct import TransitionMatrix, explicit_reconstruct
 from .valuation import ValuationOracle, subspace_measure
 
@@ -99,23 +99,13 @@ def check_additivity(
     for _ in range(trials):
         b = haar_basis_matrices(d, 1, rng, oracle.field)[0]
         sizes = _random_composition(d, rng)
-        parts: list[Subspace] = []
-        start = 0
-        for size in sizes:
-            vecs = tuple(UnitVector(b[:, j]) for j in range(start, start + size))
-            parts.append(Subspace(d, vecs))
-            start += size
+        parts = [Subspace(m) for m in np.split(b, np.cumsum(sizes)[:-1], axis=1)]
         total = sum(subspace_measure(oracle, a) for a in parts)
         worst = max(worst, abs(total - 1.0))
         if len(parts) >= 2:
-            m = np.column_stack(
-                [v.components for a in parts[:2] for v in a.spanning_set]
-            )
+            m = b[:, : sizes[0] + sizes[1]]
             rot = haar_basis_matrices(m.shape[1], 1, rng, oracle.field)[0]
-            mixed = m @ rot
-            joined = Subspace(
-                d, tuple(UnitVector(mixed[:, j]) for j in range(mixed.shape[1]))
-            )
+            joined = Subspace(m @ rot)
             lhs = subspace_measure(oracle, joined)
             rhs = subspace_measure(oracle, parts[0]) + subspace_measure(oracle, parts[1])
             worst = max(worst, abs(lhs - rhs))

@@ -13,7 +13,6 @@ from gleason.hilbert import (
     haar_basis_matrices,
     haar_random_basis,
     nearest_density_matrix,
-    projector_of,
     random_density_matrix,
     spectral_decomposition,
     standard_basis,
@@ -37,15 +36,16 @@ class TestTypes:
             v.components[0] = 0.5
 
     def test_basis_rejects_non_orthonormal(self):
-        v1 = UnitVector(e(0, 2))
-        v2_bad = UnitVector(np.array([1.0, 1e-3]) / np.linalg.norm([1.0, 1e-3]))
-        OrthonormalBasis((v1, UnitVector(e(1, 2))))  # the honest one is fine
+        v2_bad = np.array([1.0, 1e-3]) / np.linalg.norm([1.0, 1e-3])
+        OrthonormalBasis(np.column_stack([e(0, 2), e(1, 2)]))  # the honest one is fine
         with pytest.raises(ValueError):
-            OrthonormalBasis((v1, v2_bad))
+            OrthonormalBasis(np.column_stack([e(0, 2), v2_bad]))
+        with pytest.raises(ValueError):
+            OrthonormalBasis(np.diag([1.0, 1.1]))  # orthogonal, not unit
 
     def test_basis_needs_full_count(self):
         with pytest.raises(ValueError):
-            OrthonormalBasis((UnitVector(e(0, 3)), UnitVector(e(1, 3))))
+            OrthonormalBasis(np.eye(3)[:, :2])
 
     def test_density_matrix_rejections(self):
         with pytest.raises(ValueError):
@@ -60,11 +60,13 @@ class TestTypes:
             Projector(np.diag([0.5, 0.5]))
 
     def test_subspace_rejects_non_orthonormal_spanning_set(self):
-        u = UnitVector(e(0, 3))
-        w = UnitVector(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
+        w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
         with pytest.raises(ValueError):
-            Subspace(3, (u, w))
-        Subspace(3, (u, UnitVector(e(1, 3))))  # fine
+            Subspace(np.column_stack([e(0, 3), w]))
+        a = Subspace(np.eye(3)[:, :2])  # fine
+        assert (a.dim, a.rank) == (3, 2)
+        with pytest.raises(ValueError):
+            Subspace(np.eye(3)[:2, :])  # more columns than rows
 
     def test_unit_vector_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -92,7 +94,7 @@ class TestHaarBasis:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 6])
     def test_projector_completeness(self, dim):
         basis = haar_random_basis(dim, seed=dim)
-        total = sum(projector_of(v).matrix for v in basis.vectors)
+        total = sum(np.outer(c, c.conj()) for c in basis.matrix.T)
         assert np.max(np.abs(total - np.eye(dim))) < 1e-12
 
     def test_real_field_gives_orthogonal_matrix(self):
@@ -126,7 +128,7 @@ class TestRandomDensityMatrix:
 
     def test_rank_one_is_pure(self):
         rho = random_density_matrix(5, 1, seed=2)
-        assert abs(rho.purity() - 1.0) < 1e-12
+        assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-12
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_all_ranks_valid(self, dim):
@@ -154,20 +156,27 @@ class TestRandomDensityMatrix:
         assert rho.is_real()
 
 
+def projector_of(v):
+    """Rank-1 projector |v><v| onto the ray of a unit vector."""
+    c = UnitVector(v).components
+    return Projector(np.outer(c, c.conj()))
+
+
 class TestProjectorOf:
     def test_basis_vector(self):
-        p = projector_of(UnitVector(e(0, 3)))
+        p = projector_of(e(0, 3))
         np.testing.assert_allclose(p.matrix, np.diag([1.0, 0, 0]), atol=1e-15)
+        assert p.rank == 1
 
     def test_superposition_all_halves(self):
-        v = UnitVector(np.array([1.0, 1.0]) / np.sqrt(2))
+        v = np.array([1.0, 1.0]) / np.sqrt(2)
         np.testing.assert_allclose(projector_of(v).matrix, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_random_vector_properties(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         v = UnitVector(x / np.linalg.norm(x))
-        p = projector_of(v).matrix
+        p = projector_of(v.components).matrix
         assert np.max(np.abs(p @ p - p)) < 1e-12
         assert abs(np.trace(p) - 1.0) < 1e-12
         np.testing.assert_allclose(p @ v.components, v.components, atol=1e-12)
@@ -234,16 +243,17 @@ class TestSpectralDecomposition:
         assert all(p.rank == 1 for p in dec.eigenprojectors)
 
     def test_grouped_fully_degenerate(self):
+        # one degenerate level: the eigenprojectors are basis-dependent, their sum is not
         dec = spectral_decomposition(DensityMatrix(np.eye(4) / 4))
-        groups = dec.grouped(gap_tol=1e-6)
-        assert len(groups) == 1
-        lam, block = groups[0]
-        assert abs(lam - 0.25) < 1e-12
+        np.testing.assert_allclose(dec.eigenvalues, [0.25] * 4, atol=1e-12)
+        block = sum(p.matrix for p in dec.eigenprojectors)
         np.testing.assert_allclose(block, np.eye(4), atol=1e-10)
 
     def test_grouped_splits_distinct_levels(self):
         dec = spectral_decomposition(DensityMatrix(np.diag([0.5, 0.3, 0.2])))
-        assert len(dec.grouped(gap_tol=1e-6)) == 3
+        np.testing.assert_allclose(dec.eigenvalues, [0.5, 0.3, 0.2], atol=1e-12)
+        for i, p in enumerate(dec.eigenprojectors):
+            np.testing.assert_allclose(p.matrix, np.diag(np.eye(3)[i]), atol=1e-12)
 
     def test_phase_convention_reproducible(self):
         rho = random_density_matrix(3, 3, seed=13)
