@@ -316,8 +316,9 @@ def haar_average_reconstruct(
         remaining -= c
         q = haar_basis_matrices(d, c, rng)
         rows = np.swapaxes(q, 1, 2).reshape(c * d, d)
-        vals = oracle.query_batch(rows).reshape(c, d)
-        sums.append(np.einsum("si,sai,sbi->ab", vals, q, q.conj()))
+        vals = oracle.query_batch(rows)
+        cols = np.swapaxes(q, 0, 1).reshape(d, c * d)
+        sums.append((cols * vals) @ cols.conj().T)
     avg = _pairwise_sum(sums) / num_bases
     estimate = (d + 1) * avg - np.eye(d)
     estimate = (estimate + estimate.conj().T) / 2

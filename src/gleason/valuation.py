@@ -12,7 +12,7 @@ form from it, are what the explicit reconstruction routes consume:
 
 with the imaginary bracket dropped on real Hilbert spaces.  ``pair_probes``
 and ``polarize`` implement this identity once, for ``sesquilinear`` and for
-every explicit reconstruction route.
+every explicit route; ``_born`` is the one Born-rule kernel, a BLAS product.
 """
 
 from __future__ import annotations
@@ -81,17 +81,22 @@ class ValuationOracle:
         if vecs.shape[0] == 0:
             raise ValueError("empty query batch")
         norms = np.linalg.norm(np.abs(vecs), axis=1)  # abs first: inf rows raise no warning
-        if not np.max(np.abs(norms - 1.0)) <= ATOL:
+        if not abs(norms - 1.0).max() <= ATOL:
             raise ValueError("queried vectors must be unit norm")
-        if self.field == "real" and np.max(np.abs(vecs.imag), initial=0.0) > ATOL:
+        if self.field == "real" and abs(vecs.imag).max() > ATOL:
             raise ValueError("real-mode oracle queried with complex vector")
         vals = self._values(vecs)
         with self._lock:
             self._count += vecs.shape[0]
-        return np.clip(vals, 0.0, 1.0)
+        return vals.clip(0.0, 1.0)
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def _born(vecs: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Born rule <n_k|rho|n_k> of each row n_k, as one GEMM and a row-wise dot."""
+    return np.vecdot(vecs, vecs @ state.T).real
 
 
 def _check_hidden_state(state: DensityMatrix, field: str) -> None:
@@ -108,7 +113,7 @@ class ExactOracle(ValuationOracle):
         self._state = state.matrix
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
-        return np.einsum("ki,ij,kj->k", vecs.conj(), self._state, vecs).real
+        return _born(vecs, self._state)
 
 
 class NoisyOracle(ValuationOracle):
@@ -137,8 +142,7 @@ class NoisyOracle(ValuationOracle):
         self._rng_lock = threading.Lock()
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
-        probs = np.einsum("ki,ij,kj->k", vecs.conj(), self._state, vecs).real
-        probs = np.clip(probs, 0.0, 1.0)
+        probs = _born(vecs, self._state).clip(0.0, 1.0)
         with self._rng_lock:
             return self._rng.binomial(self.shots, probs) / self.shots
 
@@ -164,6 +168,8 @@ class TabulatedOracle(ValuationOracle):
         values = np.asarray(values, dtype=float).reshape(-1)
         if vectors.shape[0] != values.size:
             raise ValueError("one value per vector required")
+        if values.size == 0:
+            raise ValueError("empty table")
         if not np.all((values >= -1e-9) & (values <= 1 + 1e-9)):
             raise ValueError("tabulated values must lie in [0, 1]")
         self.match_tol = float(match_tol)

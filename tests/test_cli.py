@@ -148,6 +148,17 @@ class TestVerifyCommand:
         result = run("verify", "--suite", "density", "--in", bad)
         assert result.returncode == 3
 
+    def test_nan_matrix_is_parse_error(self, tmp_path):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 15, "--out", state)
+        payload = json.loads(state.read_text())
+        payload["re"][0][0] = float("nan")  # json writes and reads the NaN literal
+        state.write_text(json.dumps(payload))
+        result = run("verify", "--suite", "density", "--in", state)
+        assert result.returncode == 3
+        assert "error:" in result.stderr and "finite" in result.stderr
+        assert result.stdout == ""
+
     def test_haar_moment_suite(self):
         result = run("verify", "--suite", "haar-moment", "--dim", 2, "--num-bases", 2000)
         assert result.returncode == 0

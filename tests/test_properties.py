@@ -1,5 +1,6 @@
-"""Property tests: ray semantics of the oracles and non-finite rejection at
-every boundary that takes an array from a caller."""
+"""Property tests: ray semantics of the oracles, basis independence of the
+explicit estimate, and non-finite rejection at every boundary that takes an
+array from a caller."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from gleason.hilbert import (
     OrthonormalBasis,
     Subspace,
     UnitVector,
+    haar_random_basis,
     random_density_matrix,
 )
+from gleason.reconstruct import explicit_reconstruct, explicit_reconstruct_real
 from gleason.valuation import ExactOracle, TabulatedOracle
+from gleason.verify import check_density
 
 SEEDS = st.integers(0, 2**32 - 1)
 FIELDS = st.sampled_from(["complex", "real"])
@@ -54,6 +58,16 @@ def test_tabulated_oracle_is_phase_invariant(seed, dim, field, theta):
     np.testing.assert_array_equal(oracle.query_batch(phase_of(theta, field) * rows), values)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, seed_a=SEEDS, seed_b=SEEDS, dim=st.integers(1, 6), field=FIELDS)
+def test_explicit_estimate_is_basis_independent(seed, seed_a, seed_b, dim, field):
+    oracle = ExactOracle(random_density_matrix(dim, dim, seed=seed, field=field), field=field)
+    route = explicit_reconstruct if field == "complex" else explicit_reconstruct_real
+    a = route(oracle, haar_random_basis(dim, seed_a, field)).estimate
+    b = route(oracle, haar_random_basis(dim, seed_b, field)).estimate
+    assert np.linalg.norm(a - b) <= 1e-10
+
+
 def _query_uncharged(m):
     dim = m.shape[0]
     oracle = ExactOracle(DensityMatrix(np.eye(dim) / dim))
@@ -71,6 +85,7 @@ BOUNDARIES = {
     "DensityMatrix": DensityMatrix,
     "query_batch": _query_uncharged,
     "TabulatedOracle": lambda m: TabulatedOracle(m, np.full(m.shape[0], 1 / m.shape[0])),
+    "check_density": check_density,
 }
 BAD = st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1.0)])
 

@@ -7,6 +7,7 @@ from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     UnitVector,
+    haar_basis_matrices,
     haar_random_basis,
     random_density_matrix,
     spectral_decomposition,
@@ -391,6 +392,32 @@ class TestHaarAverage:
         report = haar_average_reconstruct(ExactOracle(rho), 40, seed=43)
         assert np.linalg.eigvalsh(report.repaired.matrix)[0] >= -1e-10
         assert report.residual >= 0
+
+
+def einsum_haar_average(oracle, num_bases, seed):
+    """Reference: the Haar-average estimate with each chunk summed by the
+    three-index einsum, over the same draws, chunks and queries."""
+    d = oracle.dim
+    rng = np.random.default_rng(seed)
+    sums, remaining = [], num_bases
+    while remaining > 0:
+        c = min(2048, remaining)
+        remaining -= c
+        q = haar_basis_matrices(d, c, rng)
+        vals = oracle.query_batch(np.swapaxes(q, 1, 2).reshape(c * d, d)).reshape(c, d)
+        sums.append(np.einsum("si,sai,sbi->ab", vals, q, q.conj()))
+    estimate = (d + 1) * sum(sums) / num_bases - np.eye(d)
+    return (estimate + estimate.conj().T) / 2
+
+
+@pytest.mark.parametrize("num_bases", [1, 17, 2500])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_haar_average_matches_einsum_reference(dim, num_bases):
+    rho = random_density_matrix(dim, dim, seed=dim + 60)
+    report = haar_average_reconstruct(ExactOracle(rho), num_bases, seed=num_bases)
+    ref = einsum_haar_average(ExactOracle(rho), num_bases, seed=num_bases)
+    # the GEMM sums in another order than the einsum loop
+    np.testing.assert_allclose(report.estimate, ref, rtol=0, atol=1e-13)
 
 
 class TestTransitionMatrix:

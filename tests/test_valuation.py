@@ -20,6 +20,7 @@ from gleason.valuation import (
     NoisyOracle,
     OracleLookupError,
     TabulatedOracle,
+    _born,
     extend,
     sesquilinear,
     subspace_measure,
@@ -109,6 +110,26 @@ class TestExactOracle:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(hammer, range(8)))
         assert oracle.query_count == 8 * 100 * 2
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("rows", [1, 2016])
+def test_born_kernel_matches_einsum_reference(rows, field):
+    """The Born kernel against the three-index einsum it replaced, on the
+    d=32 explicit batch size and on strided views such as the transposed
+    basis columns the Haar-average route queries."""
+    d = 32
+    rho = random_density_matrix(d, d, seed=rows, field=field).matrix
+    rng = np.random.default_rng(rows)
+    vecs = np.array([random_vec(rng, d, real=field == "real") for _ in range(rows)])
+    vecs = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).astype(np.complex128)
+    ref = np.einsum("ki,ij,kj->k", vecs.conj(), rho, vecs).real
+    padded = np.zeros((rows, 2 * d), dtype=np.complex128)
+    padded[:, ::2] = vecs
+    views = [vecs, padded[:, ::2], np.asfortranarray(vecs)]
+    assert not views[1].flags.c_contiguous
+    for view in views:
+        np.testing.assert_allclose(_born(view, rho), ref, rtol=0, atol=1e-14)
 
 
 class TestExtend:
@@ -319,6 +340,10 @@ class TestTabulatedOracle:
             TabulatedOracle([[np.inf, 0.0], [0.0, 1.0]], [0.9, 0.1])
         with pytest.raises(ValueError):
             TabulatedOracle([[1.1, 0.0], [0.0, 1.0]], [0.9, 0.1])
+
+    def test_rejects_empty_table(self):
+        with pytest.raises(ValueError, match="empty table"):
+            TabulatedOracle(np.empty((0, 3)), [])
 
     def test_miss_raises(self):
         vectors, values = self.make_table()

@@ -127,6 +127,36 @@ class TestCheckHaarMoment:
         assert a.deviation == b.deviation
 
 
+def einsum_haar_moment(dim, num_samples, seed):
+    """Reference: the moment check's max |mean - expected| and max sigma, with
+    the per-sample tensor from the five-index einsum, over the same draws."""
+    rng = np.random.default_rng(seed)
+    chunk = min(num_samples, 65536 // dim**2)
+    total, total_sq, remaining = 0.0, 0.0, num_samples
+    while remaining > 0:
+        c = min(chunk, remaining)
+        remaining -= c
+        q = haar_basis_matrices(dim, c, rng)
+        x = np.einsum("sai,sbi,sci,sdi->sabcd", q, q.conj(), q.conj(), q)
+        total = total + x.sum(axis=0)
+        total_sq = total_sq + (np.abs(x) ** 2).sum(axis=0)
+    mean = total / num_samples
+    stderr = np.sqrt((total_sq / num_samples - np.abs(mean) ** 2) / num_samples)
+    eye = np.eye(dim)
+    expected = np.einsum("ac,bd->abcd", eye, eye) + np.einsum("ab,cd->abcd", eye, eye)
+    abs_dev = np.abs(mean - expected / (dim + 1))
+    return abs_dev.max(), (abs_dev / stderr).max()
+
+
+@pytest.mark.parametrize("num_samples", [100, 5000])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_haar_moment_matches_einsum_reference(dim, num_samples):
+    r = check_haar_moment(dim, num_samples, seed=dim + num_samples)
+    ref_dev, ref_sigma = einsum_haar_moment(dim, num_samples, seed=dim + num_samples)
+    assert abs(r.context["max_abs_deviation"] - ref_dev) <= 1e-11
+    assert abs(r.deviation - ref_sigma) <= 1e-9 * ref_sigma
+
+
 class TestCheckBasisIndependence:
     def test_exact_oracle_passes(self):
         oracle = ExactOracle(random_density_matrix(3, 3, seed=17))
