@@ -86,6 +86,11 @@ def _build_oracle(args, field: str) -> ValuationOracle:
     return ExactOracle(state, field=field)
 
 
+def _given(value, default):
+    """``value`` unless the option was not given (None); 0 is a value."""
+    return default if value is None else value
+
+
 def _write_or_print(obj: dict | list, out: str | None) -> None:
     if out:
         dump_json(obj, out)
@@ -113,9 +118,7 @@ def cmd_reconstruct(args) -> int:
     elif args.method == "pauli2d":
         report = pauli_reconstruct_2d(oracle, basis)
     elif args.method == "implicit":
-        cfg = ImplicitConfig(seed=args.seed)
-        if args.tol is not None:
-            cfg = ImplicitConfig(tol=args.tol, seed=args.seed)
+        cfg = ImplicitConfig(tol=_given(args.tol, ImplicitConfig.tol), seed=args.seed)
         report = implicit_reconstruct(oracle, cfg)
     elif args.method == "haar-average":
         report = haar_average_reconstruct(oracle, args.num_bases, args.seed)
@@ -147,39 +150,39 @@ def _verify_reports(args) -> list:
         if suite == "density":
             if raw is None:
                 raise UsageError("suite density needs --in")
-            reports.append(check_density(raw, args.tol or 1e-10))
+            reports.append(check_density(raw, _given(args.tol, 1e-10)))
         elif suite == "additivity":
             oracle: ValuationOracle
             if args.shots:
                 oracle = NoisyOracle(state(), shots=args.shots, seed=args.seed)
-                tol = args.tol if args.tol is not None else 5 / np.sqrt(args.shots)
+                tol = _given(args.tol, 5 / np.sqrt(args.shots))
             else:
                 oracle = ExactOracle(state())
-                tol = args.tol if args.tol is not None else 1e-10
-            trials = args.num_bases or 100
+                tol = _given(args.tol, 1e-10)
+            trials = _given(args.num_bases, 100)
             reports.append(check_additivity(oracle, trials, args.seed, tol))
         elif suite == "basis-independence":
             oracle = ExactOracle(state())
             # pairwise comparisons are quadratic in the basis count, so the
             # shared --num-bases knob only applies when this suite runs alone
-            count = args.num_bases if (args.num_bases and args.suite != "all") else 5
+            count = _given(args.num_bases, 5) if args.suite != "all" else 5
             reports.append(
-                check_basis_independence(oracle, count, args.seed, args.tol or 1e-10)
+                check_basis_independence(oracle, count, args.seed, _given(args.tol, 1e-10))
             )
         elif suite == "haar-moment":
-            dim = args.dim or (raw.shape[0] if raw is not None else None)
+            dim = _given(args.dim, raw.shape[0] if raw is not None else None)
             if dim is None:
                 raise UsageError("suite haar-moment needs --dim or --in")
-            reports.append(check_haar_moment(dim, args.num_bases or 100_000, args.seed))
+            reports.append(check_haar_moment(dim, _given(args.num_bases, 100_000), args.seed))
         elif suite == "unistochastic":
-            dim = args.dim or (raw.shape[0] if raw is not None else None)
+            dim = _given(args.dim, raw.shape[0] if raw is not None else None)
             if dim is None:
                 raise UsageError("suite unistochastic needs --dim or --in")
             s = transition_matrix(
                 haar_random_basis(dim, args.seed),
                 haar_random_basis(dim, args.seed + 1),
             )
-            reports.append(check_unistochastic(s, args.tol or 1e-12))
+            reports.append(check_unistochastic(s, _given(args.tol, 1e-12)))
     return reports
 
 

@@ -50,8 +50,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_real(arr: np.ndarray, tol: float = ATOL) -> bool:
-    return bool(np.max(np.abs(arr.imag), initial=0.0) <= tol)
+def _is_real(arr: np.ndarray) -> bool:
+    return bool(np.max(np.abs(arr.imag), initial=0.0) <= ATOL)
 
 
 def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
@@ -95,8 +95,8 @@ class UnitVector:
     def dim(self) -> int:
         return self.components.size
 
-    def is_real(self, tol: float = ATOL) -> bool:
-        return _is_real(self.components, tol)
+    def is_real(self) -> bool:
+        return _is_real(self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +145,8 @@ class OrthonormalBasis:
     def from_matrix(cls, m: np.ndarray) -> "OrthonormalBasis":
         return cls(m)
 
-    def is_real(self, tol: float = ATOL) -> bool:
-        return _is_real(self.matrix, tol)
+    def is_real(self) -> bool:
+        return _is_real(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +188,8 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_real(self, tol: float = ATOL) -> bool:
-        return _is_real(self.matrix, tol)
+    def is_real(self) -> bool:
+        return _is_real(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,7 +65,8 @@ _CHUNK = 2048
 
 
 class ConvergenceError(RuntimeError):
-    """Sphere maximization did not converge within the sweep budget."""
+    """Sphere maximization did not converge within the sweep budget; carries
+    the ascent's last iterate, the valuation there and its last sweep's move."""
 
     def __init__(self, best_vector: np.ndarray, best_value: float, residual: float, sweeps: int):
         self.best_vector = best_vector
@@ -139,8 +140,8 @@ class BlochVector:
     def norm(self) -> float:
         return float(np.sqrt(self.r_x**2 + self.r_y**2 + self.r_z**2))
 
-    def is_physical(self, tol: float = 1e-10) -> bool:
-        return self.norm() <= 1 + tol
+    def is_physical(self) -> bool:
+        return self.norm() <= 1 + 1e-10
 
 
 def bloch_vector_of(state: DensityMatrix | np.ndarray) -> BlochVector:
@@ -340,20 +341,23 @@ def transition_matrix(
     return TransitionMatrix(np.abs(overlap) ** 2)
 
 
+# Sweep budget of one sphere ascent, and the predicted gain at or below
+# which a substep's rotation is rounding noise and skipped (this is what
+# terminates cleanly on fully degenerate states).
+_MAX_SWEEPS = 300
+_IMPROVE_FLOOR = 1e-15
+
+
 @dataclass(frozen=True)
 class ImplicitConfig:
-    """Knobs for the sphere-maximization route.
+    """Settings of the sphere-maximization route.
 
-    ``tol`` bounds the iterate movement per sweep at convergence;
-    ``improve_floor`` gates rotations whose predicted gain is at rounding
-    level (this is what terminates cleanly on fully degenerate states).
+    ``tol`` bounds the iterate movement per sweep at convergence; ``seed``
+    draws the start vector of each stage's one ascent.
     """
 
     tol: float = 1e-8
-    max_sweeps: int = 300
-    restarts: int = 3
     seed: int = 0
-    improve_floor: float = 1e-15
 
 
 def _unit_query(oracle: ValuationOracle, x: np.ndarray) -> float:
@@ -364,8 +368,8 @@ def _ascend_sphere(
     oracle: ValuationOracle,
     w_frame: np.ndarray,
     rng: np.random.Generator,
-    cfg: ImplicitConfig,
-) -> tuple[np.ndarray, float, bool, float]:
+    tol: float,
+) -> np.ndarray:
     """Maximize the valuation over unit vectors in the span of ``w_frame``.
 
     Cyclic two-coordinate ascent: restricted to the great circle (and
@@ -373,6 +377,10 @@ def _ascend_sphere(
     direction, the valuation is a quadratic trigonometric polynomial whose
     coefficients are fixed by at most three extra probes, so each substep
     rotates straight to the restricted maximum in closed form.
+
+    Returns the maximizer's coordinates in ``w_frame``.  Raises
+    :class:`ConvergenceError`, carrying the last iterate, when the last
+    of ``_MAX_SWEEPS`` sweeps still moves it by ``tol`` or more.
     """
     m = w_frame.shape[1]
     complex_mode = oracle.field == "complex"
@@ -381,8 +389,7 @@ def _ascend_sphere(
         u = u + 1j * rng.standard_normal(m)
     u /= np.linalg.norm(u)
     vu = _unit_query(oracle, w_frame @ u)
-    last_move = np.inf
-    for sweep in range(cfg.max_sweeps):
+    for _sweep in range(_MAX_SWEEPS):
         biggest = 0.0
         for l in range(m):
             w = -u * np.conj(u[l])
@@ -400,7 +407,7 @@ def _ascend_sphere(
                 coupling = coupling + 1j * (avg - vpi)
             half_gap = 0.5 * (vu - vw)
             top = avg + np.hypot(half_gap, abs(coupling))
-            if top - vu <= cfg.improve_floor:
+            if top - vu <= _IMPROVE_FLOOR:
                 continue
             # top eigenvector of [[vu, coupling], [conj, vw]] in the (u, w) plane
             comp = np.array([coupling, top - vu])
@@ -409,10 +416,9 @@ def _ascend_sphere(
             u /= np.linalg.norm(u)
             vu = _unit_query(oracle, w_frame @ u)
             biggest = max(biggest, abs(beta))
-        last_move = biggest
-        if biggest < cfg.tol:
-            return u, vu, True, last_move
-    return u, vu, False, last_move
+        if biggest < tol:
+            return u
+    raise ConvergenceError(w_frame @ u, vu, biggest, _MAX_SWEEPS)
 
 
 def implicit_reconstruct(
@@ -423,15 +429,18 @@ def implicit_reconstruct(
     Finds n_1 maximizing the valuation on the unit sphere, then n_2
     maximizing it on the sphere orthogonal to n_1, and so on; the
     valuations at the maximizers are the eigenvalues (non-increasing) and
-    the estimate is  sum_i v(n_i) |n_i><n_i|.  Each stage restarts the
-    ascent a few times from random unit vectors and keeps the best
-    converged run.
+    the estimate is  sum_i v(n_i) |n_i><n_i|.  Each stage runs one ascent
+    from a seeded random unit vector and then queries the valuation afresh
+    at its maximizer (on a noisy oracle that query is an unbiased sample;
+    the ascent's own value at the iterate is a selected one).  The last
+    stage needs no ascent: its sphere is one ray.
 
     Raises
     ------
     ConvergenceError
-        If no restart of some stage converges within the sweep budget;
-        the error carries the best iterate and its last sweep movement.
+        If the ascent of some stage does not converge within the sweep
+        budget; the error carries its last iterate, the valuation there
+        and the movement of its last sweep.
     """
     cfg = config or ImplicitConfig()
     d = oracle.dim
@@ -446,18 +455,7 @@ def implicit_reconstruct(
         if m == 1:
             coeff = np.ones(1, dtype=np.complex128)
         else:
-            best = None
-            best_any = None
-            for _ in range(cfg.restarts):
-                u, vu, ok, move = _ascend_sphere(oracle, frame, rng, cfg)
-                if best_any is None or vu > best_any[1]:
-                    best_any = (u, vu, move)
-                if ok and (best is None or vu > best[1]):
-                    best = (u, vu)
-            if best is None:
-                u, vu, move = best_any
-                raise ConvergenceError(frame @ u, vu, move, cfg.max_sweeps)
-            coeff = best[0]
+            coeff = _ascend_sphere(oracle, frame, rng, cfg.tol)
         n_vec = frame @ coeff
         n_vec /= np.linalg.norm(n_vec)
         lam = _unit_query(oracle, n_vec)

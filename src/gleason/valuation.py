@@ -151,10 +151,10 @@ class TabulatedOracle(ValuationOracle):
     """Oracle backed by a finite table of (vector, value) records.
 
     Lookups match rays: a query q hits the row t of largest |<t|q>| when
-    min over phases of ||q - e^{i phi} t|| is within ``match_tol``, so every
-    phase multiple of a tabulated vector returns its value.  A miss raises
-    :class:`OracleLookupError`.  Rows must be finite and of unit norm within
-    ``match_tol``.
+    min over phases of ||q - e^{i phi} t|| is within ``TABLE_MATCH_TOL``,
+    so every phase multiple of a tabulated vector returns its value.  A
+    miss raises :class:`OracleLookupError`.  Rows must be finite and of
+    unit norm within ``TABLE_MATCH_TOL``.
     """
 
     def __init__(
@@ -162,7 +162,6 @@ class TabulatedOracle(ValuationOracle):
         vectors: np.ndarray,
         values: np.ndarray,
         field: str = "complex",
-        match_tol: float = TABLE_MATCH_TOL,
     ):
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
         values = np.asarray(values, dtype=float).reshape(-1)
@@ -172,9 +171,8 @@ class TabulatedOracle(ValuationOracle):
             raise ValueError("empty table")
         if not np.all((values >= -1e-9) & (values <= 1 + 1e-9)):
             raise ValueError("tabulated values must lie in [0, 1]")
-        self.match_tol = float(match_tol)
         norms = np.linalg.norm(np.abs(vectors), axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= self.match_tol:
+        if not np.max(np.abs(norms - 1.0)) <= TABLE_MATCH_TOL:
             raise ValueError("tabulated vectors must be finite and unit norm")
         super().__init__(vectors.shape[1], field)
         self._table = vectors
@@ -185,11 +183,11 @@ class TabulatedOracle(ValuationOracle):
         t = self._table[idx]
         inner = np.einsum("ki,ki->k", t.conj(), vecs)
         dists = np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * t, axis=1)
-        misses = ~(dists <= self.match_tol)
+        misses = ~(dists <= TABLE_MATCH_TOL)
         if np.any(misses):
             bad = int(np.flatnonzero(misses)[0])
             raise OracleLookupError(
-                f"no tabulated ray within {self.match_tol} of query "
+                f"no tabulated ray within {TABLE_MATCH_TOL} of query "
                 f"(nearest at distance {dists[bad]:.3e})"
             )
         return self._vals[idx]

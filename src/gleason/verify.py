@@ -25,6 +25,9 @@ __all__ = [
     "check_basis_independence",
 ]
 
+# Gate of the Haar moment check, in standard errors of the Monte Carlo mean.
+_SIGMA_GATE = 4.0
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -133,9 +136,7 @@ def check_unistochastic(
     )
 
 
-def check_haar_moment(
-    dim: int, num_samples: int, seed: int, sigma_gate: float = 4.0
-) -> CheckReport:
+def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
     """Second moment of Haar-random basis projectors against its closed form.
 
     Estimates T[a,b,c,e] = < sum_i (P_i)_ab conj((P_i)_ce) > over Haar bases,
@@ -145,8 +146,10 @@ def check_haar_moment(
 
     The deviation is reported in units of the per-entry standard error of
     the Monte Carlo mean; the check passes when every entry is within
-    ``sigma_gate`` standard errors.
+    four standard errors.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     if num_samples < 100:
         raise ValueError("num_samples must be >= 100")
     rng = np.random.default_rng(seed)
@@ -180,7 +183,7 @@ def check_haar_moment(
     return CheckReport(
         "haar-moment",
         float(np.max(sigmas)),
-        sigma_gate,
+        _SIGMA_GATE,
         {
             "dim": dim,
             "num_samples": num_samples,
@@ -204,13 +207,10 @@ def check_basis_independence(
         raise ValueError("num_bases must be >= 2")
     d = oracle.dim
     rng = np.random.default_rng(seed)
-    estimates = []
-    if d == 1:
-        estimates = [np.ones((1, 1)) for _ in range(num_bases)]
-    else:
-        for m in haar_basis_matrices(d, num_bases, rng):
-            basis = OrthonormalBasis.from_matrix(m)
-            estimates.append(explicit_reconstruct(oracle, basis).estimate)
+    estimates = [
+        explicit_reconstruct(oracle, OrthonormalBasis(m)).estimate
+        for m in haar_basis_matrices(d, num_bases, rng)
+    ]
     worst = 0.0
     for i in range(len(estimates)):
         for j in range(i + 1, len(estimates)):

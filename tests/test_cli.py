@@ -177,6 +177,32 @@ class TestVerifyCommand:
         }
         assert all(r["pass"] for r in reports)
 
+    @pytest.mark.parametrize("suite", ["density", "basis-independence", "unistochastic"])
+    def test_zero_tol_is_honoured(self, tmp_path, suite):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 16, "--out", state)
+        result = run("verify", "--suite", suite, "--in", state, "--tol", 0)
+        report = json.loads(result.stdout.splitlines()[-1])[0]
+        assert report["tolerance"] == 0.0
+        assert result.returncode == (0 if report["pass"] else 4)
+
+    @pytest.mark.parametrize("suite", ["additivity", "basis-independence", "haar-moment"])
+    def test_zero_num_bases_is_parse_error(self, tmp_path, suite):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 17, "--out", state)
+        result = run("verify", "--suite", suite, "--in", state, "--num-bases", 0)
+        assert result.returncode == 3
+        assert "error:" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("suite", ["haar-moment", "unistochastic"])
+    def test_zero_dim_is_parse_error(self, tmp_path, suite):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 18, "--out", state)
+        result = run("verify", "--suite", suite, "--in", state, "--dim", 0)
+        assert result.returncode == 3
+        assert "error: dim must be >= 1" in result.stderr
+
     def test_missing_input_is_usage_error(self):
         result = run("verify", "--suite", "density")
         assert result.returncode == 2

@@ -290,14 +290,17 @@ class TestImplicit:
         assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
 
     def test_non_convergence_raises_with_payload(self):
+        # the noise floor keeps the first stage moving: its one ascent runs
+        # all 300 sweeps, 1 start query plus at most 4 per substep (m=3)
         rho = random_density_matrix(3, 3, seed=22)
         oracle = NoisyOracle(rho, shots=100, seed=23)
-        cfg = ImplicitConfig(tol=1e-12, max_sweeps=3, restarts=1, seed=24)
         with pytest.raises(ConvergenceError) as err:
-            implicit_reconstruct(oracle, cfg)
+            implicit_reconstruct(oracle, ImplicitConfig(tol=1e-12, seed=24))
         assert err.value.best_vector.shape == (3,)
         assert 0.0 <= err.value.best_value <= 1.0
         assert err.value.residual > 0
+        assert err.value.sweeps == 300
+        assert oracle.query_count <= 1 + 4 * 3 * 300
 
     def test_dim_one_trivial(self):
         report = implicit_reconstruct(ExactOracle(DensityMatrix([[1.0]])))
