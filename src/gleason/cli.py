@@ -118,8 +118,7 @@ def cmd_reconstruct(args) -> int:
     elif args.method == "pauli2d":
         report = pauli_reconstruct_2d(oracle, basis)
     elif args.method == "implicit":
-        cfg = ImplicitConfig(tol=_given(args.tol, ImplicitConfig.tol), seed=args.seed)
-        report = implicit_reconstruct(oracle, cfg)
+        report = implicit_reconstruct(oracle, ImplicitConfig(tol=args.tol, seed=args.seed))
     elif args.method == "haar-average":
         report = haar_average_reconstruct(oracle, args.num_bases, args.seed)
     else:  # unreachable given argparse choices
@@ -146,6 +145,11 @@ def _verify_reports(args) -> list:
             raise UsageError(f"suite {suite} needs --in")
         return DensityMatrix(raw)
 
+    def dim() -> int:
+        if args.dim is None and raw is None:
+            raise UsageError(f"suite {suite} needs --dim or --in")
+        return _given(args.dim, None if raw is None else raw.shape[0])
+
     for suite in suites:
         if suite == "density":
             if raw is None:
@@ -170,18 +174,10 @@ def _verify_reports(args) -> list:
                 check_basis_independence(oracle, count, args.seed, _given(args.tol, 1e-10))
             )
         elif suite == "haar-moment":
-            dim = _given(args.dim, raw.shape[0] if raw is not None else None)
-            if dim is None:
-                raise UsageError("suite haar-moment needs --dim or --in")
-            reports.append(check_haar_moment(dim, _given(args.num_bases, 100_000), args.seed))
+            reports.append(check_haar_moment(dim(), _given(args.num_bases, 100_000), args.seed))
         elif suite == "unistochastic":
-            dim = _given(args.dim, raw.shape[0] if raw is not None else None)
-            if dim is None:
-                raise UsageError("suite unistochastic needs --dim or --in")
-            s = transition_matrix(
-                haar_random_basis(dim, args.seed),
-                haar_random_basis(dim, args.seed + 1),
-            )
+            s = transition_matrix(haar_random_basis(dim(), args.seed),
+                                  haar_random_basis(dim(), args.seed + 1))
             reports.append(check_unistochastic(s, _given(args.tol, 1e-12)))
     return reports
 
@@ -241,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--num-bases", type=int, default=1000,
                        help="sample count for method haar-average")
     p_rec.add_argument("--tol", type=float, default=None,
-                       help="sweep tolerance for method implicit")
+                       help="residual-norm tolerance for method implicit "
+                       "(default: the oracle's noise floor, at least 1e-8)")
     p_rec.add_argument("--out", default=None)
     p_rec.set_defaults(func=cmd_reconstruct)
 

@@ -114,14 +114,6 @@ class Projector:
             raise ValueError(f"projector trace {tr!r} is not an integer")
         object.__setattr__(self, "matrix", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return int(round(np.trace(self.matrix).real))
-
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
@@ -198,21 +190,6 @@ class SpectralDecomposition:
 
     eigenvalues: tuple[float, ...]
     eigenprojectors: tuple[Projector, ...]
-
-    def matrix(self) -> np.ndarray:
-        """Reassemble the decomposed operator."""
-        d = self.eigenprojectors[0].dim
-        out = np.zeros((d, d), dtype=np.complex128)
-        for lam, proj in zip(self.eigenvalues, self.eigenprojectors):
-            out += lam * proj.matrix
-        return out
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first significant component is positive real."""
-    idx = np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))
-    pivot = v[idx[0]]
-    return v * (np.conj(pivot) / abs(pivot))
 
 
 def haar_basis_matrices(
@@ -304,22 +281,14 @@ def nearest_density_matrix(m: np.ndarray) -> DensityMatrix:
 
 def spectral_decomposition(rho: DensityMatrix | np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix into non-increasing eigenvalues
-    and rank-1 projectors.
-
-    Eigenvector phases are fixed so the first significant component is
-    positive real, making the output reproducible; the projectors are
-    phase-invariant regardless.
-    """
+    and rank-1 projectors."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     h = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(h)
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]
-    projs = []
-    for j in range(w.size):
-        col = _fix_phase(v[:, j])
-        projs.append(Projector(np.outer(col, col.conj())))
+    projs = [Projector(np.outer(col, col.conj())) for col in v.T]
     return SpectralDecomposition(tuple(float(x) for x in w), tuple(projs))
 
 

@@ -13,7 +13,8 @@ The routes below consume nothing but valuations of unit vectors:
 * ``implicit_reconstruct``: iterated sphere maximization with deflation;
   returns the spectral form  sum_i v(n_i) |n_i><n_i|  where each n_i
   maximizes the valuation on the unit sphere orthogonal to its
-  predecessors.
+  predecessors, found by a Rayleigh-Ritz ascent that stops on the
+  residual norm (or the oracle's noise floor).
 * ``haar_average_reconstruct``: Monte Carlo average of basis-decohered
   states, unbiased via  rho = (d+1) <rho_P> - I.
 
@@ -38,7 +39,8 @@ from .hilbert import (
     nearest_density_matrix,
 )
 from .serialize import matrix_to_json
-from .valuation import ExactOracle, ValuationOracle, pair_probes, polarize
+from .valuation import ExactOracle, ValuationOracle, known_diagonal_coupling
+from .valuation import pair_probes, polarize
 
 __all__ = [
     "TransitionMatrix",
@@ -65,17 +67,20 @@ _CHUNK = 2048
 
 
 class ConvergenceError(RuntimeError):
-    """Sphere maximization did not converge within the sweep budget; carries
-    the ascent's last iterate, the valuation there and its last sweep's move."""
+    """Sphere maximization did not converge within the iteration budget; carries
+    the ascent's last iterate, the valuation there, its residual norm ||r||,
+    the iteration count ``sweeps`` and the noise floor no tolerance can beat."""
 
-    def __init__(self, best_vector: np.ndarray, best_value: float, residual: float, sweeps: int):
+    def __init__(self, best_vector: np.ndarray, best_value: float, residual: float,
+                 sweeps: int, floor: float = 0.0):
         self.best_vector = best_vector
         self.best_value = best_value
         self.residual = residual
         self.sweeps = sweeps
+        self.floor = floor
         super().__init__(
-            f"no convergence after {sweeps} sweeps "
-            f"(best value {best_value:.6g}, last move {residual:.3e})"
+            f"no convergence after {sweeps} iterations (best value {best_value:.6g}, "
+            f"residual norm {residual:.3e}, noise floor {floor:.3e})"
         )
 
 
@@ -341,84 +346,88 @@ def transition_matrix(
     return TransitionMatrix(np.abs(overlap) ** 2)
 
 
-# Sweep budget of one sphere ascent, and the predicted gain at or below
-# which a substep's rotation is rounding noise and skipped (this is what
-# terminates cleanly on fully degenerate states).
+# Iteration budget of one sphere ascent, and the residual norm at which a
+# stage stops on an exact oracle when the caller gives no tolerance.
 _MAX_SWEEPS = 300
-_IMPROVE_FLOOR = 1e-15
+_EXACT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ImplicitConfig:
     """Settings of the sphere-maximization route.
 
-    ``tol`` bounds the iterate movement per sweep at convergence; ``seed``
-    draws the start vector of each stage's one ascent.
+    ``tol`` bounds the residual norm ||rho u - v(u) u|| at which a stage's
+    ascent stops; ``None`` stops at the oracle's noise floor (at least 1e-8),
+    and a ``tol`` below that floor is never met.  ``seed`` draws the start
+    vector of each stage's one ascent.
     """
 
-    tol: float = 1e-8
+    tol: float | None = None
     seed: int = 0
 
 
-def _unit_query(oracle: ValuationOracle, x: np.ndarray) -> float:
-    return float(oracle.query_batch((x / np.linalg.norm(x))[None, :])[0])
-
-
-def _ascend_sphere(
-    oracle: ValuationOracle,
-    w_frame: np.ndarray,
-    rng: np.random.Generator,
-    tol: float,
-) -> np.ndarray:
+def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.Generator,
+                   tol: float | None) -> np.ndarray:
     """Maximize the valuation over unit vectors in the span of ``w_frame``.
 
-    Cyclic two-coordinate ascent: restricted to the great circle (and
-    phase torus, in complex mode) through the iterate and one coordinate
-    direction, the valuation is a quadratic trigonometric polynomial whose
-    coefficients are fixed by at most three extra probes, so each substep
-    rotates straight to the restricted maximum in closed form.
+    Rayleigh-Ritz ascent on span{u, r, p} (LOBPCG without a preconditioner),
+    two ``query_batch`` calls per iteration.  The residual batch queries u
+    and w_l, (u+w_l)/sqrt2, (u+iw_l)/sqrt2 over a basis w_l of u's complement:
+    v(u) and c_l = <u|rho|w_l> give r = rho u - v(u) u = sum_l conj(c_l) w_l.
+    The Ritz batch queries r^, p^, (r^+p^)/sqrt2, (r^+ip^)/sqrt2, with p^ the
+    last step made orthogonal to u and r^ (only r^ if there is none), to fill
+    the compression of rho to (u, r^, p^); <u|rho|r^> = ||r|| and <u|rho|p^> = 0
+    as rho u lies in span{u, r}.  Its top eigenvector is the next iterate, and
+    its (r^, p^) part the next step.  Real mode drops the imaginary probes.
 
-    Returns the maximizer's coordinates in ``w_frame``.  Raises
-    :class:`ConvergenceError`, carrying the last iterate, when the last
-    of ``_MAX_SWEEPS`` sweeps still moves it by ``tol`` or more.
+    Stops when ||r|| <= tol (eigenvalue error at most ||r||^2 / gap).  With
+    ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))), for the oracle's
+    ``noise_scale`` sigma and k = 3 (complex) or 2 (real); a ``tol`` below the
+    noise floor is never met.  Returns the maximizer's coordinates in
+    ``w_frame``; raises :class:`ConvergenceError` with the last iterate, its
+    valuation and ||r|| after ``_MAX_SWEEPS`` iterations.
     """
     m = w_frame.shape[1]
-    complex_mode = oracle.field == "complex"
-    u = rng.standard_normal(m).astype(np.complex128)
-    if complex_mode:
+    field = oracle.field
+    floor = 3 * oracle.noise_scale * np.sqrt((3 if field == "complex" else 2) * (m - 1))
+    # a tolerance below the noise floor cannot be certified, so it is never met
+    tol = max(_EXACT_TOL, floor) if tol is None else (tol if tol >= floor else -np.inf)
+    u = rng.standard_normal(m)
+    if field == "complex":
         u = u + 1j * rng.standard_normal(m)
     u /= np.linalg.norm(u)
-    vu = _unit_query(oracle, w_frame @ u)
-    for _sweep in range(_MAX_SWEEPS):
-        biggest = 0.0
-        for l in range(m):
-            w = -u * np.conj(u[l])
-            w[l] += 1.0
-            nw = np.linalg.norm(w)
-            if nw < 1e-8:  # coordinate direction coincides with the iterate
-                continue
-            w /= nw
-            vw = _unit_query(oracle, w_frame @ w)
-            avg = 0.5 * (vu + vw)
-            vp = _unit_query(oracle, w_frame @ ((u + w) / _SQRT2))
-            coupling = vp - avg
-            if complex_mode:
-                vpi = _unit_query(oracle, w_frame @ ((u + 1j * w) / _SQRT2))
-                coupling = coupling + 1j * (avg - vpi)
-            half_gap = 0.5 * (vu - vw)
-            top = avg + np.hypot(half_gap, abs(coupling))
-            if top - vu <= _IMPROVE_FLOOR:
-                continue
-            # top eigenvector of [[vu, coupling], [conj, vw]] in the (u, w) plane
-            comp = np.array([coupling, top - vu])
-            alpha, beta = comp / np.linalg.norm(comp)
-            u = alpha * u + beta * w
-            u /= np.linalg.norm(u)
-            vu = _unit_query(oracle, w_frame @ u)
-            biggest = max(biggest, abs(beta))
-        if biggest < tol:
+    p = np.zeros_like(u)
+    for sweep in range(_MAX_SWEEPS):
+        w = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:].T  # rows span u's complement
+        half = pair_probes(np.broadcast_to(u, w.shape), w, field)[::2] / _SQRT2
+        vals = oracle.query_batch(np.vstack([u, w, half]) @ w_frame.T)
+        vu = vals[0]
+        c = known_diagonal_coupling(vu, vals[1:m], vals[m:], field)
+        nr = float(np.linalg.norm(c))
+        if nr <= tol:
             return u
-    raise ConvergenceError(w_frame @ u, vu, biggest, _MAX_SWEEPS)
+        if sweep == _MAX_SWEEPS - 1:
+            break
+        if nr == 0:  # a noisy batch can read r = 0 by chance; nothing to step along
+            continue
+        r = c.conj() @ w / nr
+        q = p - u * np.vdot(u, p)
+        q -= r * np.vdot(r, q)
+        qn = np.linalg.norm(q)
+        # drop a step that (nearly) lies in span{u, r}, as it always does when m = 2
+        dirs = np.stack([r, q / qn]) if qn > 1e-8 * np.linalg.norm(p) else r[None]
+        half = pair_probes(dirs[:1], dirs[1:], field)[::2] / _SQRT2
+        vals = oracle.query_batch(np.vstack([dirs, half]) @ w_frame.T)
+        t = np.diag(np.r_[vu, vals[:len(dirs)]]).astype(u.dtype)
+        t[0, 1] = t[1, 0] = nr
+        if len(dirs) == 2:
+            t[1, 2] = known_diagonal_coupling(vals[0], vals[1], vals[2:], field)[0]
+            t[2, 1] = np.conj(t[1, 2])
+        y = np.linalg.eigh(t)[1][:, -1]
+        p = y[1:] @ dirs
+        u = y[0] * u + p
+        u /= np.linalg.norm(u)
+    raise ConvergenceError(w_frame @ u, float(vu), nr, _MAX_SWEEPS, floor)
 
 
 def implicit_reconstruct(
@@ -438,9 +447,9 @@ def implicit_reconstruct(
     Raises
     ------
     ConvergenceError
-        If the ascent of some stage does not converge within the sweep
-        budget; the error carries its last iterate, the valuation there
-        and the movement of its last sweep.
+        If the ascent of some stage does not meet its residual tolerance
+        within the iteration budget; the error carries its last iterate,
+        the valuation there, its residual norm and the noise floor.
     """
     cfg = config or ImplicitConfig()
     d = oracle.dim
@@ -458,7 +467,7 @@ def implicit_reconstruct(
             coeff = _ascend_sphere(oracle, frame, rng, cfg.tol)
         n_vec = frame @ coeff
         n_vec /= np.linalg.norm(n_vec)
-        lam = _unit_query(oracle, n_vec)
+        lam = float(oracle.query_batch(n_vec[None, :])[0])
         estimate += lam * np.outer(n_vec, n_vec.conj())
         if m > 1:
             completion = np.linalg.qr(coeff.reshape(-1, 1), mode="complete")[0]

@@ -12,7 +12,9 @@ form from it, are what the explicit reconstruction routes consume:
 
 with the imaginary bracket dropped on real Hilbert spaces.  ``pair_probes``
 and ``polarize`` implement this identity once, for ``sesquilinear`` and for
-every explicit route; ``_born`` is the one Born-rule kernel, a BLAS product.
+every explicit route; ``known_diagonal_coupling`` is its two-probe form for
+orthonormal pairs whose diagonals are already known, which the implicit route
+uses.  ``_born`` is the one Born-rule kernel, a BLAS product.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class ValuationOracle:
     def query_count(self) -> int:
         with self._lock:
             return self._count
+
+    @property
+    def noise_scale(self) -> float:
+        """Bound on the standard deviation of one query's value; 0 when exact."""
+        return 0.0
 
     def query(self, v: UnitVector) -> float:
         """Valuation of a single ray."""
@@ -141,6 +148,11 @@ class NoisyOracle(ValuationOracle):
         self._rng = np.random.default_rng(seed)
         self._rng_lock = threading.Lock()
 
+    @property
+    def noise_scale(self) -> float:
+        """sqrt(p(1-p)/shots) is at most 0.5/sqrt(shots)."""
+        return 0.5 / np.sqrt(self.shots)
+
     def _values(self, vecs: np.ndarray) -> np.ndarray:
         probs = _born(vecs, self._state).clip(0.0, 1.0)
         with self._rng_lock:
@@ -205,6 +217,18 @@ def polarize(f: np.ndarray, field: str) -> np.ndarray:
     f = f.reshape(-1, 4 if field == "complex" else 2)
     re = (f[:, 0] - f[:, 1]) / 4
     return re - 0.25j * (f[:, 2] - f[:, 3]) if field == "complex" else re
+
+
+def known_diagonal_coupling(vx, vy, v: np.ndarray, field: str) -> np.ndarray:
+    """<x_p|rho|y_p> from v(x_p), v(y_p) and v on the unit rows (x_p+y_p)/sqrt2
+    and, in complex mode, (x_p+iy_p)/sqrt2: ``pair_probes(x, y)[::2] / sqrt2``.
+
+    For orthonormal x, y: v((x+y)/sqrt2) = avg + Re<x|rho|y> and
+    v((x+iy)/sqrt2) = avg - Im<x|rho|y>, with avg = (v(x) + v(y))/2."""
+    v = v.reshape(-1, 2 if field == "complex" else 1)
+    avg = (vx + vy) / 2
+    re = v[:, 0] - avg
+    return re + 1j * (avg - v[:, 1]) if field == "complex" else re
 
 
 def _extend_rows(oracle: ValuationOracle, rows: np.ndarray) -> np.ndarray:

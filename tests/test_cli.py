@@ -1,12 +1,21 @@
-"""End-to-end CLI runs: JSON I/O, exit-code contract, round trips."""
+"""End-to-end CLI runs: JSON I/O, exit-code contract, round trips.
 
+Most tests call ``cli.main`` in process through ``run``; ``run_module`` starts
+``python -m gleason`` for the few that cover the module entry point and the
+``PYTHONPATH`` setup of ``conftest``.
+"""
+
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from gleason import cli
 from gleason.hilbert import random_density_matrix, standard_basis
 from gleason.reconstruct import explicit_query_vectors
 from gleason.serialize import (
@@ -18,20 +27,29 @@ from gleason.serialize import (
 from gleason.valuation import ExactOracle
 
 
-def run(*args, cwd=None):
+def run(*args):
+    """``cli.main`` in process, with the exit code and output of a subprocess run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:  # argparse exits on usage errors
+            code = exc.code
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def run_module(*args):
     return subprocess.run(
-        [sys.executable, "-m", "gleason", *map(str, args)],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
+        [sys.executable, "-m", "gleason", *map(str, args)], capture_output=True, text=True
     )
 
 
 class TestGen:
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run("gen", "--dim", 3, "--rank", 1, "--seed", 7, "--out", a).returncode == 0
-        assert run("gen", "--dim", 3, "--rank", 1, "--seed", 7, "--out", b).returncode == 0
+        args = ("gen", "--dim", 3, "--rank", 1, "--seed", 7, "--out")
+        assert run_module(*args, a).returncode == 0  # the same file from both entry points
+        assert run(*args, b).returncode == 0
         assert a.read_text() == b.read_text()
 
     def test_dim_one_is_scalar_one(self, tmp_path):
@@ -123,7 +141,7 @@ class TestReconstruct:
     def test_nonconvergence_exit_code(self, tmp_path):
         state = tmp_path / "s.json"
         run("gen", "--dim", 2, "--seed", 9, "--out", state)
-        result = run(
+        result = run_module(
             "reconstruct", "--method", "implicit", "--in", state,
             "--shots", 50, "--tol", "1e-14", "--seed", 10,
         )
@@ -242,7 +260,7 @@ class TestCompare:
         assert result.returncode == 0
 
     def test_usage_error_without_args(self):
-        assert run("compare").returncode == 2
+        assert run_module("compare").returncode == 2
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

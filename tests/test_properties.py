@@ -1,6 +1,6 @@
 """Property tests: ray semantics of the oracles, basis independence of the
-explicit estimate, and non-finite rejection at every boundary that takes an
-array from a caller."""
+explicit estimate, the implicit estimate on hard spectra, and non-finite
+rejection at every boundary that takes an array from a caller."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,12 @@ from gleason.hilbert import (
     haar_random_basis,
     random_density_matrix,
 )
-from gleason.reconstruct import explicit_reconstruct, explicit_reconstruct_real
+from gleason.reconstruct import (
+    ImplicitConfig,
+    explicit_reconstruct,
+    explicit_reconstruct_real,
+    implicit_reconstruct,
+)
 from gleason.valuation import ExactOracle, TabulatedOracle
 from gleason.verify import check_density
 
@@ -66,6 +71,25 @@ def test_explicit_estimate_is_basis_independent(seed, seed_a, seed_b, dim, field
     a = route(oracle, haar_random_basis(dim, seed_a, field)).estimate
     b = route(oracle, haar_random_basis(dim, seed_b, field)).estimate
     assert np.linalg.norm(a - b) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, dim=st.integers(2, 8), field=FIELDS, log_gap=st.floats(-6.0, -1.0),
+       cluster=st.integers(2, 3), data=st.data())
+def test_implicit_estimate_on_hard_spectra(seed, dim, field, log_gap, cluster, data):
+    # the top `cluster` eigenvalues are a relative 10**log_gap apart, and the
+    # lowest `zeros` vanish; only the estimate is bounded, since a projector
+    # at gap g is off by up to ~||r||/g (Davis-Kahan)
+    zeros = data.draw(st.integers(0, dim - 1), label="zeros")
+    lam = np.sort(np.random.default_rng(seed).random(dim))[::-1]
+    for i in range(1, min(cluster, dim)):
+        lam[i] = lam[i - 1] * (1 - 10**log_gap)
+    lam[dim - zeros:] = 0.0
+    u = haar_random_basis(dim, seed, field).matrix
+    m = (u * (lam / lam.sum())) @ u.conj().T
+    rho = DensityMatrix((m + m.conj().T) / 2)
+    report = implicit_reconstruct(ExactOracle(rho, field=field), ImplicitConfig(seed=seed))
+    assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-6
 
 
 def _query_uncharged(m):

@@ -290,8 +290,8 @@ class TestImplicit:
         assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
 
     def test_non_convergence_raises_with_payload(self):
-        # the noise floor keeps the first stage moving: its one ascent runs
-        # all 300 sweeps, 1 start query plus at most 4 per substep (m=3)
+        # tol lies below the noise floor, so the first stage runs all 300
+        # iterations: per iteration 3(m-1)+1 = 7 residual and 4 Ritz queries (m=3)
         rho = random_density_matrix(3, 3, seed=22)
         oracle = NoisyOracle(rho, shots=100, seed=23)
         with pytest.raises(ConvergenceError) as err:
@@ -300,7 +300,27 @@ class TestImplicit:
         assert 0.0 <= err.value.best_value <= 1.0
         assert err.value.residual > 0
         assert err.value.sweeps == 300
-        assert oracle.query_count <= 1 + 4 * 3 * 300
+        assert err.value.floor == pytest.approx(3 * 0.05 * np.sqrt(3 * 2))  # sigma = 0.5/sqrt(100)
+        assert "noise floor 3.674e-01" in str(err.value)
+        assert oracle.query_count <= (7 + 4) * 300
+
+    def test_noisy_runs_converge_and_scale_like_criterion_09(self):
+        # criterion 09's states, bases and oracle seeds; the default tol stops
+        # each stage at the noise floor
+        errs = {10_000: ([], []), 40_000: ([], [])}  # shots: (implicit, explicit)
+        for rep in range(20):
+            state = random_density_matrix(3, 3, seed=90_000 + rep)
+            basis = haar_random_basis(3, seed=89_000 + rep)
+            for shots, (imp, exp) in errs.items():
+                report = implicit_reconstruct(NoisyOracle(state, shots=shots, seed=91_000 + rep))
+                imp.append(np.linalg.norm(report.estimate - state.matrix))
+                oracle = NoisyOracle(state, shots=shots, seed=91_000 + rep)
+                exp.append(np.linalg.norm(explicit_reconstruct(oracle, basis).estimate
+                                          - state.matrix))
+        med = {shots: (np.median(imp), np.median(exp)) for shots, (imp, exp) in errs.items()}
+        assert 2 / 1.5 <= med[10_000][0] / med[40_000][0] <= 2 * 1.5
+        for med_imp, med_exp in med.values():
+            assert med_imp <= 2 * med_exp
 
     def test_dim_one_trivial(self):
         report = implicit_reconstruct(ExactOracle(DensityMatrix([[1.0]])))

@@ -22,6 +22,8 @@ from gleason.valuation import (
     TabulatedOracle,
     _born,
     extend,
+    known_diagonal_coupling,
+    pair_probes,
     sesquilinear,
     subspace_measure,
 )
@@ -197,6 +199,19 @@ class TestSesquilinear:
             split = sesquilinear(oracle, x, y) + sesquilinear(oracle, x, y2)
             assert abs(additive - split) < 1e-11
 
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_known_diagonal_coupling_matches_matrix_elements(self, field):
+        rho = random_density_matrix(5, 5, seed=18, field=field)
+        oracle = ExactOracle(rho, field=field)
+        b = haar_random_basis(5, seed=19, field=field).matrix.T  # orthonormal rows
+        x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
+        half = pair_probes(x, y, field)[::2] / np.sqrt(2)
+        got = known_diagonal_coupling(
+            oracle.query_batch(x), oracle.query_batch(y), oracle.query_batch(half), field
+        )
+        direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
+
     def test_real_mode_drops_imaginary_bracket(self):
         rho = random_density_matrix(3, 3, seed=18, field="real")
         oracle = ExactOracle(rho, field="real")
@@ -286,6 +301,15 @@ class TestNoisyOracle:
         v = UnitVector(np.array([1.0, 1.0]) / np.sqrt(2))
         vals = {oracle.query(v) for _ in range(50)}
         assert len(vals) > 1
+
+    def test_noise_scale_bounds_the_shot_noise(self):
+        rho = random_density_matrix(2, 2, seed=34)
+        oracle = NoisyOracle(rho, shots=10_000, seed=35)
+        assert oracle.noise_scale == 0.005  # sqrt(p(1-p)/shots) <= 0.5/sqrt(shots)
+        assert ExactOracle(rho).noise_scale == 0.0
+        assert TabulatedOracle(np.eye(2), [0.5, 0.5]).noise_scale == 0.0
+        with pytest.raises(AttributeError):
+            oracle.noise_scale = 0.0
 
     def test_seed_determinism(self):
         rho = random_density_matrix(3, 3, seed=36)
