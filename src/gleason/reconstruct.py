@@ -72,7 +72,7 @@ class ConvergenceError(RuntimeError):
     the iteration count ``sweeps`` and the noise floor no tolerance can beat."""
 
     def __init__(self, best_vector: np.ndarray, best_value: float, residual: float,
-                 sweeps: int, floor: float = 0.0):
+                 sweeps: int, floor: float):
         self.best_vector = best_vector
         self.best_value = best_value
         self.residual = residual
