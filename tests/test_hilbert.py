@@ -102,6 +102,29 @@ class TestHaarBasis:
         assert b.is_real()
         np.testing.assert_allclose(b.matrix @ b.matrix.T, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("count", [1, 255, 256, 2048])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
+    def test_stack_matches_phase_fixed_qr(self, dim, count, field):
+        # the same Ginibre draw through np.linalg.qr, with column j
+        # multiplied by the phase of R_jj: the unique Q whose R has a
+        # positive real diagonal, whichever factorization the sampler used
+        seed = 1000 * dim + count
+        q = haar_basis_matrices(dim, count, np.random.default_rng(seed), field)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((count, dim, dim)).astype(np.complex128)
+        if field == "complex":
+            z += 1j * rng.standard_normal((count, dim, dim))
+        ref, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        ref = ref * (diag / np.abs(diag))[:, None, :]
+        assert q.shape == (count, dim, dim)
+        assert np.max(np.abs(q - ref)) <= 1e-12
+        gram = np.swapaxes(q, 1, 2).conj() @ q
+        assert np.max(np.abs(gram - np.eye(dim))) <= ATOL
+        if field == "real":
+            assert not q.imag.any()
+
     def test_second_moment_statistics(self):
         # sum_i (P_i)_ab conj((P_i)_cd) averages to
         # (delta_ac delta_bd + delta_ab delta_cd)/(d+1)
