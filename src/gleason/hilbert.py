@@ -70,10 +70,16 @@ def _orthonormal_columns(m: np.ndarray, what: str) -> np.ndarray:
     arr = _freeze(m)
     if arr.ndim != 2 or not 1 <= arr.shape[1] <= arr.shape[0]:
         raise ValueError(f"{what} must be a d x r matrix with 1 <= r <= d")
-    gram = arr.conj().T @ arr
-    if not np.max(np.abs(gram - np.eye(arr.shape[1]))) <= ATOL:
-        raise ValueError(f"{what} columns are not orthonormal within tolerance")
+    _check_orthonormal(arr, what)
     return arr
+
+
+def _check_orthonormal(stack: np.ndarray, what: str) -> None:
+    """Raise unless every matrix of the nonempty ``stack`` (..., d, r) has
+    orthonormal columns within ATOL.  Non-finite entries fail the check."""
+    gram = np.swapaxes(stack.conj(), -1, -2) @ stack
+    if not np.max(np.abs(gram - np.eye(stack.shape[-1]))) <= ATOL:
+        raise ValueError(f"{what} columns are not orthonormal within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,39 +223,53 @@ def _gram_schmidt_twice(z: np.ndarray) -> np.ndarray:
     return q.transpose(2, 0, 1)
 
 
-def haar_basis_matrices(
-    dim: int, count: int, rng: np.random.Generator, field: str = "complex"
-) -> np.ndarray:
-    """Stack of ``count`` Haar-distributed unitaries, shape (count, dim, dim).
-
-    Columns are the basis vectors.  Each is the Q factor of a Ginibre
-    matrix under the convention that R has a positive real diagonal, which
-    makes Q unique and its distribution exactly Haar rather than QR-biased
-    (Mezzadri, arXiv:math-ph/0609050).  Stacks of at least
-    ``_GS_MIN_COUNT`` matrices with ``dim <= _GS_MAX_DIM`` are factorized
-    by ``_gram_schmidt_twice``, where batched LAPACK QR pays more per
-    matrix than the arithmetic costs; the rest by ``np.linalg.qr`` with
-    column j multiplied by the phase of R_jj.  Gram-Schmidt divides each
-    column by its positive norm, so its R already has that diagonal: both
-    return the unique Q, and the choice changes the result only by
-    rounding.  Scaling the Ginibre draw by a positive number leaves Q
-    unchanged, so its entries are not normalized.  ``field="real"`` draws
-    from the orthogonal group instead.
-    """
+def _ginibre(dim: int, count: int, rng: np.random.Generator, field: str) -> np.ndarray:
+    """Stack of ``count`` complex128 Ginibre matrices, shape (count, dim, dim):
+    standard normal entries, real parts drawn before imaginary parts, and
+    no imaginary part when ``field="real"``."""
     if field == "complex":
-        z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
-            (count, dim, dim)
-        )
-    elif field == "real":
-        z = rng.standard_normal((count, dim, dim)).astype(np.complex128)
-    else:
-        raise ValueError(f"unknown field {field!r}")
+        re, im = rng.standard_normal((2, count, dim, dim))
+        return re + 1j * im
+    if field == "real":
+        return rng.standard_normal((count, dim, dim)).astype(np.complex128)
+    raise ValueError(f"unknown field {field!r}")
+
+
+def _haar_factor(z: np.ndarray) -> np.ndarray:
+    """Q factor of every matrix in the stack ``z`` (count, dim, dim) whose R
+    has a positive real diagonal.
+
+    Stacks of at least ``_GS_MIN_COUNT`` matrices with ``dim <=
+    _GS_MAX_DIM`` are factorized by ``_gram_schmidt_twice``, where batched
+    LAPACK QR pays more per matrix than the arithmetic costs; the rest by
+    ``np.linalg.qr`` with column j multiplied by the phase of R_jj.
+    Gram-Schmidt divides each column by its positive norm, so its R already
+    has that diagonal: both return the unique Q, and the choice changes the
+    result only by rounding.
+    """
+    count, dim = z.shape[:2]
     if count >= _GS_MIN_COUNT and dim <= _GS_MAX_DIM:
         return _gram_schmidt_twice(z)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
     return q * phases[:, None, :]
+
+
+def haar_basis_matrices(
+    dim: int, count: int, rng: np.random.Generator, field: str = "complex"
+) -> np.ndarray:
+    """Stack of ``count`` Haar-distributed unitaries, shape (count, dim, dim).
+
+    Columns are the basis vectors.  Each is the Q factor of a Ginibre
+    matrix (``_ginibre``) under the convention that R has a positive real
+    diagonal, which makes Q unique and its distribution exactly Haar rather
+    than QR-biased (Mezzadri, arXiv:math-ph/0609050); ``_haar_factor``
+    chooses Gram-Schmidt or QR by the stack's size.  Scaling the Ginibre
+    draw by a positive number leaves Q unchanged, so its entries are not
+    normalized.  ``field="real"`` draws from the orthogonal group instead.
+    """
+    return _haar_factor(_ginibre(dim, count, rng, field))
 
 
 def haar_random_basis(dim: int, seed: int, field: str = "complex") -> OrthonormalBasis:

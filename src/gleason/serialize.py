@@ -73,20 +73,39 @@ def oracle_table_to_json(vectors: np.ndarray, values: np.ndarray) -> list:
     ]
 
 
+def _table_field(items: list, dtype: type, ndim: int, what: str) -> np.ndarray:
+    """One field of every table record as an array of ``ndim`` dimensions."""
+    try:
+        arr = np.asarray(items, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"oracle table {what} malformed: {exc}") from exc
+    if arr.ndim != ndim or not np.isfinite(arr).all():
+        raise ValueError(f"oracle table {what} malformed: need finite numbers")
+    return arr
+
+
 def oracle_table_from_json(obj: list) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(obj, list) or not obj:
         raise ValueError("oracle table JSON must be a nonempty list")
-    vecs = []
-    vals = []
     for i, rec in enumerate(obj):
-        if not isinstance(rec, dict) or "vector" not in rec or "value" not in rec:
+        if not (
+            isinstance(rec, dict)
+            and "value" in rec
+            and isinstance(rec.get("vector"), dict)
+            and rec["vector"].keys() >= {"dim", "re", "im"}
+        ):
             raise ValueError(f"oracle table record {i} malformed")
-        vecs.append(vector_from_json(rec["vector"]))
-        vals.append(float(rec["value"]))
-    dims = {v.size for v in vecs}
-    if len(dims) != 1:
+    vecs = [rec["vector"] for rec in obj]
+    dims = _table_field([v["dim"] for v in vecs], int, 1, "dim")
+    if np.any(dims != dims[0]):
         raise ValueError("oracle table vectors have mixed dimensions")
-    return np.vstack(vecs), np.asarray(vals, dtype=float)
+    re = _table_field([v["re"] for v in vecs], float, 2, "re")
+    im = _table_field([v["im"] for v in vecs], float, 2, "im")
+    shape = (len(obj), int(dims[0]))
+    if re.shape != shape or im.shape != shape:
+        raise ValueError(f"oracle table vector arrays are not of shape {shape[1:]}")
+    values = _table_field([rec["value"] for rec in obj], float, 1, "value")
+    return re + 1j * im, values
 
 
 def load_json(path: str | Path):

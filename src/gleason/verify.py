@@ -12,9 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import OrthonormalBasis, Subspace, haar_basis_matrices
+from .hilbert import (
+    OrthonormalBasis,
+    _check_orthonormal,
+    _ginibre,
+    _haar_factor,
+    haar_basis_matrices,
+)
 from .reconstruct import TransitionMatrix, explicit_reconstruct
-from .valuation import ValuationOracle, subspace_measure
+from .valuation import ValuationOracle
 
 __all__ = [
     "CheckReport",
@@ -27,6 +33,8 @@ __all__ = [
 
 # Gate of the Haar moment check, in standard errors of the Monte Carlo mean.
 _SIGMA_GATE = 4.0
+# Trials per oracle call of the additivity check; its arrays grow as chunk * d^2.
+_ADDITIVITY_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -95,28 +103,65 @@ def check_additivity(
     normalization (the subspace values sum to 1) and pairwise additivity,
     v(A1 + A2) = v(A1) + v(A2), where the direct sum is measured through a
     freshly rotated spanning set so the identity is not a tautology.
+
+    Trials run in chunks of ``_ADDITIVITY_CHUNK``, each one ``query_batch``.
+    The random stream, the rows queried, their order (per trial: the basis
+    columns, the rotated joined set, then the first two parts) and so the
+    query count are those of running the trials one by one.  Each basis and
+    each rotated joined set is checked for orthonormal columns once; a part
+    needs no check of its own, as its Gram matrix is a principal submatrix
+    of its basis's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d = oracle.dim
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        b = haar_basis_matrices(d, 1, rng, oracle.field)[0]
-        sizes = _random_composition(d, rng)
-        parts = [Subspace(m) for m in np.split(b, np.cumsum(sizes)[:-1], axis=1)]
-        total = sum(subspace_measure(oracle, a) for a in parts)
-        worst = max(worst, abs(total - 1.0))
-        if len(parts) >= 2:
-            m = b[:, : sizes[0] + sizes[1]]
-            rot = haar_basis_matrices(m.shape[1], 1, rng, oracle.field)[0]
-            joined = Subspace(m @ rot)
-            lhs = subspace_measure(oracle, joined)
-            rhs = subspace_measure(oracle, parts[0]) + subspace_measure(oracle, parts[1])
-            worst = max(worst, abs(lhs - rhs))
+    for first in range(0, trials, _ADDITIVITY_CHUNK):
+        count = min(_ADDITIVITY_CHUNK, trials - first)
+        worst = max(worst, _additivity_chunk(oracle, count, rng))
     return CheckReport(
-        "additivity", worst, tol, {"dim": d, "trials": trials, "seed": seed}
+        "additivity", worst, tol, {"dim": oracle.dim, "trials": trials, "seed": seed}
     )
+
+
+def _additivity_chunk(oracle: ValuationOracle, count: int, rng: np.random.Generator) -> float:
+    """Worst deviation over ``count`` trials of ``check_additivity``."""
+    d, field = oracle.dim, oracle.field
+    draws, sizes, rotations = [], [], {}
+    for t in range(count):
+        draws.append(_ginibre(d, 1, rng, field))
+        sizes.append(_random_composition(d, rng))
+        if len(sizes[-1]) >= 2:
+            k = sizes[-1][0] + sizes[-1][1]
+            trials_k, draws_k = rotations.setdefault(k, ([], []))
+            trials_k.append(t)
+            draws_k.append(_ginibre(k, 1, rng, field))
+    bases = _haar_factor(np.concatenate(draws))
+    _check_orthonormal(bases, "basis")
+    joined = [None] * count
+    for k, (trials_k, draws_k) in rotations.items():
+        spans = bases[trials_k, :, :k] @ _haar_factor(np.concatenate(draws_k))
+        _check_orthonormal(spans, "spanning set")
+        for t, m in zip(trials_k, spans):
+            joined[t] = m
+    rows, lengths = [], []
+    for t, s in enumerate(sizes):
+        rows.append(bases[t].T)
+        lengths += s
+        if len(s) >= 2:
+            rows += [joined[t].T, bases[t, :, : s[0] + s[1]].T]
+            lengths += [s[0] + s[1], s[0], s[1]]
+    values = oracle.query_batch(np.concatenate(rows))
+    sums = np.add.reduceat(values, np.cumsum([0, *lengths[:-1]])).tolist()
+    worst, i = 0.0, 0
+    for s in sizes:
+        worst = max(worst, abs(sum(sums[i : i + len(s)]) - 1.0))
+        i += len(s)
+        if len(s) >= 2:
+            lhs, a1, a2 = sums[i : i + 3]
+            worst = max(worst, abs(lhs - (a1 + a2)))
+            i += 3
+    return worst
 
 
 def check_unistochastic(
@@ -161,7 +206,8 @@ def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
         c = min(chunk, remaining)
         remaining -= c
         q = haar_basis_matrices(dim, c, rng)
-        p = (q[:, :, None, :] * q[:, None, :, :].conj()).reshape(c, dim**2, dim)
+        p = np.multiply(q[:, :, None, :], q[:, None, :, :].conj(),
+                        out=np.empty((c, dim, dim, dim), np.complex128)).reshape(c, dim**2, dim)
         x = (p @ np.swapaxes(p.conj(), 1, 2)).reshape(c, -1)
         total += x.sum(axis=0)
         xf = x.view(np.float64)

@@ -132,6 +132,16 @@ class TestReconstruct:
         result = run("reconstruct", "--method", "explicit", "--in", table)
         assert result.returncode == 3
 
+    def test_null_table_value_is_parse_error(self, tmp_path):
+        rows = explicit_query_vectors(standard_basis(2))
+        records = oracle_table_to_json(rows, np.full(len(rows), 0.5))
+        records[0]["value"] = None
+        table = tmp_path / "table.json"
+        dump_json(records, table)
+        result = run("reconstruct", "--method", "explicit", "--in", table)
+        assert result.returncode == 3
+        assert "error:" in result.stderr
+
     def test_pauli2d_wrong_dim_is_usage_error(self, tmp_path):
         state = tmp_path / "s.json"
         run("gen", "--dim", 3, "--seed", 8, "--out", state)

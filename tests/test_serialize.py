@@ -67,6 +67,38 @@ def test_oracle_table_rejects_mixed_dims():
         oracle_table_from_json(records)
 
 
+def _table_with(change):
+    records = oracle_table_to_json(np.eye(2), [0.25, 0.75])
+    change(records)
+    return records
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda t: t[0].update(value=None),
+        lambda t: t[1].update(value="half"),
+        lambda t: t[0]["vector"].update(re=[1.0]),  # ragged re
+        lambda t: t[1]["vector"].pop("im"),
+        lambda t: t[0]["vector"]["im"].__setitem__(1, None),
+        lambda t: t[0]["vector"].update(dim=None),
+        lambda t: t[1].update(value=[0.75]),
+        lambda t: t.__setitem__(0, "record"),
+    ],
+    ids=["null-value", "string-value", "ragged-re", "missing-im", "null-im-entry",
+         "null-dim", "list-value", "non-object-record"],
+)
+def test_oracle_table_malformed(change):
+    with pytest.raises(ValueError):
+        oracle_table_from_json(_table_with(change))
+
+
+def test_oracle_table_wrong_length_vectors():
+    records = _table_with(lambda t: [rec["vector"].update(dim=3) for rec in t])
+    with pytest.raises(ValueError, match="shape"):
+        oracle_table_from_json(records)
+
+
 def test_load_json_reports_parse_errors(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -5,13 +5,15 @@ import pytest
 
 from gleason.hilbert import (
     DensityMatrix,
+    Subspace,
     haar_basis_matrices,
     haar_random_basis,
     random_density_matrix,
 )
 from gleason.reconstruct import explicit_reconstruct, transition_matrix
-from gleason.valuation import ExactOracle, NoisyOracle
+from gleason.valuation import ExactOracle, NoisyOracle, subspace_measure
 from gleason.verify import (
+    _ADDITIVITY_CHUNK,
     CheckReport,
     check_additivity,
     check_basis_independence,
@@ -79,6 +81,63 @@ class TestCheckAdditivity:
         ra = check_additivity(oracle_a, trials=10, seed=10)
         rb = check_additivity(oracle_b, trials=10, seed=10)
         assert ra.deviation == rb.deviation
+
+
+def loop_additivity(oracle, trials, seed):
+    """Reference: the additivity check one trial and one subspace at a time,
+    one ``query_batch`` per subspace measured."""
+    d = oracle.dim
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        b = haar_basis_matrices(d, 1, rng, oracle.field)[0]
+        cuts = np.flatnonzero(rng.random(d - 1) < 0.5) + 1 if d > 1 else []
+        sizes = np.diff([0, *cuts, d])
+        parts = [Subspace(m) for m in np.split(b, np.cumsum(sizes)[:-1], axis=1)]
+        total = sum(subspace_measure(oracle, a) for a in parts)
+        worst = max(worst, abs(total - 1.0))
+        if len(parts) >= 2:
+            m = b[:, : sizes[0] + sizes[1]]
+            rot = haar_basis_matrices(m.shape[1], 1, rng, oracle.field)[0]
+            lhs = subspace_measure(oracle, Subspace(m @ rot))
+            rhs = subspace_measure(oracle, parts[0]) + subspace_measure(oracle, parts[1])
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_additivity_matches_loop_reference(dim, field):
+    for seed, trials in enumerate([3, 20, _ADDITIVITY_CHUNK + 2]):  # the last spans two chunks
+        rho = random_density_matrix(dim, dim, seed=30 + seed, field=field)
+        batched, looped = ExactOracle(rho, field), ExactOracle(rho, field)
+        r = check_additivity(batched, trials, seed)
+        assert abs(r.deviation - loop_additivity(looped, trials, seed)) <= 1e-14
+        assert batched.query_count == looped.query_count
+        batched = NoisyOracle(rho, shots=1000, seed=seed, field=field)
+        looped = NoisyOracle(rho, shots=1000, seed=seed, field=field)
+        r = check_additivity(batched, trials, seed)
+        assert abs(r.deviation - loop_additivity(looped, trials, seed)) <= 1e-14
+        assert batched.query_count == looped.query_count
+
+
+class CallCountingOracle(ExactOracle):
+    def __init__(self, state):
+        super().__init__(state)
+        self.calls = 0
+
+    def query_batch(self, vectors):
+        self.calls += 1
+        return super().query_batch(vectors)
+
+
+@pytest.mark.parametrize("trials, calls", [
+    (1, 1), (_ADDITIVITY_CHUNK, 1), (_ADDITIVITY_CHUNK + 1, 2),
+])
+def test_additivity_makes_one_oracle_call_per_chunk(trials, calls):
+    oracle = CallCountingOracle(random_density_matrix(3, 3, seed=40))
+    assert check_additivity(oracle, trials, seed=41).passed
+    assert oracle.calls == calls
 
 
 class TestCheckUnistochastic:
