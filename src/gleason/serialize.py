@@ -80,7 +80,8 @@ def _table_field(items: list, dtype: type, ndim: int, what: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"oracle table {what} malformed: {exc}") from exc
     if arr.ndim != ndim or not np.isfinite(arr).all():
-        raise ValueError(f"oracle table {what} malformed: need finite numbers")
+        kind = "list of numbers" if ndim == 2 else "number"
+        raise ValueError(f"oracle table {what} malformed: need one finite {kind} per record")
     return arr
 
 
