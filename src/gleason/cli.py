@@ -7,6 +7,7 @@ comparison failure, 5 optimizer non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -219,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--field", choices=("complex", "real"), default="complex")
     p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_gen)
 
     p_rec = sub.add_parser(
         "reconstruct",
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="residual-norm tolerance for method implicit "
                        "(default: the oracle's noise floor, at least 1e-8)")
     p_rec.add_argument("--out", default=None)
-    p_rec.set_defaults(func=cmd_reconstruct)
 
     p_ver = sub.add_parser("verify", help="run identity checks")
     p_ver.add_argument("--suite", choices=SUITES, required=True)
@@ -252,22 +251,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trial/sample/basis count, per suite")
     p_ver.add_argument("--tol", type=float, default=None)
     p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="Frobenius distance of two matrix files")
     p_cmp.add_argument("path_a")
     p_cmp.add_argument("path_b")
     p_cmp.add_argument("--tol", type=float, default=1e-10)
-    p_cmp.set_defaults(func=cmd_compare)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses; parsing leaves it unchanged, so it is built once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a handler replaced on the module is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -326,6 +326,10 @@ def nearest_density_matrix(m: np.ndarray) -> DensityMatrix:
     m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
     if m.shape[0] != m.shape[1]:
         raise ValueError("input must be square")
+    if m.shape[0] == 0:
+        raise ValueError("input must not be empty")
+    if not np.isfinite(m).all():
+        raise ValueError("input must be finite")
     h = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(h)
     w = _project_to_simplex(w.real)

@@ -27,6 +27,7 @@ cover every operator identity the valuation determines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +40,7 @@ from .hilbert import (
     nearest_density_matrix,
 )
 from .serialize import matrix_to_json
-from .valuation import ExactOracle, ValuationOracle, known_diagonal_coupling
+from .valuation import ExactOracle, ValuationOracle, coupling_probes, known_diagonal_coupling
 from .valuation import pair_probes, polarize
 
 __all__ = [
@@ -58,8 +59,6 @@ __all__ = [
     "transition_matrix",
     "bloch_vector_of",
 ]
-
-_SQRT2 = np.sqrt(2.0)
 
 # Averaging chunk for the Monte Carlo route; fixed so the pairwise
 # reduction tree (and hence the float result) is reproducible per seed.
@@ -192,10 +191,13 @@ def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> n
     in complex mode, d^2 in real mode.
     """
     b = basis.matrix
-    j, k = _pairs(basis.dim)
-    probes = pair_probes(b[:, j].T, b[:, k].T, field)
+    d = basis.dim
+    j, k = _pairs(d)
+    rows = np.empty(((4 if field == "complex" else 2) * len(j) + d, d), b.dtype)
+    rows[:d] = b.T
+    probes = pair_probes(b[:, j].T, b[:, k].T, field, out=rows[d:])
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    return np.vstack([b.T, probes])
+    return rows
 
 
 def _polarization_report(
@@ -358,12 +360,35 @@ class ImplicitConfig:
 
     ``tol`` bounds the residual norm ||rho u - v(u) u|| at which a stage's
     ascent stops; ``None`` stops at the oracle's noise floor (at least 1e-8),
-    and a ``tol`` below that floor is never met.  ``seed`` draws the start
-    vector of each stage's one ascent.
+    and a ``tol`` below that floor is never met.  A NaN or negative ``tol``
+    could never be met on any oracle, so it is rejected with ``ValueError``.
+    ``seed`` draws the start vector of each stage's one ascent.
     """
 
     tol: float | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.tol is not None and not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0 or None, got {self.tol!r}")
+
+
+def _householder_complement(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows w_l spanning the orthogonal complement of the unit vector u,
+    written into ``out`` of shape (m-1, m).
+
+    The w_l are the trailing columns of the Householder reflector
+    H = I - tau v v^H that maps e_0 onto a multiple of u, in LAPACK's
+    convention, so they agree with ``np.linalg.qr(u[:, None],
+    mode="complete")[0][:, 1:].T`` to rounding: w_l = e_l - tau conj(v_l) v,
+    one outer product."""
+    alpha = u[0].item()
+    beta = -math.copysign(math.sqrt(np.vdot(u, u).real), alpha.real)
+    v = u / (alpha - beta)
+    v[0] = 1.0
+    np.multiply(((alpha - beta) / beta * v[1:].conj())[:, None], v, out=out)
+    out.reshape(-1)[1::u.size + 1] += 1.0
+    return out
 
 
 def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.Generator,
@@ -372,13 +397,17 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.
 
     Rayleigh-Ritz ascent on span{u, r, p} (LOBPCG without a preconditioner),
     two ``query_batch`` calls per iteration.  The residual batch queries u
-    and w_l, (u+w_l)/sqrt2, (u+iw_l)/sqrt2 over a basis w_l of u's complement:
-    v(u) and c_l = <u|rho|w_l> give r = rho u - v(u) u = sum_l conj(c_l) w_l.
-    The Ritz batch queries r^, p^, (r^+p^)/sqrt2, (r^+ip^)/sqrt2, with p^ the
-    last step made orthogonal to u and r^ (only r^ if there is none), to fill
-    the compression of rho to (u, r^, p^); <u|rho|r^> = ||r|| and <u|rho|p^> = 0
-    as rho u lies in span{u, r}.  Its top eigenvector is the next iterate, and
-    its (r^, p^) part the next step.  Real mode drops the imaginary probes.
+    and w_l, (u+w_l)/sqrt2, (u+iw_l)/sqrt2 over the basis w_l of u's
+    complement that one Householder reflector gives
+    (``_householder_complement``): v(u) and c_l = <u|rho|w_l> give
+    r = rho u - v(u) u = sum_l conj(c_l) w_l.  The Ritz batch queries r^, p^,
+    (r^+p^)/sqrt2, (r^+ip^)/sqrt2, with p^ the last step made orthogonal to u
+    and r^ (only r^ if there is none), to fill the compression of rho to
+    (u, r^, p^); <u|rho|r^> = ||r|| and <u|rho|p^> = 0 as rho u lies in
+    span{u, r}.  Its top eigenvector is the next iterate, and its (r^, p^)
+    part the next step.  Real mode drops the imaginary probes.  Each batch is
+    written in place into a block allocated once per call (the coupling rows
+    by ``coupling_probes``) and mapped to frame coordinates by one matmul.
 
     Stops when ||r|| <= tol (eigenvalue error at most ||r||^2 / gap).  With
     ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))), for the oracle's
@@ -389,7 +418,8 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.
     """
     m = w_frame.shape[1]
     field = oracle.field
-    floor = 3 * oracle.noise_scale * np.sqrt((3 if field == "complex" else 2) * (m - 1))
+    k = 3 if field == "complex" else 2  # rows per complement direction w_l
+    floor = 3 * oracle.noise_scale * np.sqrt(k * (m - 1))
     # a tolerance below the noise floor cannot be certified, so it is never met
     tol = max(_EXACT_TOL, floor) if tol is None else (tol if tol >= floor else -np.inf)
     u = rng.standard_normal(m)
@@ -397,36 +427,46 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.
         u = u + 1j * rng.standard_normal(m)
     u /= np.linalg.norm(u)
     p = np.zeros_like(u)
+    resid = np.empty((1 + k * (m - 1), m), u.dtype)  # u, the w_l, their coupling probes
+    w = resid[1:m]
+    ritz = np.empty((k + 1, m), u.dtype)  # r^, p^, their coupling probes
+    frame_t = w_frame.T
     for sweep in range(_MAX_SWEEPS):
-        w = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:].T  # rows span u's complement
-        half = pair_probes(np.broadcast_to(u, w.shape), w, field)[::2] / _SQRT2
-        vals = oracle.query_batch(np.vstack([u, w, half]) @ w_frame.T)
+        resid[0] = u
+        _householder_complement(u, w)
+        coupling_probes(u, w, field, out=resid[m:])
+        vals = oracle.query_batch(resid @ frame_t)
         vu = vals[0]
         c = known_diagonal_coupling(vu, vals[1:m], vals[m:], field)
-        nr = float(np.linalg.norm(c))
+        nr = math.sqrt(np.vdot(c, c).real)
         if nr <= tol:
             return u
         if sweep == _MAX_SWEEPS - 1:
             break
         if nr == 0:  # a noisy batch can read r = 0 by chance; nothing to step along
             continue
-        r = c.conj() @ w / nr
+        r = np.matmul(c.conj(), w, out=ritz[0])
+        r /= nr
         q = p - u * np.vdot(u, p)
         q -= r * np.vdot(r, q)
-        qn = np.linalg.norm(q)
+        qn = math.sqrt(np.vdot(q, q).real)
         # drop a step that (nearly) lies in span{u, r}, as it always does when m = 2
-        dirs = np.stack([r, q / qn]) if qn > 1e-8 * np.linalg.norm(p) else r[None]
-        half = pair_probes(dirs[:1], dirs[1:], field)[::2] / _SQRT2
-        vals = oracle.query_batch(np.vstack([dirs, half]) @ w_frame.T)
-        t = np.diag(np.r_[vu, vals[:len(dirs)]]).astype(u.dtype)
-        t[0, 1] = t[1, 0] = nr
-        if len(dirs) == 2:
-            t[1, 2] = known_diagonal_coupling(vals[0], vals[1], vals[2:], field)[0]
-            t[2, 1] = np.conj(t[1, 2])
+        if qn > 1e-8 * math.sqrt(np.vdot(p, p).real):
+            dirs = ritz[:2]
+            np.divide(q, qn, out=ritz[1])
+            coupling_probes(r, ritz[1:2], field, out=ritz[2:])
+            vals = oracle.query_batch(ritz @ frame_t)
+            t12 = known_diagonal_coupling(vals[0], vals[1], vals[2:], field)[0]
+            t = np.array([[vu, nr, 0], [nr, vals[0], t12], [0, np.conj(t12), vals[1]]],
+                         u.dtype)
+        else:
+            dirs = ritz[:1]
+            vals = oracle.query_batch(dirs @ frame_t)
+            t = np.array([[vu, nr], [nr, vals[0]]], u.dtype)
         y = np.linalg.eigh(t)[1][:, -1]
         p = y[1:] @ dirs
         u = y[0] * u + p
-        u /= np.linalg.norm(u)
+        u /= math.sqrt(np.vdot(u, u).real)
     raise ConvergenceError(w_frame @ u, float(vu), nr, _MAX_SWEEPS, floor)
 
 

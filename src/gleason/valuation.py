@@ -12,9 +12,11 @@ form from it, are what the explicit reconstruction routes consume:
 
 with the imaginary bracket dropped on real Hilbert spaces.  ``pair_probes``
 and ``polarize`` implement this identity once, for ``sesquilinear`` and for
-every explicit route; ``known_diagonal_coupling`` is its two-probe form for
-orthonormal pairs whose diagonals are already known, which the implicit route
-uses.  ``_born`` is the one Born-rule kernel, a BLAS product.
+every explicit route; ``coupling_probes`` and ``known_diagonal_coupling`` are
+its two-probe form for orthonormal pairs whose diagonals are already known,
+which the implicit route uses.  The two probe builders are the only place probe
+rows are formed; both can write into a block the caller owns.  ``_born`` is the
+one Born-rule kernel, a BLAS product.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .hilbert import ATOL, DensityMatrix, Subspace, UnitVector
 
 ZERO_NORM = 1e-14
+_SQRT2 = np.sqrt(2.0)
 TABLE_MATCH_TOL = 1e-9
 
 __all__ = [
@@ -81,13 +84,17 @@ class ValuationOracle:
     def query_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Valuations of a stack of unit row vectors, shape (k, dim), k >= 1.
 
-        Bad input (empty, NaN, inf, non-unit rows) is rejected uncharged."""
-        vecs = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
+        Rows may come in any memory layout.  Their norms are one einsum over
+        the float64 view of a C-ordered copy (no copy when already C-ordered),
+        which emits no warning on inf or NaN entries.  Bad input (empty, NaN,
+        inf, rows whose norm is not 1 within ``ATOL``) is rejected uncharged."""
+        vecs = np.atleast_2d(np.ascontiguousarray(vectors, dtype=np.complex128))
         if vecs.shape[1] != self.dim:
             raise ValueError(f"vectors have dim {vecs.shape[1]}, oracle dim {self.dim}")
         if vecs.shape[0] == 0:
             raise ValueError("empty query batch")
-        norms = np.linalg.norm(np.abs(vecs), axis=1)  # abs first: inf rows raise no warning
+        flat = vecs.view(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
         if not abs(norms - 1.0).max() <= ATOL:
             raise ValueError("queried vectors must be unit norm")
         if self.field == "real" and abs(vecs.imag).max() > ATOL:
@@ -205,11 +212,48 @@ class TabulatedOracle(ValuationOracle):
         return self._vals[idx]
 
 
-def pair_probes(x: np.ndarray, y: np.ndarray, field: str) -> np.ndarray:
+def _probe_slots(x: np.ndarray, y: np.ndarray, field: str, per_pair: int,
+                 out: np.ndarray | None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The block for ``per_pair`` probe rows per row pair (``out``, or a new
+    array when None) and the strided view of each of its row slots."""
+    if out is None:
+        p, d = y.shape
+        out = np.empty((per_pair * p, d), np.result_type(x, y, 1j if field == "complex" else 1.0))
+    return out, [out[s::per_pair] for s in range(per_pair)]
+
+
+def pair_probes(x: np.ndarray, y: np.ndarray, field: str,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Probe rows x+y, x-y (and x+iy, x-iy in complex mode) of each stacked
-    row pair (x_p, y_p) in turn: shape (4p, d), or (2p, d) in real mode."""
-    probes = [x + y, x - y] + ([x + 1j * y, x - 1j * y] if field == "complex" else [])
-    return np.stack(probes, axis=1).reshape(-1, x.shape[1])
+    row pair (x_p, y_p) in turn: shape (4p, d), or (2p, d) in real mode.
+
+    ``y`` is a (p, d) stack, possibly empty, and ``x`` one row or p rows.
+    The rows are written into ``out``, a block of exactly that shape, when
+    given, else into a new array; the block is returned."""
+    complex_ = field == "complex"
+    out, slots = _probe_slots(x, y, field, 4 if complex_ else 2, out)
+    np.add(x, y, out=slots[0])
+    np.subtract(x, y, out=slots[1])
+    if complex_:
+        iy = np.multiply(y, 1j, out=slots[3])
+        np.add(x, iy, out=slots[2])
+        np.subtract(x, iy, out=slots[3])
+    return out
+
+
+def coupling_probes(x: np.ndarray, y: np.ndarray, field: str,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Unit probe rows (x_p+y_p)/sqrt2 and, in complex mode, (x_p+iy_p)/sqrt2
+    of each orthonormal row pair in turn, which ``known_diagonal_coupling``
+    consumes: shape (2p, d), or (p, d) in real mode.  Broadcasting and
+    ``out`` work as in ``pair_probes``."""
+    complex_ = field == "complex"
+    out, slots = _probe_slots(x, y, field, 2 if complex_ else 1, out)
+    np.add(x, y, out=slots[0])
+    if complex_:
+        np.add(x, np.multiply(y, 1j, out=slots[1]), out=slots[1])
+    out /= _SQRT2
+    return out
 
 
 def polarize(f: np.ndarray, field: str) -> np.ndarray:
@@ -220,8 +264,8 @@ def polarize(f: np.ndarray, field: str) -> np.ndarray:
 
 
 def known_diagonal_coupling(vx, vy, v: np.ndarray, field: str) -> np.ndarray:
-    """<x_p|rho|y_p> from v(x_p), v(y_p) and v on the unit rows (x_p+y_p)/sqrt2
-    and, in complex mode, (x_p+iy_p)/sqrt2: ``pair_probes(x, y)[::2] / sqrt2``.
+    """<x_p|rho|y_p> from v(x_p), v(y_p) and v on the rows of
+    ``coupling_probes(x, y)``.
 
     For orthonormal x, y: v((x+y)/sqrt2) = avg + Re<x|rho|y> and
     v((x+iy)/sqrt2) = avg - Im<x|rho|y>, with avg = (v(x) + v(y))/2."""

@@ -169,6 +169,8 @@ def check_unistochastic(
 ) -> CheckReport:
     """Row sums, column sums, and entry range of a transition matrix."""
     arr = s.entries if isinstance(s, TransitionMatrix) else np.asarray(s, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("input must be finite")
     row_dev = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
     col_dev = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
     range_dev = float(max(np.max(-arr, initial=0.0), np.max(arr - 1.0, initial=0.0), 0.0))

@@ -24,7 +24,7 @@ from gleason.serialize import (
     matrix_to_json,
     oracle_table_to_json,
 )
-from gleason.valuation import ExactOracle
+from gleason.valuation import ExactOracle, ValuationOracle
 
 
 def run(*args):
@@ -158,6 +158,16 @@ class TestReconstruct:
         assert result.returncode == 5
         assert "non-convergence" in result.stderr
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+    def test_unreachable_tol_is_parse_error_without_queries(self, tmp_path, monkeypatch, tol):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 3, "--seed", 9, "--out", state)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run("reconstruct", "--method", "implicit", "--in", state, f"--tol={tol}")
+        assert result.returncode == 3
+        assert "error:" in result.stderr and "tol" in result.stderr
+
 
 class TestVerifyCommand:
     def test_trace_violation_fails_with_exit_4(self, tmp_path):
@@ -271,6 +281,28 @@ class TestCompare:
 
     def test_usage_error_without_args(self):
         assert run_module("compare").returncode == 2
+
+
+class TestDispatch:
+    def test_two_commands_in_one_process(self, tmp_path):
+        state, copy = tmp_path / "s.json", tmp_path / "c.json"
+        assert run("gen", "--dim", 2, "--seed", 18, "--out", state).returncode == 0
+        assert run("gen", "--dim", 2, "--seed", 18, "--out", copy).returncode == 0
+        result = run("compare", state, copy)
+        assert result.returncode == 0
+        assert float(result.stdout.split()[-1]) == 0.0
+        result = run("verify", "--suite", "density", "--in", state)
+        assert result.returncode == 0 and "density" in result.stdout
+
+    def test_handler_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 19, "--out", state)
+        seen = []
+        monkeypatch.setattr(cli, "cmd_compare", lambda args: seen.append(args.path_a) or 7)
+        assert run("compare", state, state).returncode == 7
+        assert seen == [str(state)]
+        monkeypatch.undo()
+        assert run("compare", state, state).returncode == 0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

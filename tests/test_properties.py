@@ -13,6 +13,7 @@ from gleason.hilbert import (
     Subspace,
     UnitVector,
     haar_random_basis,
+    nearest_density_matrix,
     random_density_matrix,
 )
 from gleason.reconstruct import (
@@ -22,7 +23,7 @@ from gleason.reconstruct import (
     implicit_reconstruct,
 )
 from gleason.valuation import ExactOracle, TabulatedOracle
-from gleason.verify import check_density
+from gleason.verify import check_density, check_unistochastic
 
 SEEDS = st.integers(0, 2**32 - 1)
 FIELDS = st.sampled_from(["complex", "real"])
@@ -110,6 +111,9 @@ BOUNDARIES = {
     "query_batch": _query_uncharged,
     "TabulatedOracle": lambda m: TabulatedOracle(m, np.full(m.shape[0], 1 / m.shape[0])),
     "check_density": check_density,
+    "nearest_density_matrix": nearest_density_matrix,
+    # a transition matrix is real; |m| keeps each bad entry bad and eye valid
+    "check_unistochastic": lambda m: check_unistochastic(np.abs(m)),
 }
 BAD = st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1.0)])
 
@@ -123,3 +127,10 @@ def test_non_finite_entries_are_rejected(boundary, dim, bad, data):
     m[0, data.draw(st.integers(0, dim - 1))] = bad
     with pytest.raises(ValueError):
         BOUNDARIES[boundary](m)
+
+
+@pytest.mark.parametrize("boundary", ["nearest_density_matrix", "check_unistochastic",
+                                      "check_density"])
+def test_empty_matrix_is_rejected(boundary):
+    with pytest.raises(ValueError):
+        BOUNDARIES[boundary](np.zeros((0, 0), dtype=np.complex128))

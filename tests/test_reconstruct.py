@@ -28,6 +28,7 @@ from gleason.reconstruct import (
     pauli_reconstruct_2d,
     transition_matrix,
 )
+from gleason.reconstruct import _householder_complement
 from gleason.serialize import matrix_from_json
 from gleason.valuation import ExactOracle, NoisyOracle
 
@@ -325,6 +326,45 @@ class TestImplicit:
     def test_dim_one_trivial(self):
         report = implicit_reconstruct(ExactOracle(DensityMatrix([[1.0]])))
         assert report.estimate.tolist() == [[1.0]]
+
+    # Query counts recorded from the coordinate-free Rayleigh-Ritz ascent with a
+    # QR-built complement; the bookkeeping of an iteration may change, the cost
+    # model (rows per batch, iterations per stage) must not.
+    PINNED_QUERIES = {(3, "complex"): 38, (3, "real"): 29, (6, "complex"): 471,
+                      (6, "real"): 327, (8, "complex"): 1130, (8, "real"): 671}
+
+    @pytest.mark.parametrize("dim, field", sorted(PINNED_QUERIES))
+    def test_query_count_is_pinned(self, dim, field):
+        rho = random_density_matrix(dim, dim, seed=100 + dim, field=field)
+        oracle = ExactOracle(rho, field=field)
+        report = implicit_reconstruct(oracle, ImplicitConfig(seed=200 + dim))
+        assert report.query_count == oracle.query_count == self.PINNED_QUERIES[dim, field]
+        assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3, -np.inf])
+    def test_unreachable_tol_is_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            ImplicitConfig(tol=tol)
+
+    def test_zero_tol_is_accepted(self):
+        assert ImplicitConfig(tol=0.0).tol == 0.0
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_householder_complement_matches_complete_qr(m, field):
+    rng = np.random.default_rng(m)
+    units = [e(0, m), -e(0, m), e(m - 1, m)] + ([1j * e(0, m)] if field == "complex" else [])
+    for _ in range(20):
+        u = rng.standard_normal(m) + (1j * rng.standard_normal(m) if field == "complex" else 0)
+        units.append(u / np.linalg.norm(u))
+    for u in units:
+        u = u if field == "complex" else u.real
+        w = _householder_complement(u, np.empty((m - 1, m), u.dtype))
+        ref = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:].T
+        np.testing.assert_allclose(w, ref, rtol=0, atol=1e-14)
+        full = np.vstack([u, w])
+        np.testing.assert_allclose(full.conj() @ full.T, np.eye(m), rtol=0, atol=1e-14)
 
 
 class TestDecohere:

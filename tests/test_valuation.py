@@ -1,6 +1,7 @@
 """Oracle contracts, the quadratic-form extension, and polarization."""
 
 import json
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,6 +22,7 @@ from gleason.valuation import (
     OracleLookupError,
     TabulatedOracle,
     _born,
+    coupling_probes,
     extend,
     known_diagonal_coupling,
     pair_probes,
@@ -134,6 +136,79 @@ def test_born_kernel_matches_einsum_reference(rows, field):
         np.testing.assert_allclose(_born(view, rho), ref, rtol=0, atol=1e-14)
 
 
+def unit_rows(rng, k, d, field):
+    rows = np.array([random_vec(rng, d, real=field == "real") for _ in range(k)])
+    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.complex128)
+
+
+def layouts(rows):
+    """The same rows as a Fortran-ordered copy, a view strided in both axes and
+    a view with negative row stride, each with its C-ordered copy."""
+    padded = np.zeros((2 * rows.shape[0], 2 * rows.shape[1]), dtype=rows.dtype)
+    padded[::2, ::2] = rows
+    flipped = rows[::-1].copy()[::-1]
+    views = [np.asfortranarray(rows), padded[::2, ::2], flipped]
+    assert not any(v.flags.c_contiguous for v in views[1:])
+    return views
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_query_batch_accepts_any_row_layout(field):
+    rho = random_density_matrix(5, 5, seed=24, field=field)
+    rows = unit_rows(np.random.default_rng(25), 7, 5, field)
+    for view in layouts(rows):
+        for make in (lambda: ExactOracle(rho, field=field),
+                     lambda: NoisyOracle(rho, shots=1000, seed=26, field=field)):
+            a, b = make(), make()
+            assert np.array_equal(a.query_batch(view), b.query_batch(np.ascontiguousarray(view)))
+            assert a.query_count == b.query_count == 7
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), 1e200])
+def test_query_batch_rejects_non_finite_rows_uncharged_and_silently(bad):
+    oracle = ExactOracle(random_density_matrix(3, 3, seed=27))
+    rows = np.eye(3, dtype=np.complex128)
+    rows[1, 2] = bad
+    for view in [rows, *layouts(rows)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unit norm"):
+                oracle.query_batch(view)
+    assert oracle.query_count == 0
+
+
+def stacked_pair_probes(x, y, field):
+    """Reference: the probe rows as ``np.stack`` of whole arrays built them."""
+    probes = [x + y, x - y] + ([x + 1j * y, x - 1j * y] if field == "complex" else [])
+    return np.stack(probes, axis=1).reshape(-1, x.shape[1])
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_probe_builders_match_stack_reference_bitwise(dim, field):
+    b = haar_random_basis(dim, seed=dim + 40, field=field).matrix
+    j, k = np.triu_indices(dim, 1)  # no pairs at dim 1
+    x, y = b[:, j].T, b[:, k].T
+    ref = stacked_pair_probes(x, y, field)
+    block = np.full((ref.shape[0] + 2, dim), np.nan, dtype=np.complex128)
+    out = block[2:]
+    got = pair_probes(x, y, field, out=out)
+    assert got is out and np.isnan(block[:2]).all()
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert pair_probes(x, y, field).tobytes() == ref.tobytes()
+    # one row x against a stack, as the implicit route pairs u with each w_l,
+    # and against an empty stack
+    x0 = b[:, :1].T
+    for ys in (b.T[1:], b.T[:0]):
+        ref = stacked_pair_probes(np.broadcast_to(x0, ys.shape), ys, field)
+        got = pair_probes(x0, ys, field)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        half = ref[::2] / np.sqrt(2)
+        block = np.empty_like(half)
+        got = coupling_probes(x0, ys, field, out=block)
+        assert got is block and got.shape == half.shape and got.tobytes() == half.tobytes()
+
+
 class TestExtend:
     def setup_method(self):
         self.rho = random_density_matrix(3, 3, seed=10)
@@ -205,7 +280,7 @@ class TestSesquilinear:
         oracle = ExactOracle(rho, field=field)
         b = haar_random_basis(5, seed=19, field=field).matrix.T  # orthonormal rows
         x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
-        half = pair_probes(x, y, field)[::2] / np.sqrt(2)
+        half = coupling_probes(x, y, field)
         got = known_diagonal_coupling(
             oracle.query_batch(x), oracle.query_batch(y), oracle.query_batch(half), field
         )
