@@ -1,10 +1,11 @@
 """Density-matrix reconstruction from ray-valuation oracles.
 
 The package turns a black-box probability valuation on unit vectors into
-the density matrix generating it, through four independent routes
-(explicit polarization, iterated sphere maximization, uniform
-decoherence averaging, and the two-dimensional Bloch form), and ships a
-checker suite for the algebraic identities any such valuation satisfies.
+the density matrix generating it, through five routes (explicit
+polarization on complex and on real Hilbert spaces, its two-dimensional
+Pauli form, iterated sphere maximization, and uniform decoherence
+averaging), and ships a checker suite for the algebraic identities any
+such valuation satisfies.
 """
 
 from .hilbert import (
@@ -23,13 +24,11 @@ from .hilbert import (
     standard_basis,
 )
 from .reconstruct import (
-    BlochVector,
     ConvergenceError,
     ImplicitConfig,
     ReconstructionReport,
     TransitionMatrix,
     bloch_vector_of,
-    decohere,
     explicit_query_vectors,
     explicit_reconstruct,
     explicit_reconstruct_real,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ATOL",
     "EIG_ATOL",
-    "BlochVector",
     "CheckReport",
     "ConvergenceError",
     "DensityMatrix",
@@ -85,7 +83,6 @@ __all__ = [
     "check_density",
     "check_haar_moment",
     "check_unistochastic",
-    "decohere",
     "explicit_query_vectors",
     "explicit_reconstruct",
     "explicit_reconstruct_real",

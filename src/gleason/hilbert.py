@@ -42,12 +42,34 @@ __all__ = [
 ]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128)
+def _freeze(arr: np.ndarray, dtype: type = np.complex128) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     if not np.isfinite(out).all():
         raise ValueError("entries must be finite")
     out.setflags(write=False)
     return out
+
+
+def _square(m: np.ndarray, what: str, dtype: type = np.complex128) -> np.ndarray:
+    """``m`` as a frozen ``dtype`` copy, after checking it is a nonempty, finite,
+    square 2-D matrix; a scalar counts as 1 x 1.  The one input check of every
+    square matrix a caller passes in: to a value type, a checker, the PSD
+    repair, the Bloch view or the JSON writer."""
+    arr = _freeze(np.atleast_2d(np.asarray(m)), dtype)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValueError(f"{what} must be a nonempty square matrix, got shape {arr.shape}")
+    return arr
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, d) array, as one einsum over the
+    float64 view of a C-ordered complex128 copy (no copy when already one).
+
+    Silent on every input: a NaN or inf entry gives a NaN or inf norm, and
+    so does a finite row whose squared norm overflows (entries above ~1e154),
+    so one ``not <= tol`` comparison rejects them all."""
+    flat = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def _is_real(arr: np.ndarray) -> bool:
@@ -55,10 +77,9 @@ def _is_real(arr: np.ndarray) -> bool:
 
 
 def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` frozen, after checking it is square and Hermitian within ATOL."""
-    arr = _freeze(np.atleast_2d(np.asarray(m)))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{what} must be square")
+    """``m`` frozen, after checking it is square (``_square``) and Hermitian
+    within ATOL."""
+    arr = _square(m, what)
     if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
         raise ValueError(f"{what} is not Hermitian within tolerance")
     return arr
@@ -92,17 +113,14 @@ class UnitVector:
         arr = _freeze(np.asarray(self.components).reshape(-1))
         if arr.size < 1:
             raise ValueError("dim must be >= 1")
-        norm = np.linalg.norm(arr)
+        norm = float(_row_norms(arr[None])[0])
         if not abs(norm - 1.0) <= ATOL:
-            raise ValueError(f"vector norm {norm!r} is not 1 within {ATOL}")
+            raise ValueError(f"vector norm {norm} is not 1 within {ATOL}")
         object.__setattr__(self, "components", arr)
 
     @property
     def dim(self) -> int:
         return self.components.size
-
-    def is_real(self) -> bool:
-        return _is_real(self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +133,9 @@ class Projector:
         arr = _hermitian(self.matrix, "projector")
         if not np.max(np.abs(arr @ arr - arr)) <= ATOL:
             raise ValueError("projector is not idempotent within tolerance")
-        tr = np.trace(arr).real
+        tr = float(np.trace(arr).real)
         if not abs(tr - round(tr)) <= ATOL * arr.shape[0]:
-            raise ValueError(f"projector trace {tr!r} is not an integer")
+            raise ValueError(f"projector trace {tr} is not an integer")
         object.__setattr__(self, "matrix", arr)
 
 
@@ -174,9 +192,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = _hermitian(self.matrix, "density matrix")
-        tr = np.trace(arr)
+        tr = complex(np.trace(arr))
         if not abs(tr - 1.0) <= ATOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {ATOL}")
+            raise ValueError(f"trace {tr} is not 1 within {ATOL}")
         wmin = float(np.linalg.eigvalsh(arr)[0])
         if not wmin >= -EIG_ATOL:
             raise ValueError(f"minimum eigenvalue {wmin!r} below -{EIG_ATOL}")
@@ -223,15 +241,15 @@ def _gram_schmidt_twice(z: np.ndarray) -> np.ndarray:
     return q.transpose(2, 0, 1)
 
 
-def _ginibre(dim: int, count: int, rng: np.random.Generator, field: str) -> np.ndarray:
-    """Stack of ``count`` complex128 Ginibre matrices, shape (count, dim, dim):
-    standard normal entries, real parts drawn before imaginary parts, and
-    no imaginary part when ``field="real"``."""
+def _ginibre(shape: tuple[int, ...], rng: np.random.Generator, field: str) -> np.ndarray:
+    """Complex128 array of the given shape with standard normal entries, real
+    parts drawn before imaginary parts, and no imaginary part when
+    ``field="real"``: a Ginibre stack for shape (count, dim, dim)."""
     if field == "complex":
-        re, im = rng.standard_normal((2, count, dim, dim))
+        re, im = rng.standard_normal((2, *shape))
         return re + 1j * im
     if field == "real":
-        return rng.standard_normal((count, dim, dim)).astype(np.complex128)
+        return rng.standard_normal(shape).astype(np.complex128)
     raise ValueError(f"unknown field {field!r}")
 
 
@@ -269,7 +287,7 @@ def haar_basis_matrices(
     draw by a positive number leaves Q unchanged, so its entries are not
     normalized.  ``field="real"`` draws from the orthogonal group instead.
     """
-    return _haar_factor(_ginibre(dim, count, rng, field))
+    return _haar_factor(_ginibre((count, dim, dim), rng, field))
 
 
 def haar_random_basis(dim: int, seed: int, field: str = "complex") -> OrthonormalBasis:
@@ -292,13 +310,7 @@ def random_density_matrix(
         raise ValueError("dim must be >= 1")
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    rng = np.random.default_rng(seed)
-    if field == "complex":
-        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    elif field == "real":
-        g = rng.standard_normal((dim, rank)).astype(np.complex128)
-    else:
-        raise ValueError(f"unknown field {field!r}")
+    g = _ginibre((dim, rank), np.random.default_rng(seed), field)
     m = g @ g.conj().T
     m /= np.trace(m).real
     m = (m + m.conj().T) / 2
@@ -323,13 +335,7 @@ def nearest_density_matrix(m: np.ndarray) -> DensityMatrix:
     projection onto the density-matrix set, hence idempotent and
     non-expansive.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("input must be square")
-    if m.shape[0] == 0:
-        raise ValueError("input must not be empty")
-    if not np.isfinite(m).all():
-        raise ValueError("input must be finite")
+    m = _square(m, "input")
     h = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(h)
     w = _project_to_simplex(w.real)
@@ -341,7 +347,7 @@ def nearest_density_matrix(m: np.ndarray) -> DensityMatrix:
 def spectral_decomposition(rho: DensityMatrix | np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix into non-increasing eigenvalues
     and rank-1 projectors."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else _square(rho, "input")
     h = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(h)
     order = np.argsort(w)[::-1]

@@ -16,13 +16,11 @@ The routes below consume nothing but valuations of unit vectors:
   predecessors, found by a Rayleigh-Ritz ascent that stops on the
   residual norm (or the oracle's noise floor).
 * ``haar_average_reconstruct``: Monte Carlo average of basis-decohered
-  states, unbiased via  rho = (d+1) <rho_P> - I.
+  states  sum_i v(p_i) |p_i><p_i|, unbiased via  rho = (d+1) <rho_P> - I.
 
 The explicit family shares one assembly step over the polarization kernel
-(``pair_probes``, ``polarize``) of :mod:`gleason.valuation`.
-
-Together with the decoherence map and basis transition matrices these
-cover every operator identity the valuation determines.
+(``pair_probes``, ``polarize``) of :mod:`gleason.valuation`.  Basis
+transition matrices link the valuations of two bases.
 """
 
 from __future__ import annotations
@@ -36,24 +34,23 @@ import numpy as np
 from .hilbert import (
     DensityMatrix,
     OrthonormalBasis,
+    _square,
     haar_basis_matrices,
     nearest_density_matrix,
 )
 from .serialize import matrix_to_json
-from .valuation import ExactOracle, ValuationOracle, coupling_probes, known_diagonal_coupling
+from .valuation import ValuationOracle, coupling_probes, known_diagonal_coupling
 from .valuation import pair_probes, polarize
 
 __all__ = [
     "TransitionMatrix",
     "ReconstructionReport",
-    "BlochVector",
     "ImplicitConfig",
     "ConvergenceError",
     "explicit_query_vectors",
     "explicit_reconstruct",
     "explicit_reconstruct_real",
     "implicit_reconstruct",
-    "decohere",
     "haar_average_reconstruct",
     "pauli_reconstruct_2d",
     "transition_matrix",
@@ -83,6 +80,16 @@ class ConvergenceError(RuntimeError):
         )
 
 
+def _stochastic_deviations(arr: np.ndarray) -> tuple[float, float, float]:
+    """Largest deviations of a nonempty real square matrix from double
+    stochasticity: of its row sums and its column sums from 1, and of its
+    entries from [0, 1]."""
+    rows = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
+    cols = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
+    span = float(max(np.max(-arr), np.max(arr - 1.0), 0.0))
+    return rows, cols, span
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Doubly stochastic matrix of squared basis overlaps |<q_i|p_j>|^2."""
@@ -90,16 +97,11 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if not (np.min(arr) >= -1e-12 and np.max(arr) <= 1 + 1e-12):
-            raise ValueError("entries must lie in [0, 1]")
-        if not np.max(np.abs(arr.sum(axis=0) - 1.0)) <= 1e-12:
-            raise ValueError("column sums differ from 1")
-        if not np.max(np.abs(arr.sum(axis=1) - 1.0)) <= 1e-12:
-            raise ValueError("row sums differ from 1")
-        arr.setflags(write=False)
+        arr = _square(self.entries, "transition matrix", float)
+        rows, cols, span = _stochastic_deviations(arr)
+        if not max(rows, cols, span) <= 1e-12:
+            raise ValueError(f"not doubly stochastic within 1e-12: row sums off by {rows:.3e}, "
+                             f"column sums by {cols:.3e}, entries outside [0, 1] by {span:.3e}")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -133,30 +135,17 @@ class ReconstructionReport:
         }
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Real 3-vector (r_x, r_y, r_z) parameterizing a qubit state as (I + r.sigma)/2."""
-
-    r_x: float
-    r_y: float
-    r_z: float
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.r_x**2 + self.r_y**2 + self.r_z**2))
-
-    def is_physical(self) -> bool:
-        return self.norm() <= 1 + 1e-10
-
-
-def bloch_vector_of(state: DensityMatrix | np.ndarray) -> BlochVector:
-    m = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
+def bloch_vector_of(state: DensityMatrix | np.ndarray) -> np.ndarray:
+    """The float array (r_x, r_y, r_z) with state = (I + r.sigma)/2; a state
+    is physical when its norm is at most 1."""
+    m = state.matrix if isinstance(state, DensityMatrix) else _square(state, "state")
     if m.shape != (2, 2):
         raise ValueError("Bloch vector is defined for 2x2 states")
-    return BlochVector(
-        float((m[0, 1] + m[1, 0]).real),  # tr(m sigma_x)
-        float((m[1, 0] - m[0, 1]).imag),  # tr(m sigma_y)
-        float((m[0, 0] - m[1, 1]).real),  # tr(m sigma_z)
-    )
+    return np.array([
+        (m[0, 1] + m[1, 0]).real,  # tr(m sigma_x)
+        (m[1, 0] - m[0, 1]).imag,  # tr(m sigma_y)
+        (m[0, 0] - m[1, 1]).real,  # tr(m sigma_z)
+    ])
 
 
 def _finish(method: str, estimate: np.ndarray, query_count: int) -> ReconstructionReport:
@@ -265,23 +254,6 @@ def pauli_reconstruct_2d(
         raise ValueError("pauli_reconstruct_2d is defined for dim 2 only")
     _check_dims(oracle, basis)
     return _polarization_report("pauli2d", oracle, basis)
-
-
-def decohere(
-    source: DensityMatrix | ValuationOracle, basis: OrthonormalBasis
-) -> DensityMatrix:
-    """Erase coherences with respect to a basis:  sum_i v(p_i) |p_i><p_i|.
-
-    Accepts either a state (valuated exactly) or an oracle.  The result
-    is diagonal in the given basis and idempotent under repetition.
-    """
-    oracle = ExactOracle(source) if isinstance(source, DensityMatrix) else source
-    _check_dims(oracle, basis)
-    b = basis.matrix
-    vals = oracle.query_batch(b.T)  # rows are the basis vectors
-    out = (b * vals) @ b.conj().T
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(out)
 
 
 def _pairwise_sum(blocks: list[np.ndarray]) -> np.ndarray:
@@ -510,7 +482,6 @@ def implicit_reconstruct(
         lam = float(oracle.query_batch(n_vec[None, :])[0])
         estimate += lam * np.outer(n_vec, n_vec.conj())
         if m > 1:
-            completion = np.linalg.qr(coeff.reshape(-1, 1), mode="complete")[0]
-            frame = frame @ completion[:, 1:]
+            frame = frame @ _householder_complement(coeff, np.empty((m - 1, m), coeff.dtype)).T
     estimate = (estimate + estimate.conj().T) / 2
     return _finish("implicit", estimate, oracle.query_count - before)

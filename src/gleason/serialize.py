@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .hilbert import _square
+
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
@@ -27,9 +29,7 @@ __all__ = [
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+    m = _square(m, "matrix")
     return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
 
 

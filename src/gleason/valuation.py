@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .hilbert import ATOL, DensityMatrix, Subspace, UnitVector
+from .hilbert import ATOL, DensityMatrix, Subspace, UnitVector, _is_real, _row_norms
 
 ZERO_NORM = 1e-14
 _SQRT2 = np.sqrt(2.0)
@@ -84,20 +84,17 @@ class ValuationOracle:
     def query_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Valuations of a stack of unit row vectors, shape (k, dim), k >= 1.
 
-        Rows may come in any memory layout.  Their norms are one einsum over
-        the float64 view of a C-ordered copy (no copy when already C-ordered),
-        which emits no warning on inf or NaN entries.  Bad input (empty, NaN,
-        inf, rows whose norm is not 1 within ``ATOL``) is rejected uncharged."""
+        Rows may come in any memory layout; their norms (``_row_norms``) emit
+        no warning on any entry.  Bad input (empty, NaN, inf, rows whose norm
+        is not 1 within ``ATOL``) is rejected uncharged."""
         vecs = np.atleast_2d(np.ascontiguousarray(vectors, dtype=np.complex128))
         if vecs.shape[1] != self.dim:
             raise ValueError(f"vectors have dim {vecs.shape[1]}, oracle dim {self.dim}")
         if vecs.shape[0] == 0:
             raise ValueError("empty query batch")
-        flat = vecs.view(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-        if not abs(norms - 1.0).max() <= ATOL:
+        if not abs(_row_norms(vecs) - 1.0).max() <= ATOL:
             raise ValueError("queried vectors must be unit norm")
-        if self.field == "real" and abs(vecs.imag).max() > ATOL:
+        if self.field == "real" and not _is_real(vecs):
             raise ValueError("real-mode oracle queried with complex vector")
         vals = self._values(vecs)
         with self._lock:
@@ -190,8 +187,7 @@ class TabulatedOracle(ValuationOracle):
             raise ValueError("empty table")
         if not np.all((values >= -1e-9) & (values <= 1 + 1e-9)):
             raise ValueError("tabulated values must lie in [0, 1]")
-        norms = np.linalg.norm(np.abs(vectors), axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= TABLE_MATCH_TOL:
+        if not np.max(np.abs(_row_norms(vectors) - 1.0)) <= TABLE_MATCH_TOL:
             raise ValueError("tabulated vectors must be finite and unit norm")
         super().__init__(vectors.shape[1], field)
         self._table = vectors
@@ -279,9 +275,9 @@ def _extend_rows(oracle: ValuationOracle, rows: np.ndarray) -> np.ndarray:
     """f on each row in one ``query_batch``; rows of norm below ZERO_NORM cost nothing."""
     if rows.shape[1] != oracle.dim:
         raise ValueError(f"vector dim {rows.shape[1]} != oracle dim {oracle.dim}")
-    norms = np.linalg.norm(np.abs(rows), axis=1)
+    norms = _row_norms(rows)
     if not np.isfinite(norms).all():
-        raise ValueError("vectors must be finite")
+        raise ValueError("vectors must be finite, with a squared norm that does not overflow")
     live = norms >= ZERO_NORM
     f = np.zeros(rows.shape[0])
     if live.any():

@@ -17,9 +17,10 @@ from .hilbert import (
     _check_orthonormal,
     _ginibre,
     _haar_factor,
+    _square,
     haar_basis_matrices,
 )
-from .reconstruct import TransitionMatrix, explicit_reconstruct
+from .reconstruct import TransitionMatrix, _stochastic_deviations, explicit_reconstruct
 from .valuation import ValuationOracle
 
 __all__ = [
@@ -62,11 +63,7 @@ class CheckReport:
 
 def check_density(m: np.ndarray, tol: float = 1e-10) -> CheckReport:
     """Hermiticity, unit trace, and eigenvalue nonnegativity of a matrix."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("input must be square")
-    if not np.isfinite(m).all():
-        raise ValueError("input must be finite")
+    m = _square(m, "input")
     herm = float(np.max(np.abs(m - m.conj().T)))
     trace = float(abs(np.trace(m) - 1.0))
     wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
@@ -129,13 +126,13 @@ def _additivity_chunk(oracle: ValuationOracle, count: int, rng: np.random.Genera
     d, field = oracle.dim, oracle.field
     draws, sizes, rotations = [], [], {}
     for t in range(count):
-        draws.append(_ginibre(d, 1, rng, field))
+        draws.append(_ginibre((1, d, d), rng, field))
         sizes.append(_random_composition(d, rng))
         if len(sizes[-1]) >= 2:
             k = sizes[-1][0] + sizes[-1][1]
             trials_k, draws_k = rotations.setdefault(k, ([], []))
             trials_k.append(t)
-            draws_k.append(_ginibre(k, 1, rng, field))
+            draws_k.append(_ginibre((1, k, k), rng, field))
     bases = _haar_factor(np.concatenate(draws))
     _check_orthonormal(bases, "basis")
     joined = [None] * count
@@ -168,12 +165,8 @@ def check_unistochastic(
     s: TransitionMatrix | np.ndarray, tol: float = 1e-12
 ) -> CheckReport:
     """Row sums, column sums, and entry range of a transition matrix."""
-    arr = s.entries if isinstance(s, TransitionMatrix) else np.asarray(s, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("input must be finite")
-    row_dev = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
-    col_dev = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
-    range_dev = float(max(np.max(-arr, initial=0.0), np.max(arr - 1.0, initial=0.0), 0.0))
+    arr = s.entries if isinstance(s, TransitionMatrix) else _square(s, "input", float)
+    row_dev, col_dev, range_dev = _stochastic_deviations(arr)
     deviation = max(row_dev, col_dev, range_dev)
     return CheckReport(
         "unistochastic",

@@ -27,7 +27,8 @@ def e(i, d):
 
 class TestTypes:
     def test_unit_vector_rejects_non_unit(self):
-        with pytest.raises(ValueError):
+        # the norm prints as a plain float, not as a numpy scalar's repr
+        with pytest.raises(ValueError, match=r"^vector norm 1\.41421356\d* is not 1 within"):
             UnitVector(np.array([1.0, 1.0]))
 
     def test_unit_vector_is_immutable(self):

@@ -2,6 +2,8 @@
 explicit estimate, the implicit estimate on hard spectra, and non-finite
 rejection at every boundary that takes an array from a caller."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
+    Projector,
     Subspace,
     UnitVector,
     haar_random_basis,
@@ -18,11 +21,12 @@ from gleason.hilbert import (
 )
 from gleason.reconstruct import (
     ImplicitConfig,
+    TransitionMatrix,
     explicit_reconstruct,
     explicit_reconstruct_real,
     implicit_reconstruct,
 )
-from gleason.valuation import ExactOracle, TabulatedOracle
+from gleason.valuation import ExactOracle, TabulatedOracle, extend, sesquilinear
 from gleason.verify import check_density, check_unistochastic
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -108,12 +112,14 @@ BOUNDARIES = {
     "OrthonormalBasis": OrthonormalBasis,
     "Subspace": Subspace,
     "DensityMatrix": DensityMatrix,
+    "Projector": Projector,
     "query_batch": _query_uncharged,
     "TabulatedOracle": lambda m: TabulatedOracle(m, np.full(m.shape[0], 1 / m.shape[0])),
     "check_density": check_density,
     "nearest_density_matrix": nearest_density_matrix,
     # a transition matrix is real; |m| keeps each bad entry bad and eye valid
     "check_unistochastic": lambda m: check_unistochastic(np.abs(m)),
+    "TransitionMatrix": lambda m: TransitionMatrix(np.abs(m)),
 }
 BAD = st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1.0)])
 
@@ -130,7 +136,27 @@ def test_non_finite_entries_are_rejected(boundary, dim, bad, data):
 
 
 @pytest.mark.parametrize("boundary", ["nearest_density_matrix", "check_unistochastic",
-                                      "check_density"])
+                                      "check_density", "DensityMatrix", "Projector",
+                                      "TransitionMatrix"])
 def test_empty_matrix_is_rejected(boundary):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be a nonempty square matrix"):
         BOUNDARIES[boundary](np.zeros((0, 0), dtype=np.complex128))
+
+
+# each takes a finite row whose squared norm overflows, and an oracle to charge
+HUGE_ROW = {
+    "UnitVector": lambda oracle, x: UnitVector(x),
+    "extend": extend,
+    "sesquilinear": lambda oracle, x: sesquilinear(oracle, x, [0.0, 1.0, 0.0]),
+    "TabulatedOracle": lambda oracle, x: TabulatedOracle(x[None], [0.5]),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(HUGE_ROW))
+def test_row_whose_squared_norm_overflows_is_rejected_silently(boundary):
+    oracle = ExactOracle(DensityMatrix(np.eye(3) / 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            HUGE_ROW[boundary](oracle, np.array([1e200, 0.0, 0.0]))
+    assert oracle.query_count == 0

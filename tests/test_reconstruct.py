@@ -1,4 +1,4 @@
-"""All four reconstruction routes plus decoherence and transition matrices."""
+"""All five reconstruction routes plus transition matrices."""
 
 import numpy as np
 import pytest
@@ -14,12 +14,10 @@ from gleason.hilbert import (
     standard_basis,
 )
 from gleason.reconstruct import (
-    BlochVector,
     ConvergenceError,
     ImplicitConfig,
     TransitionMatrix,
     bloch_vector_of,
-    decohere,
     explicit_query_vectors,
     explicit_reconstruct,
     explicit_reconstruct_real,
@@ -195,7 +193,7 @@ class TestPauli2d:
         report = pauli_reconstruct_2d(oracle, standard_basis(2))
         np.testing.assert_allclose(report.estimate, np.eye(2) / 2, atol=1e-14)
         r = bloch_vector_of(report.repaired)
-        assert r.norm() < 1e-12
+        assert np.linalg.norm(r) < 1e-12
 
     def test_basis_aligned_pure_state(self):
         basis = haar_random_basis(2, seed=15)
@@ -207,7 +205,7 @@ class TestPauli2d:
         # in basis coordinates the state is |x><x|: r_z = 1, r_x = r_y = 0
         in_basis = basis.matrix.conj().T @ report.estimate @ basis.matrix
         r = bloch_vector_of(in_basis)
-        assert abs(r.r_z - 1.0) < 1e-12 and abs(r.r_x) < 1e-12 and abs(r.r_y) < 1e-12
+        assert abs(r[2] - 1.0) < 1e-12 and abs(r[0]) < 1e-12 and abs(r[1]) < 1e-12
 
     def test_agrees_with_explicit_six_queries(self):
         for seed in range(10):
@@ -246,8 +244,20 @@ class TestPauli2d:
 
     def test_bloch_vector_physicality(self):
         r = bloch_vector_of(random_density_matrix(2, 2, seed=18))
-        assert r.is_physical()
-        assert not BlochVector(1.0, 1.0, 1.0).is_physical()
+        assert r.shape == (3,) and r.dtype == np.float64
+        assert np.linalg.norm(r) <= 1 + 1e-10
+        # Hermitian with unit trace but not PSD: its Bloch vector is (1, 1, 1)
+        sx = np.array([[0, 1], [1, 0]])
+        sy = np.array([[0, -1j], [1j, 0]])
+        sz = np.diag([1, -1])
+        r = bloch_vector_of((np.eye(2) + sx + sy + sz) / 2)
+        np.testing.assert_allclose(r, [1.0, 1.0, 1.0], rtol=0, atol=1e-15)
+        assert not np.linalg.norm(r) <= 1 + 1e-10
+
+    @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.eye(3) / 3, np.ones((2, 2, 2))])
+    def test_bloch_vector_rejects_bad_matrix(self, m):
+        with pytest.raises(ValueError):
+            bloch_vector_of(m)
 
 
 class TestImplicit:
@@ -365,53 +375,6 @@ def test_householder_complement_matches_complete_qr(m, field):
         np.testing.assert_allclose(w, ref, rtol=0, atol=1e-14)
         full = np.vstack([u, w])
         np.testing.assert_allclose(full.conj() @ full.T, np.eye(m), rtol=0, atol=1e-14)
-
-
-class TestDecohere:
-    def test_diagonal_state_unchanged(self):
-        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
-        out = decohere(rho, standard_basis(3))
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-13)
-
-    def test_qubit_coherence_erased(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        rho = DensityMatrix(0.5 * (np.eye(2) + 0.8 * sx))
-        out = decohere(rho, standard_basis(2))
-        np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-14)
-
-    def test_random_state_properties(self):
-        rho = random_density_matrix(4, 4, seed=25)
-        basis = haar_random_basis(4, seed=26)
-        out = decohere(rho, basis)
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-12
-        for c in basis.matrix.T:
-            p = np.outer(c, c.conj())
-            comm = out.matrix @ p - p @ out.matrix
-            assert np.max(np.abs(comm)) < 1e-12
-
-    def test_idempotent(self):
-        rho = random_density_matrix(3, 3, seed=27)
-        basis = haar_random_basis(3, seed=28)
-        once = decohere(rho, basis)
-        twice = decohere(once, basis)
-        np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-13)
-
-    def test_oracle_input(self):
-        rho = random_density_matrix(3, 3, seed=29)
-        basis = haar_random_basis(3, seed=30)
-        via_oracle = decohere(ExactOracle(rho), basis)
-        via_state = decohere(rho, basis)
-        np.testing.assert_allclose(via_oracle.matrix, via_state.matrix, atol=1e-14)
-
-    def test_fixed_point_of_explicit_reconstruction(self):
-        rho = random_density_matrix(3, 3, seed=31)
-        basis = haar_random_basis(3, seed=32)
-        report = explicit_reconstruct(ExactOracle(rho), basis)
-        redone = decohere(report.repaired, basis)
-        b = basis.matrix
-        in_basis = b.conj().T @ report.estimate @ b
-        diag_part = b @ np.diag(np.diag(in_basis)) @ b.conj().T
-        assert np.linalg.norm(redone.matrix - diag_part) < 1e-12
 
 
 class TestHaarAverage:

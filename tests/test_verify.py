@@ -157,6 +157,11 @@ class TestCheckUnistochastic:
         assert not r.passed
         assert abs(r.deviation - 0.1) < 1e-12
 
+    @pytest.mark.parametrize("s", [np.ones((2, 2, 2)) / 2, np.full((1, 2), 0.5)])
+    def test_non_square_rejected(self, s):
+        with pytest.raises(ValueError, match="must be a nonempty square matrix"):
+            check_unistochastic(s)
+
 
 class TestCheckHaarMoment:
     def test_passes_at_moderate_samples(self):
