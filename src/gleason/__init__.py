@@ -10,12 +10,10 @@ such valuation satisfies.
 
 from .hilbert import (
     ATOL,
-    EIG_ATOL,
     DensityMatrix,
     OrthonormalBasis,
     Projector,
     SpectralDecomposition,
-    Subspace,
     UnitVector,
     haar_random_basis,
     nearest_density_matrix,
@@ -45,7 +43,6 @@ from .valuation import (
     ValuationOracle,
     extend,
     sesquilinear,
-    subspace_measure,
 )
 from .verify import (
     CheckReport,
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATOL",
-    "EIG_ATOL",
     "CheckReport",
     "ConvergenceError",
     "DensityMatrix",
@@ -72,7 +68,6 @@ __all__ = [
     "Projector",
     "ReconstructionReport",
     "SpectralDecomposition",
-    "Subspace",
     "TabulatedOracle",
     "TransitionMatrix",
     "UnitVector",
@@ -96,6 +91,5 @@ __all__ = [
     "sesquilinear",
     "spectral_decomposition",
     "standard_basis",
-    "subspace_measure",
     "transition_matrix",
 ]

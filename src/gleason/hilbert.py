@@ -1,16 +1,15 @@
 """Finite-dimensional Hilbert-space primitives.
 
-Vectors, projectors, orthonormal bases, subspaces and density matrices,
-plus the random generators (Haar bases, random states) and the spectral
-utilities the reconstruction routines are built on.  Everything is stored
-as complex128; real-Hilbert-space objects simply carry zero imaginary
-parts and are produced by passing ``field="real"`` to the generators.
+Vectors, projectors, orthonormal bases and density matrices, plus the
+random generators (Haar bases, random states) and the spectral utilities
+the reconstruction routines are built on.  Everything is stored as
+complex128; real-Hilbert-space objects simply carry zero imaginary parts
+and are produced by passing ``field="real"`` to the generators.
 
 All types are immutable value objects, each holding one frozen array
 validated at construction: ``UnitVector`` its components, every other type
-its matrix (a basis or a subspace is the matrix whose columns are its
-orthonormal vectors).  Non-finite entries are rejected by every type.  The
-numerical contracts are:
+its matrix (a basis is the unitary whose columns are its vectors).
+Non-finite entries are rejected by every type.  The numerical contracts are:
 
 * algebraic identities on exact inputs hold within ``ATOL`` (1e-12),
 * eigenvalue nonnegativity is enforced within ``EIG_ATOL`` (1e-10).
@@ -27,11 +26,9 @@ EIG_ATOL = 1e-10
 
 __all__ = [
     "ATOL",
-    "EIG_ATOL",
     "UnitVector",
     "Projector",
     "OrthonormalBasis",
-    "Subspace",
     "DensityMatrix",
     "SpectralDecomposition",
     "haar_random_basis",
@@ -54,7 +51,7 @@ def _square(m: np.ndarray, what: str, dtype: type = np.complex128) -> np.ndarray
     """``m`` as a frozen ``dtype`` copy, after checking it is a nonempty, finite,
     square 2-D matrix; a scalar counts as 1 x 1.  The one input check of every
     square matrix a caller passes in: to a value type, a checker, the PSD
-    repair, the Bloch view or the JSON writer."""
+    repair, the spectral decomposition, the Bloch view or the JSON writer."""
     arr = _freeze(np.atleast_2d(np.asarray(m)), dtype)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"{what} must be a nonempty square matrix, got shape {arr.shape}")
@@ -82,16 +79,6 @@ def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
     arr = _square(m, what)
     if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
         raise ValueError(f"{what} is not Hermitian within tolerance")
-    return arr
-
-
-def _orthonormal_columns(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` frozen, after checking it is d x r, 1 <= r <= d, with orthonormal
-    columns within ATOL.  The Gram check also covers the unit norms."""
-    arr = _freeze(m)
-    if arr.ndim != 2 or not 1 <= arr.shape[1] <= arr.shape[0]:
-        raise ValueError(f"{what} must be a d x r matrix with 1 <= r <= d")
-    _check_orthonormal(arr, what)
     return arr
 
 
@@ -147,10 +134,8 @@ class OrthonormalBasis:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _orthonormal_columns(self.matrix, "basis")
-        d = arr.shape[0]
-        if arr.shape[1] != d:
-            raise ValueError(f"need exactly {d} vectors for a basis of dim {d}")
+        arr = _square(self.matrix, "basis")
+        _check_orthonormal(arr, "basis")
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -163,25 +148,6 @@ class OrthonormalBasis:
 
     def is_real(self) -> bool:
         return _is_real(self.matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A closed subspace: the d x r matrix whose columns are an orthonormal
-    spanning set, 1 <= r <= d."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _orthonormal_columns(self.matrix, "spanning set"))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,10 +312,10 @@ def nearest_density_matrix(m: np.ndarray) -> DensityMatrix:
 
 def spectral_decomposition(rho: DensityMatrix | np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix into non-increasing eigenvalues
-    and rank-1 projectors."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else _square(rho, "input")
-    h = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(h)
+    and rank-1 projectors; an array that is not Hermitian within ATOL is
+    rejected (``_hermitian``)."""
+    m = rho.matrix if isinstance(rho, DensityMatrix) else _hermitian(rho, "input")
+    w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]

@@ -14,7 +14,8 @@ The routes below consume nothing but valuations of unit vectors:
   returns the spectral form  sum_i v(n_i) |n_i><n_i|  where each n_i
   maximizes the valuation on the unit sphere orthogonal to its
   predecessors, found by a Rayleigh-Ritz ascent that stops on the
-  residual norm (or the oracle's noise floor).
+  residual norm (or the oracle's noise floor); on exact oracles each
+  later ascent starts warm from what earlier stages measured.
 * ``haar_average_reconstruct``: Monte Carlo average of basis-decohered
   states  sum_i v(p_i) |p_i><p_i|, unbiased via  rho = (d+1) <rho_P> - I.
 
@@ -34,6 +35,7 @@ import numpy as np
 from .hilbert import (
     DensityMatrix,
     OrthonormalBasis,
+    _ginibre,
     _square,
     haar_basis_matrices,
     nearest_density_matrix,
@@ -324,6 +326,10 @@ def transition_matrix(
 # stage stops on an exact oracle when the caller gives no tolerance.
 _MAX_SWEEPS = 300
 _EXACT_TOL = 1e-8
+# Relative singular value below which a direction of the measured history is
+# dropped, and the weight of the random part a warm start adds outside it.
+_SPAN_CUT = 1e-10
+_EXPLORE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -334,7 +340,9 @@ class ImplicitConfig:
     ascent stops; ``None`` stops at the oracle's noise floor (at least 1e-8),
     and a ``tol`` below that floor is never met.  A NaN or negative ``tol``
     could never be met on any oracle, so it is rejected with ``ValueError``.
-    ``seed`` draws the start vector of each stage's one ascent.
+    ``seed`` draws the start vector of the first stage's ascent, and of every
+    stage's on a noisy oracle; on an exact oracle it also draws the small part
+    of each later start that lies outside the directions measured so far.
     """
 
     tol: float | None = None
@@ -363,9 +371,10 @@ def _householder_complement(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.Generator,
-                   tol: float | None) -> np.ndarray:
-    """Maximize the valuation over unit vectors in the span of ``w_frame``.
+def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
+                   tol: float | None, history: list) -> np.ndarray:
+    """Maximize the valuation over unit vectors in the span of ``w_frame``,
+    starting from the unit vector ``u`` of frame coordinates.
 
     Rayleigh-Ritz ascent on span{u, r, p} (LOBPCG without a preconditioner),
     two ``query_batch`` calls per iteration.  The residual batch queries u
@@ -380,6 +389,9 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.
     part the next step.  Real mode drops the imaginary probes.  Each batch is
     written in place into a block allocated once per call (the coupling rows
     by ``coupling_probes``) and mapped to frame coordinates by one matmul.
+    Each residual batch appends the pair (F u, F (v(u) u + r)) to ``history``
+    in full-space coordinates, for the frame F: that is (x, rho x) up to the
+    part of rho x along the frame's complement.
 
     Stops when ||r|| <= tol (eigenvalue error at most ||r||^2 / gap).  With
     ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))), for the oracle's
@@ -394,10 +406,6 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.
     floor = 3 * oracle.noise_scale * np.sqrt(k * (m - 1))
     # a tolerance below the noise floor cannot be certified, so it is never met
     tol = max(_EXACT_TOL, floor) if tol is None else (tol if tol >= floor else -np.inf)
-    u = rng.standard_normal(m)
-    if field == "complex":
-        u = u + 1j * rng.standard_normal(m)
-    u /= np.linalg.norm(u)
     p = np.zeros_like(u)
     resid = np.empty((1 + k * (m - 1), m), u.dtype)  # u, the w_l, their coupling probes
     w = resid[1:m]
@@ -411,13 +419,14 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, rng: np.random.
         vu = vals[0]
         c = known_diagonal_coupling(vu, vals[1:m], vals[m:], field)
         nr = math.sqrt(np.vdot(c, c).real)
+        r = np.matmul(c.conj(), w, out=ritz[0])
+        history.append((w_frame @ u, w_frame @ (vu * u + r)))
         if nr <= tol:
             return u
         if sweep == _MAX_SWEEPS - 1:
             break
         if nr == 0:  # a noisy batch can read r = 0 by chance; nothing to step along
             continue
-        r = np.matmul(c.conj(), w, out=ritz[0])
         r /= nr
         q = p - u * np.vdot(u, p)
         q -= r * np.vdot(r, q)
@@ -451,10 +460,21 @@ def implicit_reconstruct(
     maximizing it on the sphere orthogonal to n_1, and so on; the
     valuations at the maximizers are the eigenvalues (non-increasing) and
     the estimate is  sum_i v(n_i) |n_i><n_i|.  Each stage runs one ascent
-    from a seeded random unit vector and then queries the valuation afresh
-    at its maximizer (on a noisy oracle that query is an unbiased sample;
-    the ascent's own value at the iterate is a selected one).  The last
-    stage needs no ascent: its sphere is one ray.
+    and then queries the valuation afresh at its maximizer (on a noisy
+    oracle that query is an unbiased sample; the ascent's own value at the
+    iterate is a selected one).  The last stage needs no ascent: its sphere
+    is one ray.
+
+    The first stage starts from a seeded random unit vector, and so does
+    every stage on a noisy oracle.  On an exact oracle each later stage
+    starts warm: the pairs (x, rho x) of all earlier residual batches give,
+    by Rayleigh-Ritz on their span (directions below a relative singular
+    value of 1e-10 dropped), a model rho^ of rho, and the stage starts at
+    the top eigenvector of rho^ compressed to its frame, plus a random part
+    of weight 1e-3 outside the measured span.  That part keeps a start off
+    a lower eigenvector when the measured span is invariant (degenerate
+    spectra).  Only the start changes: each stage still stops on its own
+    residual.
 
     Raises
     ------
@@ -469,14 +489,34 @@ def implicit_reconstruct(
         return _trivial_report("implicit")
     before = oracle.query_count
     rng = np.random.default_rng(cfg.seed)
-    frame = np.eye(d, dtype=np.complex128)
+    complex_ = oracle.field == "complex"
+
+    def draw(m: int) -> np.ndarray:  # a Gaussian vector of the oracle's field
+        z = _ginibre((m,), rng, oracle.field)
+        return z if complex_ else z.real
+
+    frame = np.eye(d, dtype=np.complex128 if complex_ else float)
     estimate = np.zeros((d, d), dtype=np.complex128)
+    history: list[tuple[np.ndarray, np.ndarray]] = []  # (x, rho x) of each residual batch
     for _stage in range(d):
         m = frame.shape[1]
         if m == 1:
-            coeff = np.ones(1, dtype=np.complex128)
+            coeff = np.ones(1, dtype=frame.dtype)
         else:
-            coeff = _ascend_sphere(oracle, frame, rng, cfg.tol)
+            if history and oracle.noise_scale == 0:
+                # Rayleigh-Ritz on span{x}: X = Q S V^H, rho Q = Y V S^-1
+                x, y = (np.array(h).T for h in zip(*history))
+                q, s, vh = np.linalg.svd(x, full_matrices=False)
+                k = np.count_nonzero(s > _SPAN_CUT * s[0])
+                t = q[:, :k].conj().T @ y @ (vh[:k].conj().T / s[:k])
+                g = frame.conj().T @ q[:, :k]
+                u = np.linalg.eigh(g @ ((t + t.conj().T) / 2) @ g.conj().T)[1][:, -1]
+                z = draw(m)
+                u += _EXPLORE * (z - g @ (g.conj().T @ z))
+            else:
+                u = draw(m)
+            u /= np.linalg.norm(u)
+            coeff = _ascend_sphere(oracle, frame, u, cfg.tol, history)
         n_vec = frame @ coeff
         n_vec /= np.linalg.norm(n_vec)
         lam = float(oracle.query_batch(n_vec[None, :])[0])

@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .hilbert import ATOL, DensityMatrix, Subspace, UnitVector, _is_real, _row_norms
+from .hilbert import ATOL, DensityMatrix, UnitVector, _is_real, _row_norms
 
 ZERO_NORM = 1e-14
 _SQRT2 = np.sqrt(2.0)
@@ -39,7 +39,6 @@ __all__ = [
     "OracleLookupError",
     "extend",
     "sesquilinear",
-    "subspace_measure",
 ]
 
 
@@ -303,14 +302,8 @@ def sesquilinear(oracle: ValuationOracle, x: np.ndarray, y: np.ndarray) -> compl
     y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
     if x.shape != y.shape:
         raise ValueError("x and y must have the same dimension")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("vectors must be finite")
+    if not np.isfinite(_row_norms(np.vstack([x, y]))).all():  # before x +/- y can overflow
+        raise ValueError("vectors must be finite, with a squared norm that does not overflow")
     f = _extend_rows(oracle, pair_probes(x, y, oracle.field))
     return complex(polarize(f, oracle.field)[0])
 
-
-def subspace_measure(oracle: ValuationOracle, a: Subspace) -> float:
-    """Valuation of a subspace by additivity over an orthonormal spanning set."""
-    if a.dim != oracle.dim:
-        raise ValueError(f"subspace dim {a.dim} != oracle dim {oracle.dim}")
-    return float(np.sum(oracle.query_batch(a.matrix.T)))

@@ -8,7 +8,6 @@ from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     Projector,
-    Subspace,
     UnitVector,
     haar_basis_matrices,
     haar_random_basis,
@@ -59,15 +58,6 @@ class TestTypes:
     def test_projector_rejects_non_idempotent(self):
         with pytest.raises(ValueError):
             Projector(np.diag([0.5, 0.5]))
-
-    def test_subspace_rejects_non_orthonormal_spanning_set(self):
-        w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        with pytest.raises(ValueError):
-            Subspace(np.column_stack([e(0, 3), w]))
-        a = Subspace(np.eye(3)[:, :2])  # fine
-        assert (a.dim, a.rank) == (3, 2)
-        with pytest.raises(ValueError):
-            Subspace(np.eye(3)[:2, :])  # more columns than rows
 
     def test_unit_vector_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -279,6 +269,11 @@ class TestSpectralDecomposition:
         np.testing.assert_allclose(dec.eigenvalues, [0.5, 0.3, 0.2], atol=1e-12)
         for i, p in enumerate(dec.eigenprojectors):
             np.testing.assert_allclose(p.matrix, np.diag(np.eye(3)[i]), atol=1e-12)
+
+    def test_rejects_non_hermitian_array(self):
+        # its Hermitian part [[0, 1/2], [1/2, 0]] would give eigenvalues (1/2, -1/2)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectral_decomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_phase_convention_reproducible(self):
         rho = random_density_matrix(3, 3, seed=13)

@@ -13,7 +13,6 @@ from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     Projector,
-    Subspace,
     UnitVector,
     haar_random_basis,
     nearest_density_matrix,
@@ -110,7 +109,6 @@ def _query_uncharged(m):
 BOUNDARIES = {
     "UnitVector": lambda m: UnitVector(m[0]),
     "OrthonormalBasis": OrthonormalBasis,
-    "Subspace": Subspace,
     "DensityMatrix": DensityMatrix,
     "Projector": Projector,
     "query_batch": _query_uncharged,
@@ -159,4 +157,16 @@ def test_row_whose_squared_norm_overflows_is_rejected_silently(boundary):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             HUGE_ROW[boundary](oracle, np.array([1e200, 0.0, 0.0]))
+    assert oracle.query_count == 0
+
+
+def test_sesquilinear_rejects_huge_rows_before_forming_probes():
+    # x + x would overflow to inf while forming the probes
+    oracle = ExactOracle(DensityMatrix(np.eye(3) / 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            sesquilinear(oracle, [1e308, 0.0, 0.0], [1e308, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            sesquilinear(oracle, [0.0, 1.0, 0.0], [-1e308, 0.0, 0.0])
     assert oracle.query_count == 0

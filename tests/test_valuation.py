@@ -9,7 +9,6 @@ import pytest
 
 from gleason.hilbert import (
     DensityMatrix,
-    Subspace,
     UnitVector,
     haar_random_basis,
     random_density_matrix,
@@ -27,7 +26,6 @@ from gleason.valuation import (
     known_diagonal_coupling,
     pair_probes,
     sesquilinear,
-    subspace_measure,
 )
 
 
@@ -333,16 +331,17 @@ class TestSesquilinear:
 
 
 class TestSubspaceMeasure:
+    """The valuation of a subspace, by additivity: the sum of the ray values of
+    an orthonormal spanning set, sent as one ``query_batch``."""
+
     def test_full_space_is_one(self):
         oracle = ExactOracle(random_density_matrix(4, 4, seed=20))
-        full = Subspace(standard_basis(4).matrix)
-        assert abs(subspace_measure(oracle, full) - 1.0) < 1e-12
+        assert abs(oracle.query_batch(standard_basis(4).matrix.T).sum() - 1.0) < 1e-12
 
     def test_single_vector_is_ray_value(self):
         oracle = ExactOracle(random_density_matrix(3, 3, seed=21))
         v = haar_random_basis(3, seed=22).matrix[:, :1]
-        a = Subspace(v)
-        assert abs(subspace_measure(oracle, a) - oracle.query(UnitVector(v))) < 1e-14
+        assert abs(oracle.query_batch(v.T).sum() - oracle.query(UnitVector(v))) < 1e-14
 
     def test_spanning_set_independence_and_trace_formula(self):
         rho = random_density_matrix(4, 4, seed=23)
@@ -351,10 +350,8 @@ class TestSubspaceMeasure:
         span_a = b[:, :2]
         rot = haar_random_basis(2, seed=25).matrix
         span_b = span_a @ rot  # same subspace, different spanning set
-        sub_a = Subspace(span_a)
-        sub_b = Subspace(span_b)
-        va = subspace_measure(oracle, sub_a)
-        vb = subspace_measure(oracle, sub_b)
+        va = oracle.query_batch(span_a.T).sum()
+        vb = oracle.query_batch(span_b.T).sum()
         assert abs(va - vb) < 1e-12
         p = span_a @ span_a.conj().T
         assert abs(va - np.trace(rho.matrix @ p).real) < 1e-12

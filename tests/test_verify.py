@@ -5,13 +5,12 @@ import pytest
 
 from gleason.hilbert import (
     DensityMatrix,
-    Subspace,
     haar_basis_matrices,
     haar_random_basis,
     random_density_matrix,
 )
 from gleason.reconstruct import explicit_reconstruct, transition_matrix
-from gleason.valuation import ExactOracle, NoisyOracle, subspace_measure
+from gleason.valuation import ExactOracle, NoisyOracle
 from gleason.verify import (
     _ADDITIVITY_CHUNK,
     CheckReport,
@@ -93,14 +92,14 @@ def loop_additivity(oracle, trials, seed):
         b = haar_basis_matrices(d, 1, rng, oracle.field)[0]
         cuts = np.flatnonzero(rng.random(d - 1) < 0.5) + 1 if d > 1 else []
         sizes = np.diff([0, *cuts, d])
-        parts = [Subspace(m) for m in np.split(b, np.cumsum(sizes)[:-1], axis=1)]
-        total = sum(subspace_measure(oracle, a) for a in parts)
+        parts = np.split(b, np.cumsum(sizes)[:-1], axis=1)
+        total = sum(oracle.query_batch(m.T).sum() for m in parts)
         worst = max(worst, abs(total - 1.0))
         if len(parts) >= 2:
             m = b[:, : sizes[0] + sizes[1]]
             rot = haar_basis_matrices(m.shape[1], 1, rng, oracle.field)[0]
-            lhs = subspace_measure(oracle, Subspace(m @ rot))
-            rhs = subspace_measure(oracle, parts[0]) + subspace_measure(oracle, parts[1])
+            lhs = oracle.query_batch((m @ rot).T).sum()
+            rhs = oracle.query_batch(parts[0].T).sum() + oracle.query_batch(parts[1].T).sum()
             worst = max(worst, abs(lhs - rhs))
     return worst
 
