@@ -8,88 +8,12 @@ averaging), and ships a checker suite for the algebraic identities any
 such valuation satisfies.
 """
 
-from .hilbert import (
-    ATOL,
-    DensityMatrix,
-    OrthonormalBasis,
-    Projector,
-    SpectralDecomposition,
-    UnitVector,
-    haar_random_basis,
-    nearest_density_matrix,
-    random_density_matrix,
-    spectral_decomposition,
-    standard_basis,
-)
-from .reconstruct import (
-    ConvergenceError,
-    ImplicitConfig,
-    ReconstructionReport,
-    TransitionMatrix,
-    bloch_vector_of,
-    explicit_query_vectors,
-    explicit_reconstruct,
-    explicit_reconstruct_real,
-    haar_average_reconstruct,
-    implicit_reconstruct,
-    pauli_reconstruct_2d,
-    transition_matrix,
-)
-from .valuation import (
-    ExactOracle,
-    NoisyOracle,
-    OracleLookupError,
-    TabulatedOracle,
-    ValuationOracle,
-    extend,
-    sesquilinear,
-)
-from .verify import (
-    CheckReport,
-    check_additivity,
-    check_basis_independence,
-    check_density,
-    check_haar_moment,
-    check_unistochastic,
-)
+from . import hilbert, reconstruct, valuation, verify
+from .hilbert import *
+from .reconstruct import *
+from .valuation import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOL",
-    "CheckReport",
-    "ConvergenceError",
-    "DensityMatrix",
-    "ExactOracle",
-    "ImplicitConfig",
-    "NoisyOracle",
-    "OracleLookupError",
-    "OrthonormalBasis",
-    "Projector",
-    "ReconstructionReport",
-    "SpectralDecomposition",
-    "TabulatedOracle",
-    "TransitionMatrix",
-    "UnitVector",
-    "ValuationOracle",
-    "bloch_vector_of",
-    "check_additivity",
-    "check_basis_independence",
-    "check_density",
-    "check_haar_moment",
-    "check_unistochastic",
-    "explicit_query_vectors",
-    "explicit_reconstruct",
-    "explicit_reconstruct_real",
-    "extend",
-    "haar_average_reconstruct",
-    "haar_random_basis",
-    "implicit_reconstruct",
-    "nearest_density_matrix",
-    "pauli_reconstruct_2d",
-    "random_density_matrix",
-    "sesquilinear",
-    "spectral_decomposition",
-    "standard_basis",
-    "transition_matrix",
-]
+__all__ = [*hilbert.__all__, *reconstruct.__all__, *valuation.__all__, *verify.__all__]

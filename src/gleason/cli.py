@@ -44,6 +44,7 @@ from .valuation import (
     ValuationOracle,
 )
 from .verify import (
+    _check_tol,
     check_additivity,
     check_basis_independence,
     check_density,
@@ -57,9 +58,6 @@ EXIT_PARSE = 3
 EXIT_CHECK = 4
 EXIT_NO_CONVERGENCE = 5
 
-METHODS = ("explicit", "explicit-real", "implicit", "haar-average", "pauli2d")
-SUITES = ("density", "additivity", "haar-moment", "basis-independence", "unistochastic", "all")
-
 
 class UsageError(Exception):
     pass
@@ -67,24 +65,28 @@ class UsageError(Exception):
 
 def _load_matrix(path: str) -> np.ndarray:
     obj = load_json(path)
-    if isinstance(obj, dict) and "repaired" in obj and "method" in obj:
-        return matrix_from_json(obj["repaired"])
-    if isinstance(obj, dict):
-        return matrix_from_json(obj)
-    raise ValueError(f"{path}: not a matrix or reconstruction report file")
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a matrix or reconstruction report file")
+    return matrix_from_json(obj["repaired"] if "repaired" in obj and "method" in obj else obj)
+
+
+def _oracle(args, raw: np.ndarray, field: str = "complex") -> ValuationOracle:
+    """The state ``raw`` valuated exactly, or with binomial shot noise when
+    ``--shots`` > 0: the one meaning of ``--shots`` for a state file."""
+    state = DensityMatrix(raw)  # a valid state: suite density deliberately needs none
+    if args.shots:
+        return NoisyOracle(state, shots=args.shots, seed=args.seed, field=field)
+    return ExactOracle(state, field=field)
 
 
 def _build_oracle(args, field: str) -> ValuationOracle:
     obj = load_json(args.infile)
-    if isinstance(obj, list):
-        if args.shots:
-            raise UsageError("--shots applies to generated states, not oracle tables")
-        vectors, values = oracle_table_from_json(obj)
-        return TabulatedOracle(vectors, values, field=field)
-    state = DensityMatrix(matrix_from_json(obj))
+    if not isinstance(obj, list):
+        return _oracle(args, matrix_from_json(obj), field)
     if args.shots:
-        return NoisyOracle(state, shots=args.shots, seed=args.seed, field=field)
-    return ExactOracle(state, field=field)
+        raise UsageError("--shots applies to generated states, not oracle tables")
+    vectors, values = oracle_table_from_json(obj)
+    return TabulatedOracle(vectors, values, field=field)
 
 
 def _given(value, default):
@@ -92,18 +94,25 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _write_or_print(obj: dict | list, out: str | None) -> None:
-    if out:
-        dump_json(obj, out)
-    else:
-        print(json.dumps(obj, indent=2))
-
-
 def cmd_gen(args) -> int:
-    rank = args.rank if args.rank is not None else args.dim
+    rank = _given(args.rank, args.dim)
     state = random_density_matrix(args.dim, rank, args.seed, field=args.field)
     dump_json(matrix_to_json(state.matrix), args.out)
     return EXIT_OK
+
+
+# Each route and check is looked up by name when its entry runs, so one
+# replaced on the module is the one that runs.
+ROUTES = {
+    "explicit": lambda oracle, args: explicit_reconstruct(oracle, standard_basis(oracle.dim)),
+    "explicit-real": lambda oracle, args: explicit_reconstruct_real(
+        oracle, standard_basis(oracle.dim)),
+    "implicit": lambda oracle, args: implicit_reconstruct(
+        oracle, ImplicitConfig(tol=args.tol, seed=args.seed)),
+    "haar-average": lambda oracle, args: haar_average_reconstruct(
+        oracle, args.num_bases, args.seed),
+    "pauli2d": lambda oracle, args: pauli_reconstruct_2d(oracle, standard_basis(oracle.dim)),
+}
 
 
 def cmd_reconstruct(args) -> int:
@@ -111,80 +120,61 @@ def cmd_reconstruct(args) -> int:
     oracle = _build_oracle(args, field)
     if args.method == "pauli2d" and oracle.dim != 2:
         raise UsageError("method pauli2d requires dim 2")
-    basis = standard_basis(oracle.dim)
-    if args.method == "explicit":
-        report = explicit_reconstruct(oracle, basis)
-    elif args.method == "explicit-real":
-        report = explicit_reconstruct_real(oracle, basis)
-    elif args.method == "pauli2d":
-        report = pauli_reconstruct_2d(oracle, basis)
-    elif args.method == "implicit":
-        report = implicit_reconstruct(oracle, ImplicitConfig(tol=args.tol, seed=args.seed))
-    elif args.method == "haar-average":
-        report = haar_average_reconstruct(oracle, args.num_bases, args.seed)
-    else:  # unreachable given argparse choices
-        raise UsageError(f"unknown method {args.method}")
-    _write_or_print(report.to_json(), args.out)
+    report = ROUTES[args.method](oracle, args)
     if args.out:
+        dump_json(report.to_json(), args.out)
         print(f"{report.method}: {report.query_count} queries, "
               f"residual {report.residual:.3e} -> {args.out}")
+    else:
+        print(json.dumps(report.to_json(), indent=2))
     return EXIT_OK
 
 
-def _verify_reports(args) -> list:
-    suites = [args.suite] if args.suite != "all" else [
-        "density", "additivity", "basis-independence", "unistochastic", "haar-moment"
-    ]
-    reports = []
-    raw = None
-    if args.infile:
-        raw = matrix_from_json(load_json(args.infile))
+def _need_in(raw, suite: str) -> np.ndarray:
+    if raw is None:
+        raise UsageError(f"suite {suite} needs --in")
+    return raw
 
-    # oracle-backed suites need a valid state; density deliberately does not
-    def state() -> DensityMatrix:
-        if raw is None:
-            raise UsageError(f"suite {suite} needs --in")
-        return DensityMatrix(raw)
 
-    def dim() -> int:
-        if args.dim is None and raw is None:
-            raise UsageError(f"suite {suite} needs --dim or --in")
-        return _given(args.dim, None if raw is None else raw.shape[0])
+def _dim(args, raw, suite: str) -> int:
+    if args.dim is None and raw is None:
+        raise UsageError(f"suite {suite} needs --dim or --in")
+    return _given(args.dim, None if raw is None else raw.shape[0])
 
-    for suite in suites:
-        if suite == "density":
-            if raw is None:
-                raise UsageError("suite density needs --in")
-            reports.append(check_density(raw, _given(args.tol, 1e-10)))
-        elif suite == "additivity":
-            oracle: ValuationOracle
-            if args.shots:
-                oracle = NoisyOracle(state(), shots=args.shots, seed=args.seed)
-                tol = _given(args.tol, 5 / np.sqrt(args.shots))
-            else:
-                oracle = ExactOracle(state())
-                tol = _given(args.tol, 1e-10)
-            trials = _given(args.num_bases, 100)
-            reports.append(check_additivity(oracle, trials, args.seed, tol))
-        elif suite == "basis-independence":
-            oracle = ExactOracle(state())
-            # pairwise comparisons are quadratic in the basis count, so the
-            # shared --num-bases knob only applies when this suite runs alone
-            count = _given(args.num_bases, 5) if args.suite != "all" else 5
-            reports.append(
-                check_basis_independence(oracle, count, args.seed, _given(args.tol, 1e-10))
-            )
-        elif suite == "haar-moment":
-            reports.append(check_haar_moment(dim(), _given(args.num_bases, 100_000), args.seed))
-        elif suite == "unistochastic":
-            s = transition_matrix(haar_random_basis(dim(), args.seed),
-                                  haar_random_basis(dim(), args.seed + 1))
-            reports.append(check_unistochastic(s, _given(args.tol, 1e-12)))
-    return reports
+
+def _additivity(args, raw):
+    tol = _given(args.tol, 5 / np.sqrt(args.shots) if args.shots else 1e-10)
+    oracle = _oracle(args, _need_in(raw, "additivity"))
+    return check_additivity(oracle, _given(args.num_bases, 100), args.seed, tol)
+
+
+def _unistochastic(args, raw):
+    d = _dim(args, raw, "unistochastic")
+    s = transition_matrix(haar_random_basis(d, args.seed), haar_random_basis(d, args.seed + 1))
+    return check_unistochastic(s, _given(args.tol, 1e-12))
+
+
+# In this order ``--suite all`` runs them.
+SUITES = {
+    "density": lambda args, raw: check_density(
+        _need_in(raw, "density"), _given(args.tol, 1e-10)),
+    "additivity": _additivity,
+    # pairwise comparisons are quadratic in the basis count, so the shared
+    # --num-bases knob only applies when this suite runs alone
+    "basis-independence": lambda args, raw: check_basis_independence(
+        _oracle(args, _need_in(raw, "basis-independence")),
+        _given(args.num_bases, 5) if args.suite != "all" else 5,
+        args.seed, _given(args.tol, 1e-10)),
+    "unistochastic": _unistochastic,
+    "haar-moment": lambda args, raw: check_haar_moment(
+        _dim(args, raw, "haar-moment"), _given(args.num_bases, 100_000), args.seed),
+}
 
 
 def cmd_verify(args) -> int:
-    reports = _verify_reports(args)
+    raw = matrix_from_json(load_json(args.infile)) if args.infile else None
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    reports = [SUITES[suite](args, raw) for suite in suites]
     width = max(len(r.check) for r in reports)
     for r in reports:
         status = "ok  " if r.passed else "FAIL"
@@ -198,6 +188,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_tol(args.tol)
     a = _load_matrix(args.path_a)
     b = _load_matrix(args.path_b)
     if a.shape != b.shape:
@@ -207,7 +198,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK if distance <= args.tol else EXIT_CHECK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses; parsing leaves it unchanged, so it is built once."""
     parser = argparse.ArgumentParser(
         prog="gleason",
         description="Reconstruct density matrices from ray-valuation oracles.",
@@ -229,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "file. Basis-driven methods query the standard basis, so tabulated "
         "oracles must cover its query set.",
     )
-    p_rec.add_argument("--method", choices=METHODS, required=True)
+    p_rec.add_argument("--method", choices=list(ROUTES), required=True)
     p_rec.add_argument("--in", dest="infile", required=True)
     p_rec.add_argument("--shots", type=int, default=0,
                        help="0 queries the state exactly")
@@ -242,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run identity checks")
-    p_ver.add_argument("--suite", choices=SUITES, required=True)
+    p_ver.add_argument("--suite", choices=[*SUITES, "all"], required=True)
     p_ver.add_argument("--in", dest="infile", default=None)
     p_ver.add_argument("--dim", type=int, default=None)
     p_ver.add_argument("--seed", type=int, default=0)
@@ -260,14 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser ``main`` uses; parsing leaves it unchanged, so it is built once."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # looked up at call time, so a handler replaced on the module is the one that runs
     handler = globals()[f"cmd_{args.command}"]
     try:

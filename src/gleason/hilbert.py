@@ -50,8 +50,7 @@ def _freeze(arr: np.ndarray, dtype: type = np.complex128) -> np.ndarray:
 def _square(m: np.ndarray, what: str, dtype: type = np.complex128) -> np.ndarray:
     """``m`` as a frozen ``dtype`` copy, after checking it is a nonempty, finite,
     square 2-D matrix; a scalar counts as 1 x 1.  The one input check of every
-    square matrix a caller passes in: to a value type, a checker, the PSD
-    repair, the spectral decomposition, the Bloch view or the JSON writer."""
+    square matrix a caller passes in (README's layout notes list them)."""
     arr = _freeze(np.atleast_2d(np.asarray(m)), dtype)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"{what} must be a nonempty square matrix, got shape {arr.shape}")

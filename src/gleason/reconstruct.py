@@ -1,27 +1,9 @@
 """Density-matrix reconstruction from ray-valuation oracles.
 
-The routes below consume nothing but valuations of unit vectors:
-
-* ``explicit_reconstruct``: queries the 2d^2 - d vectors n_j,
-  (n_j +/- n_k)/sqrt(2) and (n_j +/- i n_k)/sqrt(2) of an arbitrary
-  basis and assembles matrix elements by polarization.  Exact on exact
-  oracles, for any basis.
-* ``explicit_reconstruct_real``: the real-Hilbert-space variant, d^2
-  queries, symmetric output.
-* ``pauli_reconstruct_2d``: the explicit route at d=2 in either field
-  (6 or 4 queries), whose Bloch view is ``bloch_vector_of``.
-* ``implicit_reconstruct``: iterated sphere maximization with deflation;
-  returns the spectral form  sum_i v(n_i) |n_i><n_i|  where each n_i
-  maximizes the valuation on the unit sphere orthogonal to its
-  predecessors, found by a Rayleigh-Ritz ascent that stops on the
-  residual norm (or the oracle's noise floor); on exact oracles each
-  later ascent starts warm from what earlier stages measured.
-* ``haar_average_reconstruct``: Monte Carlo average of basis-decohered
-  states  sum_i v(p_i) |p_i><p_i|, unbiased via  rho = (d+1) <rho_P> - I.
-
-The explicit family shares one assembly step over the polarization kernel
-(``pair_probes``, ``polarize``) of :mod:`gleason.valuation`.  Basis
-transition matrices link the valuations of two bases.
+The five routes consume nothing but valuations of unit vectors; README's
+route table lists them, and each route's docstring states its construction.
+The explicit family shares one assembly step, and ``transition_matrix``
+links the valuations of two bases.
 """
 
 from __future__ import annotations
@@ -59,8 +41,8 @@ __all__ = [
     "bloch_vector_of",
 ]
 
-# Averaging chunk for the Monte Carlo route; fixed so the pairwise
-# reduction tree (and hence the float result) is reproducible per seed.
+# Averaging chunk for the Monte Carlo route; fixed so the summation order
+# (and hence the float result) is reproducible per seed.
 _CHUNK = 2048
 
 
@@ -105,10 +87,6 @@ class TransitionMatrix:
             raise ValueError(f"not doubly stochastic within 1e-12: row sums off by {rows:.3e}, "
                              f"column sums by {cols:.3e}, entries outside [0, 1] by {span:.3e}")
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,11 +140,6 @@ def _trivial_report(method: str) -> ReconstructionReport:
     return ReconstructionReport(method, one, DensityMatrix(one), 0, 0.0)
 
 
-def _check_dims(oracle: ValuationOracle, basis: OrthonormalBasis) -> None:
-    if basis.dim != oracle.dim:
-        raise ValueError(f"basis dim {basis.dim} != oracle dim {oracle.dim}")
-
-
 @lru_cache(maxsize=None)
 def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices (j, k) of the basis pairs j < k, in row-major order; computed once per d."""
@@ -198,6 +171,8 @@ def _polarization_report(
 
     A pair's probes have squared norm 2 before normalization, so f = 2 v."""
     d = basis.dim
+    if d != oracle.dim:
+        raise ValueError(f"basis dim {d} != oracle dim {oracle.dim}")
     if d == 1:
         return _trivial_report(method)
     before = oracle.query_count
@@ -228,7 +203,6 @@ def explicit_reconstruct(
     if oracle.field != "complex":
         raise ValueError("explicit_reconstruct needs a complex-mode oracle; "
                          "use explicit_reconstruct_real instead")
-    _check_dims(oracle, basis)
     return _polarization_report("explicit", oracle, basis)
 
 
@@ -238,7 +212,6 @@ def explicit_reconstruct_real(
     """Real-Hilbert-space variant: d^2 queries, no imaginary probes."""
     if oracle.field != "real":
         raise ValueError("explicit_reconstruct_real needs a real-mode oracle")
-    _check_dims(oracle, basis)
     if not basis.is_real():
         raise ValueError("real-mode reconstruction needs a real basis")
     return _polarization_report("explicit-real", oracle, basis)
@@ -254,19 +227,7 @@ def pauli_reconstruct_2d(
     ``bloch_vector_of`` gives the Bloch view (r_z = v(x) - v(y), ...)."""
     if oracle.dim != 2:
         raise ValueError("pauli_reconstruct_2d is defined for dim 2 only")
-    _check_dims(oracle, basis)
     return _polarization_report("pauli2d", oracle, basis)
-
-
-def _pairwise_sum(blocks: list[np.ndarray]) -> np.ndarray:
-    """Tree reduction; summation order depends only on the block count."""
-    while len(blocks) > 1:
-        paired = [
-            blocks[i] + blocks[i + 1] if i + 1 < len(blocks) else blocks[i]
-            for i in range(0, len(blocks), 2)
-        ]
-        blocks = paired
-    return blocks[0]
 
 
 def haar_average_reconstruct(
@@ -291,17 +252,15 @@ def haar_average_reconstruct(
         return _trivial_report("haar-average")
     before = oracle.query_count
     rng = np.random.default_rng(seed)
-    sums: list[np.ndarray] = []
-    remaining = num_bases
-    while remaining > 0:
-        c = min(_CHUNK, remaining)
-        remaining -= c
+    total = np.zeros((d, d), dtype=np.complex128)
+    for first in range(0, num_bases, _CHUNK):
+        c = min(_CHUNK, num_bases - first)
         q = haar_basis_matrices(d, c, rng)
         rows = np.swapaxes(q, 1, 2).reshape(c * d, d)
         vals = oracle.query_batch(rows)
         cols = np.swapaxes(q, 0, 1).reshape(d, c * d)
-        sums.append((cols * vals) @ cols.conj().T)
-    avg = _pairwise_sum(sums) / num_bases
+        total += (cols * vals) @ cols.conj().T
+    avg = total / num_bases
     estimate = (d + 1) * avg - np.eye(d)
     estimate = (estimate + estimate.conj().T) / 2
     return _finish("haar-average", estimate, oracle.query_count - before)
@@ -340,9 +299,8 @@ class ImplicitConfig:
     ascent stops; ``None`` stops at the oracle's noise floor (at least 1e-8),
     and a ``tol`` below that floor is never met.  A NaN or negative ``tol``
     could never be met on any oracle, so it is rejected with ``ValueError``.
-    ``seed`` draws the start vector of the first stage's ascent, and of every
-    stage's on a noisy oracle; on an exact oracle it also draws the small part
-    of each later start that lies outside the directions measured so far.
+    ``seed`` draws the random part of every stage's start vector (see
+    ``implicit_reconstruct``).
     """
 
     tol: float | None = None
@@ -389,22 +347,19 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
     part the next step.  Real mode drops the imaginary probes.  Each batch is
     written in place into a block allocated once per call (the coupling rows
     by ``coupling_probes``) and mapped to frame coordinates by one matmul.
-    Each residual batch appends the pair (F u, F (v(u) u + r)) to ``history``
-    in full-space coordinates, for the frame F: that is (x, rho x) up to the
-    part of rho x along the frame's complement.
+    Each residual batch appends (F u, F (v(u) u + r)) to ``history``, for the
+    frame F: the pair (x, rho x) that ``implicit_reconstruct`` warm-starts from.
 
     Stops when ||r|| <= tol (eigenvalue error at most ||r||^2 / gap).  With
     ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))), for the oracle's
     ``noise_scale`` sigma and k = 3 (complex) or 2 (real); a ``tol`` below the
     noise floor is never met.  Returns the maximizer's coordinates in
-    ``w_frame``; raises :class:`ConvergenceError` with the last iterate, its
-    valuation and ||r|| after ``_MAX_SWEEPS`` iterations.
+    ``w_frame``; raises :class:`ConvergenceError` after ``_MAX_SWEEPS``.
     """
     m = w_frame.shape[1]
     field = oracle.field
     k = 3 if field == "complex" else 2  # rows per complement direction w_l
     floor = 3 * oracle.noise_scale * np.sqrt(k * (m - 1))
-    # a tolerance below the noise floor cannot be certified, so it is never met
     tol = max(_EXACT_TOL, floor) if tol is None else (tol if tol >= floor else -np.inf)
     p = np.zeros_like(u)
     resid = np.empty((1 + k * (m - 1), m), u.dtype)  # u, the w_l, their coupling probes
@@ -466,22 +421,23 @@ def implicit_reconstruct(
     is one ray.
 
     The first stage starts from a seeded random unit vector, and so does
-    every stage on a noisy oracle.  On an exact oracle each later stage
-    starts warm: the pairs (x, rho x) of all earlier residual batches give,
-    by Rayleigh-Ritz on their span (directions below a relative singular
-    value of 1e-10 dropped), a model rho^ of rho, and the stage starts at
-    the top eigenvector of rho^ compressed to its frame, plus a random part
-    of weight 1e-3 outside the measured span.  That part keeps a start off
-    a lower eigenvector when the measured span is invariant (degenerate
-    spectra).  Only the start changes: each stage still stops on its own
-    residual.
+    every stage on a noisy oracle (warm starts raised their error medians).
+    On an exact oracle each later stage starts warm: the pairs (x, rho x) of
+    all earlier residual batches (exact up to the found eigenvectors'
+    residuals in later frames) give, by Rayleigh-Ritz on their span, a model
+    rho^ = Q T Q^H of rho, built in the full space from an SVD of the stacked
+    x (directions below a relative singular value of 1e-10 dropped); the
+    stage starts at the top eigenvector of rho^ compressed to its frame, plus
+    a random part of weight 1e-3 outside the measured span.  That part keeps
+    a start off a lower eigenvector when the measured span is invariant
+    (degenerate spectra).  Only the start changes: each stage still stops on
+    its own residual.
 
     Raises
     ------
     ConvergenceError
         If the ascent of some stage does not meet its residual tolerance
-        within the iteration budget; the error carries its last iterate,
-        the valuation there, its residual norm and the noise floor.
+        within the iteration budget.
     """
     cfg = config or ImplicitConfig()
     d = oracle.dim

@@ -20,7 +20,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
-    "vector_from_json",
     "oracle_table_to_json",
     "oracle_table_from_json",
     "load_json",
@@ -33,33 +32,23 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _complex_from_json(obj: dict, what: str, ndim: int) -> np.ndarray:
-    """``re + 1j*im`` of a matrix (ndim 2) or vector (ndim 1) JSON object."""
+def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} JSON must be an object")
+        raise ValueError("matrix JSON must be an object")
     try:
         dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"{what} JSON missing or malformed field: {exc}") from exc
-    shape = (dim,) * ndim
-    if re.shape != shape or im.shape != shape:
-        raise ValueError(f"{what} JSON arrays are not of shape {shape}")
+        raise ValueError(f"matrix JSON missing or malformed field: {exc}") from exc
+    if re.shape != (dim, dim) or im.shape != (dim, dim):
+        raise ValueError(f"matrix JSON arrays are not of shape {(dim, dim)}")
     return re + 1j * im
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    return _complex_from_json(obj, "matrix", 2)
 
 
 def vector_to_json(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     return {"dim": v.size, "re": v.real.tolist(), "im": v.imag.tolist()}
-
-
-def vector_from_json(obj: dict) -> np.ndarray:
-    return _complex_from_json(obj, "vector", 1)
 
 
 def oracle_table_to_json(vectors: np.ndarray, values: np.ndarray) -> list:

@@ -76,8 +76,6 @@ class ValuationOracle:
 
     def query(self, v: UnitVector) -> float:
         """Valuation of a single ray."""
-        if v.dim != self.dim:
-            raise ValueError(f"vector dim {v.dim} != oracle dim {self.dim}")
         return float(self.query_batch(v.components[None, :])[0])
 
     def query_batch(self, vectors: np.ndarray) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Standalone checkers for the algebraic identities a valuation must satisfy.
 
 Each checker returns a :class:`CheckReport` rather than raising: failures
-are data.  Statistical checks (the Haar moment test) report deviations in
-units of estimated standard error and gate at 4 sigma; with fixed seeds
-this keeps the flake probability per run negligible.
+are data.  Arguments no input could pass, such as a NaN or negative
+tolerance, raise ``ValueError`` before any query.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ __all__ = [
     "check_basis_independence",
 ]
 
-# Gate of the Haar moment check, in standard errors of the Monte Carlo mean.
+# Gate of the Haar moment check, in standard errors of the Monte Carlo mean;
+# with fixed seeds it keeps the flake probability per run negligible.
 _SIGMA_GATE = 4.0
 # Trials per oracle call of the additivity check; its arrays grow as chunk * d^2.
 _ADDITIVITY_CHUNK = 128
@@ -61,8 +61,15 @@ class CheckReport:
         }
 
 
+def _check_tol(tol: float) -> None:
+    """A NaN or negative tolerance could never be met, so it is rejected."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+
+
 def check_density(m: np.ndarray, tol: float = 1e-10) -> CheckReport:
     """Hermiticity, unit trace, and eigenvalue nonnegativity of a matrix."""
+    _check_tol(tol)
     m = _square(m, "input")
     herm = float(np.max(np.abs(m - m.conj().T)))
     trace = float(abs(np.trace(m) - 1.0))
@@ -111,6 +118,7 @@ def check_additivity(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for first in range(0, trials, _ADDITIVITY_CHUNK):
@@ -165,6 +173,7 @@ def check_unistochastic(
     s: TransitionMatrix | np.ndarray, tol: float = 1e-12
 ) -> CheckReport:
     """Row sums, column sums, and entry range of a transition matrix."""
+    _check_tol(tol)
     arr = s.entries if isinstance(s, TransitionMatrix) else _square(s, "input", float)
     row_dev, col_dev, range_dev = _stochastic_deviations(arr)
     deviation = max(row_dev, col_dev, range_dev)
@@ -196,10 +205,8 @@ def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
     total = np.zeros(dim**4, dtype=np.complex128)
     total_sq = np.zeros(dim**4)
     chunk = max(1, min(num_samples, 65536 // max(1, dim**2)))
-    remaining = num_samples
-    while remaining > 0:
-        c = min(chunk, remaining)
-        remaining -= c
+    for first in range(0, num_samples, chunk):
+        c = min(chunk, num_samples - first)
         q = haar_basis_matrices(dim, c, rng)
         p = np.multiply(q[:, :, None, :], q[:, None, :, :].conj(),
                         out=np.empty((c, dim, dim, dim), np.complex128)).reshape(c, dim**2, dim)
@@ -246,6 +253,7 @@ def check_basis_independence(
     """
     if num_bases < 2:
         raise ValueError("num_bases must be >= 2")
+    _check_tol(tol)
     d = oracle.dim
     rng = np.random.default_rng(seed)
     estimates = [

@@ -315,3 +315,51 @@ def test_round_trip_gen_reconstruct_compare(tmp_path, dim):
         == 0
     )
     assert run("compare", report, state, "--tol", "1e-10").returncode == 0
+
+
+class TestVerifyOptions:
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("suite", ["density", "additivity", "basis-independence",
+                                       "unistochastic", "all"])
+    def test_unreachable_tol_is_parse_error_without_queries(self, tmp_path, monkeypatch,
+                                                            suite, tol):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 3, "--seed", 20, "--out", state)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run("verify", "--suite", suite, "--in", state, f"--tol={tol}")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "error:" in result.stderr and "tol" in result.stderr
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_compare_rejects_unreachable_tol(self, tmp_path, tol):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 21, "--out", state)
+        result = run("compare", state, state, f"--tol={tol}")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "error:" in result.stderr and "tol" in result.stderr
+
+    def test_shots_apply_to_basis_independence(self, tmp_path):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 3, "--seed", 22, "--out", state)
+        result = run("verify", "--suite", "basis-independence", "--in", state,
+                     "--shots", 100, "--num-bases", 2)
+        report = json.loads(result.stdout.splitlines()[-1])[0]
+        assert result.returncode == 4
+        assert report["tolerance"] == 1e-10 and report["deviation"] > 1e-3
+
+    def test_routes_and_checks_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 23, "--out", state)
+        seen = []
+
+        def spy(name, fn):
+            return lambda *args, **kwargs: seen.append(name) or fn(*args, **kwargs)
+
+        for name in ("check_basis_independence", "implicit_reconstruct"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        assert run("verify", "--suite", "basis-independence", "--in", state).returncode == 0
+        assert run("reconstruct", "--method", "implicit", "--in", state).returncode == 0
+        assert seen == ["check_basis_independence", "implicit_reconstruct"]

@@ -10,7 +10,6 @@ from gleason.serialize import (
     matrix_to_json,
     oracle_table_from_json,
     oracle_table_to_json,
-    vector_from_json,
     vector_to_json,
 )
 
@@ -24,7 +23,8 @@ def test_matrix_round_trip():
 
 def test_vector_round_trip():
     v = np.array([0.5, -0.25 + 1j, 0.0])
-    assert np.array_equal(vector_from_json(vector_to_json(v)), v)
+    vectors, _ = oracle_table_from_json([{"vector": vector_to_json(v), "value": 0.5}])
+    assert np.array_equal(vectors[0], v)
 
 
 def test_matrix_schema_fields():

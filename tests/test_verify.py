@@ -243,3 +243,20 @@ class TestCheckBasisIndependence:
         check_basis_independence(oracle, num_bases=3, seed=24)
         assert np.array_equal(before_state, oracle._state)
         assert oracle.query_count == 3 * 15
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+@pytest.mark.parametrize("check", ["density", "additivity", "unistochastic",
+                                   "basis-independence"])
+def test_unreachable_tol_is_rejected_before_any_query(check, tol):
+    oracle = ExactOracle(random_density_matrix(3, 3, seed=25))
+    s = transition_matrix(haar_random_basis(3, 26), haar_random_basis(3, 27))
+    run = {
+        "density": lambda: check_density(np.eye(3) / 3, tol),
+        "additivity": lambda: check_additivity(oracle, 10, 0, tol=tol),
+        "unistochastic": lambda: check_unistochastic(s, tol),
+        "basis-independence": lambda: check_basis_independence(oracle, 3, 0, tol),
+    }[check]
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        run()
+    assert oracle.query_count == 0
