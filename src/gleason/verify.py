@@ -49,7 +49,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.deviation <= self.tolerance
+        return bool(self.deviation <= self.tolerance)  # json cannot write a numpy bool
 
     def to_json(self) -> dict:
         return {

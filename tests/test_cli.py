@@ -341,12 +341,22 @@ class TestVerifyOptions:
         assert result.stdout == ""
         assert "error:" in result.stderr and "tol" in result.stderr
 
-    def test_shots_apply_to_basis_independence(self, tmp_path):
+    def test_noisy_additivity_report_is_json(self, tmp_path):
         state = tmp_path / "s.json"
-        run("gen", "--dim", 3, "--seed", 22, "--out", state)
-        result = run("verify", "--suite", "basis-independence", "--in", state,
-                     "--shots", 100, "--num-bases", 2)
+        run("gen", "--dim", 2, "--seed", 24, "--out", state)
+        result = run("verify", "--suite", "additivity", "--in", state, "--shots", 100)
         report = json.loads(result.stdout.splitlines()[-1])[0]
+        assert result.returncode == 0
+        assert report["pass"] is True and report["tolerance"] == 0.5
+
+    @pytest.mark.parametrize("suite", ["basis-independence", "all"])
+    def test_shots_apply_to_basis_independence(self, tmp_path, suite):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 22, "--out", state)
+        result = run("verify", "--suite", suite, "--in", state, "--shots", 100,
+                     "--num-bases", 100)
+        reports = json.loads(result.stdout.splitlines()[-1])
+        report = next(r for r in reports if r["check"] == "basis-independence")
         assert result.returncode == 4
         assert report["tolerance"] == 1e-10 and report["deviation"] > 1e-3
 
