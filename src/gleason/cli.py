@@ -116,6 +116,8 @@ ROUTES = {
 
 
 def cmd_reconstruct(args) -> int:
+    if args.tol is not None and args.method != "implicit":
+        raise UsageError(f"--tol applies to method implicit, not {args.method}")
     field = "real" if args.method == "explicit-real" else "complex"
     oracle = _build_oracle(args, field)
     if args.method == "pauli2d" and oracle.dim != 2:
@@ -172,6 +174,10 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.shots and args.suite in ("density", "unistochastic", "haar-moment"):
+        raise UsageError(f"--shots does not apply to suite {args.suite}")
+    if args.tol is not None and args.suite == "haar-moment":
+        raise UsageError("--tol does not apply to suite haar-moment (a fixed 4-sigma gate)")
     raw = matrix_from_json(load_json(args.infile)) if args.infile else None
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [SUITES[suite](args, raw) for suite in suites]

@@ -185,37 +185,43 @@ _GS_MIN_COUNT = 256
 _GS_MAX_DIM = 8
 
 
-def _gram_schmidt_twice(z: np.ndarray) -> np.ndarray:
-    """Q factor of every matrix in the stack ``z`` (count, dim, dim) whose R
-    has a positive real diagonal, by classical Gram-Schmidt applied twice.
+def _gram_schmidt_twice(q: np.ndarray) -> np.ndarray:
+    """Q factor, in place, of every matrix in the stack ``q`` (dim, dim, count)
+    whose R has a positive real diagonal, by classical Gram-Schmidt applied twice.
 
     The batch sits on the last axis (``q[a, j, s]``: component a of column
-    j of matrix s), so each step is one vectorized pass over the stack.  A
+    j of matrix s), so each step is one vectorized pass over the stack; p^H v
+    is taken as conj(p^T conj(v)), so only the column v is conjugated.  A
     second projection pass makes the columns orthonormal to working
     precision ("twice is enough": Giraud, Langou, Rozloznik & van den
     Eshof, Numer. Math. 101, 2005).  Returns a (count, dim, dim) view.
     """
-    q = np.ascontiguousarray(z.transpose(1, 2, 0))
     for j in range(q.shape[1]):
         v, p = q[:, j], q[:, :j]
-        pc = p.conj()
         for _ in range(2):
-            v -= np.einsum("aks,ks->as", p, np.einsum("aks,as->ks", pc, v))
+            v -= np.einsum("aks,ks->as", p, np.einsum("aks,as->ks", p, v.conj()).conj())
         v /= np.sqrt(np.einsum("as,as->s", v.real, v.real)
                      + np.einsum("as,as->s", v.imag, v.imag))
     return q.transpose(2, 0, 1)
 
 
-def _ginibre(shape: tuple[int, ...], rng: np.random.Generator, field: str) -> np.ndarray:
+def _ginibre(shape: tuple[int, ...], rng: np.random.Generator, field: str,
+             axes: tuple[int, ...] | None = None) -> np.ndarray:
     """Complex128 array of the given shape with standard normal entries, real
     parts drawn before imaginary parts, and no imaginary part when
-    ``field="real"``: a Ginibre stack for shape (count, dim, dim)."""
+    ``field="real"``: a Ginibre stack for shape (count, dim, dim).  With
+    ``axes``, the draw is written straight into a C-ordered array of its
+    transpose ``np.transpose(draw, axes)``."""
+    if field not in ("complex", "real"):
+        raise ValueError(f"unknown field {field!r}")
+    draw = rng.standard_normal(shape)
+    view = draw.transpose(axes or range(draw.ndim))
+    out = np.zeros(view.shape, np.complex128)
+    out.real = view
     if field == "complex":
-        re, im = rng.standard_normal((2, *shape))
-        return re + 1j * im
-    if field == "real":
-        return rng.standard_normal(shape).astype(np.complex128)
-    raise ValueError(f"unknown field {field!r}")
+        rng.standard_normal(out=draw)  # refills the buffer ``view`` shows
+        out.imag = view
+    return out
 
 
 def _haar_factor(z: np.ndarray) -> np.ndarray:
@@ -228,11 +234,12 @@ def _haar_factor(z: np.ndarray) -> np.ndarray:
     ``np.linalg.qr`` with column j multiplied by the phase of R_jj.
     Gram-Schmidt divides each column by its positive norm, so its R already
     has that diagonal: both return the unique Q, and the choice changes the
-    result only by rounding.
+    result only by rounding.  Gram-Schmidt works in place when ``z`` is a
+    view of a C-ordered batch-last (dim, dim, count) array.
     """
     count, dim = z.shape[:2]
     if count >= _GS_MIN_COUNT and dim <= _GS_MAX_DIM:
-        return _gram_schmidt_twice(z)
+        return _gram_schmidt_twice(np.ascontiguousarray(z.transpose(1, 2, 0)))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
@@ -252,7 +259,7 @@ def haar_basis_matrices(
     draw by a positive number leaves Q unchanged, so its entries are not
     normalized.  ``field="real"`` draws from the orthogonal group instead.
     """
-    return _haar_factor(_ginibre((count, dim, dim), rng, field))
+    return _haar_factor(_ginibre((count, dim, dim), rng, field, (1, 2, 0)).transpose(2, 0, 1))
 
 
 def haar_random_basis(dim: int, seed: int, field: str = "complex") -> OrthonormalBasis:

@@ -240,7 +240,9 @@ def haar_average_reconstruct(
     trace at every sample count (each decohered state does); its Frobenius
     error decays as 1/sqrt(num_bases).  The raw estimate may leave the PSD
     cone at finite sample counts, so the repaired state is reported
-    alongside it.
+    alongside it.  Each chunk of bases is one ``query_batch``; as it clips
+    each value v_r to [0, 1], sum_r v_r n_r n_r^H over the chunk's rows is
+    one real Gram matrix of the rows sqrt(v_r) n_r, (Re, Im) interleaved.
     """
     if num_bases < 1:
         raise ValueError("num_bases must be >= 1")
@@ -252,14 +254,14 @@ def haar_average_reconstruct(
         return _trivial_report("haar-average")
     before = oracle.query_count
     rng = np.random.default_rng(seed)
-    total = np.zeros((d, d), dtype=np.complex128)
+    gram = np.zeros((2 * d, 2 * d))
     for first in range(0, num_bases, _CHUNK):
         c = min(_CHUNK, num_bases - first)
-        q = haar_basis_matrices(d, c, rng)
-        rows = np.swapaxes(q, 1, 2).reshape(c * d, d)
-        vals = oracle.query_batch(rows)
-        cols = np.swapaxes(q, 0, 1).reshape(d, c * d)
-        total += (cols * vals) @ cols.conj().T
+        rows = np.swapaxes(haar_basis_matrices(d, c, rng), 1, 2).reshape(c * d, d)
+        rows *= np.sqrt(oracle.query_batch(rows))[:, None]
+        flat = np.ascontiguousarray(rows).view(np.float64)
+        gram += flat.T @ flat
+    total = gram[0::2, 0::2] + gram[1::2, 1::2] + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     avg = total / num_bases
     estimate = (d + 1) * avg - np.eye(d)
     estimate = (estimate + estimate.conj().T) / 2

@@ -188,10 +188,14 @@ def check_unistochastic(
 def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
     """Second moment of Haar-random basis projectors against its closed form.
 
-    Estimates T[a,b,c,e] = < sum_i (P_i)_ab conj((P_i)_ce) > over Haar bases,
-    one d^2 x d^2 matmul of the (P_i)_ab per sample, and compares it with
+    Estimates T[a,b,c,e] = < sum_i (P_i)_ab conj((P_i)_ce) > over Haar bases
+    and compares it with
 
         (delta_ac delta_be + delta_ab delta_ce) / (d + 1).
+
+    T = sum_i q_ai conj(q_bi) conj(q_ci) q_ei is symmetric under a <-> e and
+    b <-> c, so a sample needs only S S^H, with S[{a,e}, i] = q_ai q_ei over
+    the d(d+1)/2 unordered pairs; one index gather expands the sums to d^4.
 
     The deviation is reported in units of the per-entry standard error of
     the Monte Carlo mean; the check passes when every entry is within
@@ -202,20 +206,25 @@ def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
     if num_samples < 100:
         raise ValueError("num_samples must be >= 100")
     rng = np.random.default_rng(seed)
-    total = np.zeros(dim**4, dtype=np.complex128)
-    total_sq = np.zeros(dim**4)
+    a, e = np.triu_indices(dim)
+    pair = np.empty((dim, dim), dtype=np.intp)
+    pair[a, e] = pair[e, a] = np.arange(a.size)  # packed index of the unordered pair {a, e}
+    total = np.zeros(a.size**2, dtype=np.complex128)
+    total_sq = np.zeros(a.size**2)
     chunk = max(1, min(num_samples, 65536 // max(1, dim**2)))
     for first in range(0, num_samples, chunk):
         c = min(chunk, num_samples - first)
         q = haar_basis_matrices(dim, c, rng)
-        p = np.multiply(q[:, :, None, :], q[:, None, :, :].conj(),
-                        out=np.empty((c, dim, dim, dim), np.complex128)).reshape(c, dim**2, dim)
-        x = (p @ np.swapaxes(p.conj(), 1, 2)).reshape(c, -1)
+        s = q[:, a]  # a copy (fancy indexing), so the product is formed in it
+        s *= q[:, e]
+        x = (s @ np.swapaxes(s.conj(), 1, 2)).reshape(c, -1)
         total += x.sum(axis=0)
         xf = x.view(np.float64)
         total_sq += np.einsum("sk,sk->k", xf, xf).reshape(-1, 2).sum(axis=1)
-    mean = (total / num_samples).reshape((dim,) * 4)
-    variance = np.maximum(total_sq.reshape(mean.shape) / num_samples - np.abs(mean) ** 2, 0.0)
+    # T[a, b, c, e] is entry ({a, e}, {b, c}) of the packed sums
+    full = pair[:, None, None, :] * a.size + pair[None, :, :, None]
+    mean = total[full] / num_samples
+    variance = np.maximum(total_sq[full] / num_samples - np.abs(mean) ** 2, 0.0)
     stderr = np.sqrt(variance / num_samples)
 
     eye = np.eye(dim)

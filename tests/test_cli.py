@@ -360,6 +360,34 @@ class TestVerifyOptions:
         assert result.returncode == 4
         assert report["tolerance"] == 1e-10 and report["deviation"] > 1e-3
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "haar-moment", "--dim", 2, "--tol", "1e-3"),
+        *[("reconstruct", "--method", method, "--tol", "1e-6")
+          for method in ("explicit", "explicit-real", "haar-average", "pauli2d")],
+        *[("verify", "--suite", suite, "--shots", 100)
+          for suite in ("density", "unistochastic", "haar-moment")],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}-{argv[-2].lstrip('-')}")
+    def test_ignored_option_is_usage_error_without_queries(self, tmp_path, monkeypatch, argv):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 25, "--field", "real", "--out", state)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run(*argv, "--in", state)
+        option = argv[-2]
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "usage error:" in result.stderr and option in result.stderr
+
+    def test_suite_all_takes_tol_and_shots_where_they_apply(self, tmp_path):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 26, "--out", state)
+        result = run("verify", "--suite", "all", "--in", state, "--shots", 100, "--tol", 0.5,
+                     "--num-bases", 100)
+        reports = {r["check"]: r for r in json.loads(result.stdout.splitlines()[-1])}
+        assert result.returncode in (0, 4)
+        assert reports["additivity"]["tolerance"] == 0.5
+        assert reports["haar-moment"]["tolerance"] == 4.0
+
     def test_routes_and_checks_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
         state = tmp_path / "s.json"
         run("gen", "--dim", 2, "--seed", 23, "--out", state)

@@ -475,8 +475,9 @@ def einsum_haar_average(oracle, num_bases, seed):
     return (estimate + estimate.conj().T) / 2
 
 
-@pytest.mark.parametrize("num_bases", [1, 17, 2500])
-@pytest.mark.parametrize("dim", [2, 3, 5])
+# dim 8 at 4100 bases is two Gram-Schmidt chunks and a 4-basis QR tail
+@pytest.mark.parametrize(("dim", "num_bases"),
+                         [(d, n) for d in (2, 3, 5) for n in (1, 17, 2500)] + [(8, 4100)])
 def test_haar_average_matches_einsum_reference(dim, num_bases):
     rho = random_density_matrix(dim, dim, seed=dim + 60)
     report = haar_average_reconstruct(ExactOracle(rho), num_bases, seed=num_bases)

@@ -1,5 +1,7 @@
 """Checker suite: identities pass, constructed violations fail."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,13 +213,26 @@ def einsum_haar_moment(dim, num_samples, seed):
     return abs_dev.max(), (abs_dev / stderr).max()
 
 
-@pytest.mark.parametrize("num_samples", [100, 5000])
-@pytest.mark.parametrize("dim", [2, 3])
+# dim 4 at 5000 samples is two chunks, 4096 samples and 904
+@pytest.mark.parametrize(("dim", "num_samples"),
+                         [(2, 100), (2, 5000), (3, 100), (3, 5000), (4, 5000)])
 def test_haar_moment_matches_einsum_reference(dim, num_samples):
     r = check_haar_moment(dim, num_samples, seed=dim + num_samples)
     ref_dev, ref_sigma = einsum_haar_moment(dim, num_samples, seed=dim + num_samples)
     assert abs(r.context["max_abs_deviation"] - ref_dev) <= 1e-11
     assert abs(r.deviation - ref_sigma) <= 1e-9 * ref_sigma
+
+
+def test_haar_moment_peak_memory():
+    # one chunk of 4096 samples at d=4: the packed 10 x 10 block per sample
+    # bounds the peak, where the full 16 x 16 block took 25 MB
+    tracemalloc.start()
+    try:
+        check_haar_moment(4, 4096, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 class TestCheckBasisIndependence:
