@@ -110,7 +110,7 @@ ROUTES = {
     "implicit": lambda oracle, args: implicit_reconstruct(
         oracle, ImplicitConfig(tol=args.tol, seed=args.seed)),
     "haar-average": lambda oracle, args: haar_average_reconstruct(
-        oracle, args.num_bases, args.seed),
+        oracle, _given(args.num_bases, 1000), args.seed),
     "pauli2d": lambda oracle, args: pauli_reconstruct_2d(oracle, standard_basis(oracle.dim)),
 }
 
@@ -118,6 +118,8 @@ ROUTES = {
 def cmd_reconstruct(args) -> int:
     if args.tol is not None and args.method != "implicit":
         raise UsageError(f"--tol applies to method implicit, not {args.method}")
+    if args.num_bases is not None and args.method != "haar-average":
+        raise UsageError(f"--num-bases applies to method haar-average, not {args.method}")
     field = "real" if args.method == "explicit-real" else "complex"
     oracle = _build_oracle(args, field)
     if args.method == "pauli2d" and oracle.dim != 2:
@@ -178,6 +180,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--shots does not apply to suite {args.suite}")
     if args.tol is not None and args.suite == "haar-moment":
         raise UsageError("--tol does not apply to suite haar-moment (a fixed 4-sigma gate)")
+    if args.num_bases is not None and args.suite in ("density", "unistochastic"):
+        raise UsageError(f"--num-bases does not apply to suite {args.suite}")
+    if args.dim is not None and args.infile:
+        raise UsageError("--dim and --in both fix the dimension; give one of them")
     raw = matrix_from_json(load_json(args.infile)) if args.infile else None
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [SUITES[suite](args, raw) for suite in suites]
@@ -233,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--shots", type=int, default=0,
                        help="0 queries the state exactly")
     p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument("--num-bases", type=int, default=1000,
-                       help="sample count for method haar-average")
+    p_rec.add_argument("--num-bases", type=int, default=None,
+                       help="sample count for method haar-average (default 1000)")
     p_rec.add_argument("--tol", type=float, default=None,
                        help="residual-norm tolerance for method implicit "
                        "(default: the oracle's noise floor, at least 1e-8)")

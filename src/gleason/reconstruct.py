@@ -18,6 +18,7 @@ from .hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     _ginibre,
+    _row_norms,
     _square,
     haar_basis_matrices,
     nearest_density_matrix,
@@ -152,15 +153,19 @@ def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> n
     Order: the d basis vectors, then for each pair j < k the probes
     (n_j + n_k)/sqrt(2), (n_j - n_k)/sqrt(2) and, in complex mode, also
     (n_j + i n_k)/sqrt(2), (n_j - i n_k)/sqrt(2).  Total 2d^2 - d rows
-    in complex mode, d^2 in real mode.
+    in complex mode, d^2 in real mode.  The first d rows are copied exactly
+    from the basis; ``pair_probes`` forms the rest from the contiguous rows
+    n_j/sqrt(2), and each is then scaled to unit norm on its float64 view,
+    as the basis is orthonormal only within ATOL.
     """
-    b = basis.matrix
     d = basis.dim
     j, k = _pairs(d)
-    rows = np.empty(((4 if field == "complex" else 2) * len(j) + d, d), b.dtype)
-    rows[:d] = b.T
-    probes = pair_probes(b[:, j].T, b[:, k].T, field, out=rows[d:])
-    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    rows = np.empty(((4 if field == "complex" else 2) * len(j) + d, d), np.complex128)
+    rows[:d] = basis.matrix.T
+    half = rows[:d] / math.sqrt(2)
+    probes = pair_probes(half[j], half[k], field, out=rows[d:])
+    flat = probes.view(np.float64)
+    flat *= (1 / _row_norms(probes))[:, None]
     return rows
 
 

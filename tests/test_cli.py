@@ -234,10 +234,8 @@ class TestVerifyCommand:
         assert result.stdout == ""
 
     @pytest.mark.parametrize("suite", ["haar-moment", "unistochastic"])
-    def test_zero_dim_is_parse_error(self, tmp_path, suite):
-        state = tmp_path / "s.json"
-        run("gen", "--dim", 2, "--seed", 18, "--out", state)
-        result = run("verify", "--suite", suite, "--in", state, "--dim", 0)
+    def test_zero_dim_is_parse_error(self, suite):
+        result = run("verify", "--suite", suite, "--dim", 0)
         assert result.returncode == 3
         assert "error: dim must be >= 1" in result.stderr
 
@@ -366,6 +364,13 @@ class TestVerifyOptions:
           for method in ("explicit", "explicit-real", "haar-average", "pauli2d")],
         *[("verify", "--suite", suite, "--shots", 100)
           for suite in ("density", "unistochastic", "haar-moment")],
+        *[("reconstruct", "--method", method, "--num-bases", 7)
+          for method in ("explicit", "explicit-real", "implicit", "pauli2d")],
+        *[("verify", "--suite", suite, "--num-bases", 7) for suite in ("density", "unistochastic")],
+        # the state file fixes the dimension, so --dim is ignored or overrides it
+        *[("verify", "--suite", suite, "--dim", 4)
+          for suite in ("density", "additivity", "basis-independence", "unistochastic",
+                        "haar-moment", "all")],
     ], ids=lambda argv: f"{argv[0]}-{argv[2]}-{argv[-2].lstrip('-')}")
     def test_ignored_option_is_usage_error_without_queries(self, tmp_path, monkeypatch, argv):
         state = tmp_path / "s.json"
