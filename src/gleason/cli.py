@@ -15,6 +15,7 @@ import numpy as np
 
 from .hilbert import (
     DensityMatrix,
+    _at_least,
     haar_random_basis,
     random_density_matrix,
     standard_basis,
@@ -44,7 +45,7 @@ from .valuation import (
     ValuationOracle,
 )
 from .verify import (
-    _check_tol,
+    _MIN_SAMPLES,
     check_additivity,
     check_basis_independence,
     check_density,
@@ -101,30 +102,41 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# Each route and check is looked up by name when its entry runs, so one
-# replaced on the module is the one that runs.
+# Each entry pairs a route or check with the options of --tol, --num-bases and
+# --shots it takes (``_refuse_others``).  Routes and checks are looked up by
+# name when their entry runs, so one replaced on the module is the one that runs.
 ROUTES = {
-    "explicit": lambda oracle, args: explicit_reconstruct(oracle, standard_basis(oracle.dim)),
-    "explicit-real": lambda oracle, args: explicit_reconstruct_real(
-        oracle, standard_basis(oracle.dim)),
-    "implicit": lambda oracle, args: implicit_reconstruct(
-        oracle, ImplicitConfig(tol=args.tol, seed=args.seed)),
-    "haar-average": lambda oracle, args: haar_average_reconstruct(
-        oracle, _given(args.num_bases, 1000), args.seed),
-    "pauli2d": lambda oracle, args: pauli_reconstruct_2d(oracle, standard_basis(oracle.dim)),
+    "explicit": (lambda oracle, args: explicit_reconstruct(
+        oracle, standard_basis(oracle.dim)), ("--shots",)),
+    "explicit-real": (lambda oracle, args: explicit_reconstruct_real(
+        oracle, standard_basis(oracle.dim)), ("--shots",)),
+    "implicit": (lambda oracle, args: implicit_reconstruct(
+        oracle, ImplicitConfig(tol=args.tol, seed=args.seed)), ("--tol", "--shots")),
+    "haar-average": (lambda oracle, args: haar_average_reconstruct(
+        oracle, _given(args.num_bases, 1000), args.seed), ("--num-bases", "--shots")),
+    "pauli2d": (lambda oracle, args: pauli_reconstruct_2d(
+        oracle, standard_basis(oracle.dim)), ("--shots",)),
 }
 
 
+def _refuse_others(args, takes, what: str) -> None:
+    """A usage error for a ``--tol``, ``--num-bases`` or nonzero ``--shots``
+    that ``what`` does not take."""
+    given = {"--tol": args.tol is not None, "--num-bases": args.num_bases is not None,
+             "--shots": bool(args.shots)}
+    for option, is_given in given.items():
+        if is_given and option not in takes:
+            raise UsageError(f"{option} does not apply to {what}")
+
+
 def cmd_reconstruct(args) -> int:
-    if args.tol is not None and args.method != "implicit":
-        raise UsageError(f"--tol applies to method implicit, not {args.method}")
-    if args.num_bases is not None and args.method != "haar-average":
-        raise UsageError(f"--num-bases applies to method haar-average, not {args.method}")
+    route, takes = ROUTES[args.method]
+    _refuse_others(args, takes, f"method {args.method}")
     field = "real" if args.method == "explicit-real" else "complex"
     oracle = _build_oracle(args, field)
     if args.method == "pauli2d" and oracle.dim != 2:
         raise UsageError("method pauli2d requires dim 2")
-    report = ROUTES[args.method](oracle, args)
+    report = route(oracle, args)
     if args.out:
         dump_json(report.to_json(), args.out)
         print(f"{report.method}: {report.query_count} queries, "
@@ -134,59 +146,44 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _need_in(raw, suite: str) -> np.ndarray:
-    if raw is None:
-        raise UsageError(f"suite {suite} needs --in")
-    return raw
-
-
-def _dim(args, raw, suite: str) -> int:
-    if args.dim is None and raw is None:
-        raise UsageError(f"suite {suite} needs --dim or --in")
-    return _given(args.dim, None if raw is None else raw.shape[0])
-
-
-def _additivity(args, raw):
-    tol = _given(args.tol, 5 / np.sqrt(args.shots) if args.shots else 1e-10)
-    oracle = _oracle(args, _need_in(raw, "additivity"))
-    return check_additivity(oracle, _given(args.num_bases, 100), args.seed, tol)
-
-
-def _unistochastic(args, raw):
-    d = _dim(args, raw, "unistochastic")
-    s = transition_matrix(haar_random_basis(d, args.seed), haar_random_basis(d, args.seed + 1))
-    return check_unistochastic(s, _given(args.tol, 1e-12))
-
-
-# In this order ``--suite all`` runs them.
+# Checks run on (args, the --in matrix or None, the dimension), in the order
+# ``--suite all`` runs them.  A suite that takes --dim takes --dim or --in;
+# the others need --in.
 SUITES = {
-    "density": lambda args, raw: check_density(
-        _need_in(raw, "density"), _given(args.tol, 1e-10)),
-    "additivity": _additivity,
+    "density": (lambda args, raw, d: check_density(raw, _given(args.tol, 1e-10)), ("--tol",)),
+    # arguments run in order, so the oracle refuses a bad --shots before the
+    # default tolerance takes its square root
+    "additivity": (lambda args, raw, d: check_additivity(
+        _oracle(args, raw), _given(args.num_bases, 100), args.seed,
+        _given(args.tol, 5 / np.sqrt(args.shots) if args.shots else 1e-10)),
+        ("--tol", "--num-bases", "--shots")),
     # pairwise comparisons are quadratic in the basis count, so the shared
     # --num-bases knob only applies when this suite runs alone
-    "basis-independence": lambda args, raw: check_basis_independence(
-        _oracle(args, _need_in(raw, "basis-independence")),
-        _given(args.num_bases, 5) if args.suite != "all" else 5,
-        args.seed, _given(args.tol, 1e-10)),
-    "unistochastic": _unistochastic,
-    "haar-moment": lambda args, raw: check_haar_moment(
-        _dim(args, raw, "haar-moment"), _given(args.num_bases, 100_000), args.seed),
+    "basis-independence": (lambda args, raw, d: check_basis_independence(
+        _oracle(args, raw), _given(args.num_bases, 5) if args.suite != "all" else 5,
+        args.seed, _given(args.tol, 1e-10)), ("--tol", "--num-bases", "--shots")),
+    "unistochastic": (lambda args, raw, d: check_unistochastic(
+        transition_matrix(haar_random_basis(d, args.seed), haar_random_basis(d, args.seed + 1)),
+        _given(args.tol, 1e-12)), ("--tol", "--dim")),
+    "haar-moment": (lambda args, raw, d: check_haar_moment(
+        d, _given(args.num_bases, 100_000), args.seed), ("--num-bases", "--dim")),
 }
 
 
 def cmd_verify(args) -> int:
-    if args.shots and args.suite in ("density", "unistochastic", "haar-moment"):
-        raise UsageError(f"--shots does not apply to suite {args.suite}")
-    if args.tol is not None and args.suite == "haar-moment":
-        raise UsageError("--tol does not apply to suite haar-moment (a fixed 4-sigma gate)")
-    if args.num_bases is not None and args.suite in ("density", "unistochastic"):
-        raise UsageError(f"--num-bases does not apply to suite {args.suite}")
+    entries = list(SUITES.values()) if args.suite == "all" else [SUITES[args.suite]]
+    _refuse_others(args, {o for _, takes in entries for o in takes}, f"suite {args.suite}")
     if args.dim is not None and args.infile:
         raise UsageError("--dim and --in both fix the dimension; give one of them")
+    dim_ok = all("--dim" in takes for _, takes in entries)
+    if not args.infile and (args.dim is None or not dim_ok):
+        raise UsageError(f"suite {args.suite} needs {'--dim or --in' if dim_ok else '--in'}")
+    if args.suite == "all" and args.num_bases is not None:
+        # the moment check's floor is the highest, so no suite runs on a count it refuses
+        _at_least(args.num_bases, _MIN_SAMPLES, "num_samples")
     raw = matrix_from_json(load_json(args.infile)) if args.infile else None
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = [SUITES[suite](args, raw) for suite in suites]
+    d = args.dim if raw is None else raw.shape[0]
+    reports = [check(args, raw, d) for check, _ in entries]
     width = max(len(r.check) for r in reports)
     for r in reports:
         status = "ok  " if r.passed else "FAIL"
@@ -200,7 +197,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_tol(args.tol)
+    _at_least(args.tol, 0, "tol")
     a = _load_matrix(args.path_a)
     b = _load_matrix(args.path_b)
     if a.shape != b.shape:

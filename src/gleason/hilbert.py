@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+def _at_least(value, low, name: str) -> None:
+    """Raise ``ValueError`` unless ``value >= low``; NaN fails, as it compares
+    false.  The one check of every scalar bound a caller passes in."""
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
 def _freeze(arr: np.ndarray, dtype: type = np.complex128) -> np.ndarray:
     out = np.array(arr, dtype=dtype)
     if not np.isfinite(out).all():
@@ -97,8 +104,7 @@ class UnitVector:
 
     def __post_init__(self):
         arr = _freeze(np.asarray(self.components).reshape(-1))
-        if arr.size < 1:
-            raise ValueError("dim must be >= 1")
+        _at_least(arr.size, 1, "dim")
         norm = float(_row_norms(arr[None])[0])
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"vector norm {norm} is not 1 within {ATOL}")
@@ -264,8 +270,7 @@ def haar_basis_matrices(
 
 def haar_random_basis(dim: int, seed: int, field: str = "complex") -> OrthonormalBasis:
     """Draw a Haar-uniform orthonormal basis, deterministic in the seed."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _at_least(dim, 1, "dim")
     rng = np.random.default_rng(seed)
     return OrthonormalBasis(haar_basis_matrices(dim, 1, rng, field)[0])
 
@@ -278,8 +283,7 @@ def random_density_matrix(
     G is a dim-by-rank standard Gaussian matrix and the state is
     G G† / tr(G G†), which has full support on the rank-constrained set.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _at_least(dim, 1, "dim")
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
     g = _ginibre((dim, rank), np.random.default_rng(seed), field)

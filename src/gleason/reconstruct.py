@@ -17,6 +17,7 @@ import numpy as np
 from .hilbert import (
     DensityMatrix,
     OrthonormalBasis,
+    _at_least,
     _ginibre,
     _row_norms,
     _square,
@@ -249,8 +250,7 @@ def haar_average_reconstruct(
     each value v_r to [0, 1], sum_r v_r n_r n_r^H over the chunk's rows is
     one real Gram matrix of the rows sqrt(v_r) n_r, (Re, Im) interleaved.
     """
-    if num_bases < 1:
-        raise ValueError("num_bases must be >= 1")
+    _at_least(num_bases, 1, "num_bases")
     if oracle.field != "complex":
         raise ValueError("the uniform-average identity is implemented for "
                          "complex Hilbert spaces only")
@@ -314,8 +314,8 @@ class ImplicitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol is not None and not self.tol >= 0:
-            raise ValueError(f"tol must be >= 0 or None, got {self.tol!r}")
+        if self.tol is not None:
+            _at_least(self.tol, 0, "tol")
 
 
 def _householder_complement(u: np.ndarray, out: np.ndarray) -> np.ndarray:

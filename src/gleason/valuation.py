@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .hilbert import ATOL, DensityMatrix, UnitVector, _is_real, _row_norms
+from .hilbert import ATOL, DensityMatrix, UnitVector, _at_least, _is_real, _row_norms
 
 ZERO_NORM = 1e-14
 _SQRT2 = np.sqrt(2.0)
@@ -55,8 +55,7 @@ class ValuationOracle:
     """
 
     def __init__(self, dim: int, field: str = "complex"):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        _at_least(dim, 1, "dim")
         if field not in ("complex", "real"):
             raise ValueError(f"unknown field {field!r}")
         self.dim = dim
@@ -142,8 +141,7 @@ class NoisyOracle(ValuationOracle):
     ):
         super().__init__(state.dim, field)
         _check_hidden_state(state, field)
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
+        _at_least(shots, 1, "shots")
         self._state = state.matrix
         self.shots = int(shots)
         self._rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .hilbert import (
     OrthonormalBasis,
+    _at_least,
     _check_orthonormal,
     _ginibre,
     _haar_factor,
@@ -34,6 +35,9 @@ __all__ = [
 # Gate of the Haar moment check, in standard errors of the Monte Carlo mean;
 # with fixed seeds it keeps the flake probability per run negligible.
 _SIGMA_GATE = 4.0
+# Fewest samples the Haar moment check takes; fewer would leave its standard
+# errors, and so its gate, too rough.
+_MIN_SAMPLES = 100
 # Trials per oracle call of the additivity check; its arrays grow as chunk * d^2.
 _ADDITIVITY_CHUNK = 128
 
@@ -61,15 +65,9 @@ class CheckReport:
         }
 
 
-def _check_tol(tol: float) -> None:
-    """A NaN or negative tolerance could never be met, so it is rejected."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
-
-
 def check_density(m: np.ndarray, tol: float = 1e-10) -> CheckReport:
     """Hermiticity, unit trace, and eigenvalue nonnegativity of a matrix."""
-    _check_tol(tol)
+    _at_least(tol, 0, "tol")
     m = _square(m, "input")
     herm = float(np.max(np.abs(m - m.conj().T)))
     trace = float(abs(np.trace(m) - 1.0))
@@ -116,9 +114,8 @@ def check_additivity(
     needs no check of its own, as its Gram matrix is a principal submatrix
     of its basis's.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_tol(tol)
+    _at_least(trials, 1, "trials")
+    _at_least(tol, 0, "tol")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for first in range(0, trials, _ADDITIVITY_CHUNK):
@@ -173,7 +170,7 @@ def check_unistochastic(
     s: TransitionMatrix | np.ndarray, tol: float = 1e-12
 ) -> CheckReport:
     """Row sums, column sums, and entry range of a transition matrix."""
-    _check_tol(tol)
+    _at_least(tol, 0, "tol")
     arr = s.entries if isinstance(s, TransitionMatrix) else _square(s, "input", float)
     row_dev, col_dev, range_dev = _stochastic_deviations(arr)
     deviation = max(row_dev, col_dev, range_dev)
@@ -201,10 +198,8 @@ def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
     the Monte Carlo mean; the check passes when every entry is within
     four standard errors.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if num_samples < 100:
-        raise ValueError("num_samples must be >= 100")
+    _at_least(dim, 1, "dim")
+    _at_least(num_samples, _MIN_SAMPLES, "num_samples")
     rng = np.random.default_rng(seed)
     a, e = np.triu_indices(dim)
     pair = np.empty((dim, dim), dtype=np.intp)
@@ -260,9 +255,8 @@ def check_basis_independence(
     Exact oracles pass at 1e-10; shot-noise oracles are expected to fail
     this gate (useful as a negative control).
     """
-    if num_bases < 2:
-        raise ValueError("num_bases must be >= 2")
-    _check_tol(tol)
+    _at_least(num_bases, 2, "num_bases")
+    _at_least(tol, 0, "tol")
     d = oracle.dim
     rng = np.random.default_rng(seed)
     estimates = [

@@ -25,6 +25,7 @@ from gleason.serialize import (
     oracle_table_to_json,
 )
 from gleason.valuation import ExactOracle, ValuationOracle
+from gleason.verify import CheckReport
 
 
 def run(*args):
@@ -406,3 +407,82 @@ class TestVerifyOptions:
         assert run("verify", "--suite", "basis-independence", "--in", state).returncode == 0
         assert run("reconstruct", "--method", "implicit", "--in", state).returncode == 0
         assert seen == ["check_basis_independence", "implicit_reconstruct"]
+
+
+class TestBoundsBeforeQueries:
+    def test_negative_shots_is_parse_error_without_queries(self, tmp_path, monkeypatch):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 28, "--out", state)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run("verify", "--suite", "additivity", "--in", state, "--shots", -5)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "error:" in result.stderr and "shots" in result.stderr
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 99])
+    def test_suite_all_refuses_a_count_below_the_moment_floor(self, tmp_path, monkeypatch,
+                                                              count):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 29, "--out", state)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run("verify", "--suite", "all", "--in", state, "--num-bases", count)
+        alone = run("verify", "--suite", "haar-moment", "--in", state, "--num-bases", count)
+        assert result.returncode == alone.returncode == 3
+        assert result.stdout == alone.stdout == ""
+        assert result.stderr == alone.stderr
+        assert "num_samples must be >= 100" in result.stderr
+
+
+# Of --tol, --num-bases and a nonzero --shots, what each method and suite
+# takes.  Stated here rather than read from ``cli``, so that a change to the
+# CLI's table fails this test.
+TAKES = {
+    ("reconstruct", "--method", "explicit"): {"--shots"},
+    ("reconstruct", "--method", "explicit-real"): {"--shots"},
+    ("reconstruct", "--method", "implicit"): {"--tol", "--shots"},
+    ("reconstruct", "--method", "haar-average"): {"--num-bases", "--shots"},
+    ("reconstruct", "--method", "pauli2d"): {"--shots"},
+    ("verify", "--suite", "density"): {"--tol"},
+    ("verify", "--suite", "additivity"): {"--tol", "--num-bases", "--shots"},
+    ("verify", "--suite", "basis-independence"): {"--tol", "--num-bases", "--shots"},
+    ("verify", "--suite", "unistochastic"): {"--tol"},
+    ("verify", "--suite", "haar-moment"): {"--num-bases"},
+    ("verify", "--suite", "all"): {"--tol", "--num-bases", "--shots"},
+}
+GIVEN = {"--tol": 0.25, "--num-bases": 150, "--shots": 37}
+STAND_INS = {
+    **{name: SimpleNamespace(to_json=dict) for name in (
+        "explicit_reconstruct", "explicit_reconstruct_real", "implicit_reconstruct",
+        "haar_average_reconstruct", "pauli_reconstruct_2d")},
+    **{name: CheckReport(name, 0.0, 1.0) for name in (
+        "check_density", "check_additivity", "check_basis_independence",
+        "check_unistochastic", "check_haar_moment")},
+}
+
+
+@pytest.mark.parametrize("option", list(GIVEN))
+@pytest.mark.parametrize("command", list(TAKES), ids=lambda command: command[2])
+def test_option_grid(tmp_path, monkeypatch, command, option):
+    """A refused option is a usage error before any query; a taken one
+    reaches the route or check (stood in for, so no real one runs)."""
+    state = tmp_path / "s.json"
+    run("gen", "--dim", 2, "--seed", 30, "--field", "real", "--out", state)
+    monkeypatch.setattr(ValuationOracle, "query_batch",
+                        lambda self, rows: pytest.fail("a query was made"))
+    calls = []
+    for name, result in STAND_INS.items():
+        monkeypatch.setattr(cli, name, lambda *args, result=result: calls.append(args) or result)
+    result = run(*command, "--in", state, option, GIVEN[option])
+    if option not in TAKES[command]:
+        assert result.returncode == 2
+        assert result.stdout == "" and calls == []
+        assert "usage error:" in result.stderr and option in result.stderr
+        return
+    assert result.returncode == 0
+    # the value itself, the tol of an ImplicitConfig or the shots of a NoisyOracle
+    seen = {x for args in calls for a in args
+            for x in (a, getattr(a, "tol", None), getattr(a, "shots", None))
+            if isinstance(x, (int, float))}
+    assert GIVEN[option] in seen

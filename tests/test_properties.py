@@ -1,14 +1,19 @@
 """Property tests: ray semantics of the oracles, basis independence of the
-explicit estimate, the implicit estimate on hard spectra, and non-finite
-rejection at every boundary that takes an array from a caller."""
+explicit estimate, the implicit estimate on hard spectra, non-finite
+rejection at every boundary that takes an array from a caller, and one check
+of every scalar bound."""
 
+import inspect
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gleason import cli, hilbert, reconstruct, valuation, verify
 from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
@@ -23,10 +28,24 @@ from gleason.reconstruct import (
     TransitionMatrix,
     explicit_reconstruct,
     explicit_reconstruct_real,
+    haar_average_reconstruct,
     implicit_reconstruct,
 )
-from gleason.valuation import ExactOracle, TabulatedOracle, extend, sesquilinear
-from gleason.verify import check_density, check_unistochastic
+from gleason.valuation import (
+    ExactOracle,
+    NoisyOracle,
+    TabulatedOracle,
+    ValuationOracle,
+    extend,
+    sesquilinear,
+)
+from gleason.verify import (
+    check_additivity,
+    check_basis_independence,
+    check_density,
+    check_haar_moment,
+    check_unistochastic,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 FIELDS = st.sampled_from(["complex", "real"])
@@ -169,4 +188,63 @@ def test_sesquilinear_rejects_huge_rows_before_forming_probes():
             sesquilinear(oracle, [1e308, 0.0, 0.0], [1e308, 0.0, 0.0])
         with pytest.raises(ValueError):
             sesquilinear(oracle, [0.0, 1.0, 0.0], [-1e308, 0.0, 0.0])
+    assert oracle.query_count == 0
+
+
+NAN = float("nan")
+BELOW_ZERO = -np.nextafter(0.0, 1.0)
+RHO = DensityMatrix(np.eye(2) / 2)
+
+
+def _verify_all(count):
+    return cli.cmd_verify(SimpleNamespace(
+        suite="all", infile="s.json", dim=None, tol=None, num_bases=count, shots=0, seed=0,
+        out=None))
+
+
+# Every ``_at_least`` call in src/: parameter name, the call on a value and an
+# exact oracle, and the nearest value below its bound.
+BOUNDS = {
+    "UnitVector": ("dim", lambda v, o: UnitVector(np.ones(v)), 0),
+    "haar_random_basis": ("dim", lambda v, o: haar_random_basis(v, 0), 0),
+    "random_density_matrix": ("dim", lambda v, o: random_density_matrix(v, 1, 0), 0),
+    "ValuationOracle": ("dim", lambda v, o: ValuationOracle(v), 0),
+    "NoisyOracle": ("shots", lambda v, o: NoisyOracle(RHO, shots=v), 0),
+    "haar_average_reconstruct": ("num_bases", lambda v, o: haar_average_reconstruct(o, v, 0), 0),
+    "ImplicitConfig": ("tol", lambda v, o: ImplicitConfig(tol=v), BELOW_ZERO),
+    "check_density": ("tol", lambda v, o: check_density(RHO.matrix, v), BELOW_ZERO),
+    "check_additivity-trials": ("trials", lambda v, o: check_additivity(o, v, 0), 0),
+    "check_additivity-tol": ("tol", lambda v, o: check_additivity(o, 10, 0, v), BELOW_ZERO),
+    "check_unistochastic": ("tol", lambda v, o: check_unistochastic(np.eye(2), v), BELOW_ZERO),
+    "check_haar_moment-dim": ("dim", lambda v, o: check_haar_moment(v, 100, 0), 0),
+    "check_haar_moment-num_samples": (
+        "num_samples", lambda v, o: check_haar_moment(4, v, 0), 99),
+    "check_basis_independence-num_bases": (
+        "num_bases", lambda v, o: check_basis_independence(o, v, 0), 1),
+    "check_basis_independence-tol": (
+        "tol", lambda v, o: check_basis_independence(o, 3, 0, v), BELOW_ZERO),
+    "cli.cmd_compare": ("tol", lambda v, o: cli.cmd_compare(
+        SimpleNamespace(tol=v, path_a="a.json", path_b="b.json")), BELOW_ZERO),
+    "cli.cmd_verify": ("num_samples", lambda v, o: _verify_all(v), 99),
+}
+
+
+def test_bounds_cover_every_call():
+    calls = sum(len(re.findall(r"(?<!def )_at_least\(", inspect.getsource(module)))
+                for module in (hilbert, valuation, reconstruct, verify, cli))
+    assert calls == len(BOUNDS)
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site, (_, _, below) in BOUNDS.items()
+    # a vector's size cannot be NaN
+    for value in ([below] if site == "UnitVector" else [NAN, below])
+])
+def test_scalar_bound_is_rejected_uncharged(monkeypatch, site, value):
+    name, call, _ = BOUNDS[site]
+    oracle = ExactOracle(RHO)
+    monkeypatch.setattr(ValuationOracle, "query_batch",
+                        lambda self, rows: pytest.fail("a query was made"))
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        call(value, oracle)
     assert oracle.query_count == 0
