@@ -79,6 +79,13 @@ def _is_real(arr: np.ndarray) -> bool:
     return bool(np.max(np.abs(arr.imag), initial=0.0) <= ATOL)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2, halved before adding: the same for normal entries, and
+    finite, with no overflow, for every finite ``m``."""
+    half = m * 0.5
+    return half + half.conj().T
+
+
 def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
     """``m`` frozen, after checking it is square (``_square``) and Hermitian
     within ATOL."""
@@ -109,10 +116,6 @@ class UnitVector:
         if not abs(norm - 1.0) <= ATOL:
             raise ValueError(f"vector norm {norm} is not 1 within {ATOL}")
         object.__setattr__(self, "components", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.components.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +165,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _hermitian(self.matrix, "density matrix")
-        tr = complex(np.trace(arr))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+            arr = _hermitian(self.matrix, "density matrix")
+            tr = complex(np.trace(arr))
         if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"trace {tr} is not 1 within {ATOL}")
         wmin = float(np.linalg.eigvalsh(arr)[0])
@@ -289,35 +293,48 @@ def random_density_matrix(
     g = _ginibre((dim, rank), np.random.default_rng(seed), field)
     m = g @ g.conj().T
     m /= np.trace(m).real
-    m = (m + m.conj().T) / 2
-    return DensityMatrix(m)
+    return DensityMatrix(_hermitian_part(m))
 
 
 def _project_to_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(w)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    ks = np.arange(1, w.size + 1)
-    k = ks[u - cumulative / ks > 0][-1]
-    theta = cumulative[k - 1] / k
-    return np.maximum(w - theta, 0.0)
+    """Euclidean projection onto the probability simplex of a finite ascending
+    vector (``eigh``'s order).  It runs on w - max(w), taken in halves so that
+    nothing overflows, with entries below -1 (projected to 0 anyway) raised to
+    -1: the top entry is then exactly 0, so k >= 1 however large w is.  At the
+    small d of the routes a loop over w costs less than numpy calls."""
+    top = w[-1]
+    s = np.maximum(w * 0.5 - top * 0.5, -0.5) * 2
+    total = 0.0
+    for k, x in enumerate(s[::-1].tolist(), 1):
+        total += x
+        if x > (total - 1.0) / k:
+            theta = (total - 1.0) / k
+    return np.maximum(s - theta, 0.0)
 
 
 def nearest_density_matrix(m: np.ndarray) -> DensityMatrix:
     """Frobenius-nearest density matrix to an arbitrary square matrix.
 
-    Takes the Hermitian part, eigendecomposes, and projects the eigenvalue
-    vector onto the probability simplex.  This is the exact metric
-    projection onto the density-matrix set, hence idempotent and
-    non-expansive.
+    Takes the Hermitian part, eigendecomposes it (one ``eigh``, on the real
+    array when the part is exactly real), and projects the eigenvalues onto the
+    probability simplex: the exact metric projection onto the density-matrix
+    set (Smolin, Gambetta & Smith, PRL 108, 070502, 2012), hence idempotent and
+    non-expansive.  The output's PSD and unit-trace checks read the projected
+    eigenvalues in place of ``DensityMatrix``'s own.  A spectrum that overflows
+    float64 raises ``ValueError``.
     """
-    m = _square(m, "input")
-    h = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    w = _project_to_simplex(w.real)
-    out = (v * w) @ v.conj().T
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(out)
+    h = _hermitian_part(_square(m, "input"))
+    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
+    if not np.isfinite(w).all():
+        raise ValueError("the input's spectrum cannot be represented in float64")
+    w = _project_to_simplex(w)
+    if not (w.min() >= -EIG_ATOL and abs(w.sum() - 1.0) <= ATOL):
+        raise ValueError(f"projected spectrum {w!r} is not a probability vector")
+    out = _hermitian_part((v * w) @ v.conj().T).astype(np.complex128, copy=False)
+    out.setflags(write=False)
+    rho = object.__new__(DensityMatrix)  # the checks above stand for __post_init__'s
+    object.__setattr__(rho, "matrix", out)
+    return rho
 
 
 def spectral_decomposition(rho: DensityMatrix | np.ndarray) -> SpectralDecomposition:

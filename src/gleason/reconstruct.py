@@ -19,6 +19,7 @@ from .hilbert import (
     OrthonormalBasis,
     _at_least,
     _ginibre,
+    _hermitian_part,
     _row_norms,
     _square,
     haar_basis_matrices,
@@ -269,7 +270,7 @@ def haar_average_reconstruct(
     total = gram[0::2, 0::2] + gram[1::2, 1::2] + 1j * (gram[1::2, 0::2] - gram[0::2, 1::2])
     avg = total / num_bases
     estimate = (d + 1) * avg - np.eye(d)
-    estimate = (estimate + estimate.conj().T) / 2
+    estimate = _hermitian_part(estimate)
     return _finish("haar-average", estimate, oracle.query_count - before)
 
 
@@ -361,7 +362,8 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
     ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))), for the oracle's
     ``noise_scale`` sigma and k = 3 (complex) or 2 (real); a ``tol`` below the
     noise floor is never met.  Returns the maximizer's coordinates in
-    ``w_frame``; raises :class:`ConvergenceError` after ``_MAX_SWEEPS``.
+    ``w_frame`` and the value v(u) its last residual batch read; raises
+    :class:`ConvergenceError` after ``_MAX_SWEEPS``.
     """
     m = w_frame.shape[1]
     field = oracle.field
@@ -384,7 +386,7 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
         r = np.matmul(c.conj(), w, out=ritz[0])
         history.append((w_frame @ u, w_frame @ (vu * u + r)))
         if nr <= tol:
-            return u
+            return u, float(vu)
         if sweep == _MAX_SWEEPS - 1:
             break
         if nr == 0:  # a noisy batch can read r = 0 by chance; nothing to step along
@@ -421,11 +423,11 @@ def implicit_reconstruct(
     Finds n_1 maximizing the valuation on the unit sphere, then n_2
     maximizing it on the sphere orthogonal to n_1, and so on; the
     valuations at the maximizers are the eigenvalues (non-increasing) and
-    the estimate is  sum_i v(n_i) |n_i><n_i|.  Each stage runs one ascent
-    and then queries the valuation afresh at its maximizer (on a noisy
-    oracle that query is an unbiased sample; the ascent's own value at the
-    iterate is a selected one).  The last stage needs no ascent: its sphere
-    is one ray.
+    the estimate is  sum_i v(n_i) |n_i><n_i|.  Each stage runs one ascent.
+    On an exact oracle v(n_i) is the value the ascent's last residual batch
+    read at n_i; a noisy oracle is queried afresh at the maximizer, as that
+    query is an unbiased sample and the ascent's own value a selected one.
+    The last stage needs no ascent, as its sphere is one ray: it queries.
 
     The first stage starts from a seeded random unit vector, and so does
     every stage on a noisy oracle (warm starts raised their error medians).
@@ -464,7 +466,7 @@ def implicit_reconstruct(
     for _stage in range(d):
         m = frame.shape[1]
         if m == 1:
-            coeff = np.ones(1, dtype=frame.dtype)
+            coeff, lam = np.ones(1, dtype=frame.dtype), None
         else:
             if history and oracle.noise_scale == 0:
                 # Rayleigh-Ritz on span{x}: X = Q S V^H, rho Q = Y V S^-1
@@ -473,18 +475,19 @@ def implicit_reconstruct(
                 k = np.count_nonzero(s > _SPAN_CUT * s[0])
                 t = q[:, :k].conj().T @ y @ (vh[:k].conj().T / s[:k])
                 g = frame.conj().T @ q[:, :k]
-                u = np.linalg.eigh(g @ ((t + t.conj().T) / 2) @ g.conj().T)[1][:, -1]
+                u = np.linalg.eigh(g @ _hermitian_part(t) @ g.conj().T)[1][:, -1]
                 z = draw(m)
                 u += _EXPLORE * (z - g @ (g.conj().T @ z))
             else:
                 u = draw(m)
             u /= np.linalg.norm(u)
-            coeff = _ascend_sphere(oracle, frame, u, cfg.tol, history)
+            coeff, lam = _ascend_sphere(oracle, frame, u, cfg.tol, history)
         n_vec = frame @ coeff
         n_vec /= np.linalg.norm(n_vec)
-        lam = float(oracle.query_batch(n_vec[None, :])[0])
+        if lam is None or oracle.noise_scale:
+            lam = float(oracle.query_batch(n_vec[None, :])[0])
         estimate += lam * np.outer(n_vec, n_vec.conj())
         if m > 1:
             frame = frame @ _householder_complement(coeff, np.empty((m - 1, m), coeff.dtype)).T
-    estimate = (estimate + estimate.conj().T) / 2
+    estimate = _hermitian_part(estimate)
     return _finish("implicit", estimate, oracle.query_count - before)

@@ -8,6 +8,7 @@ tolerance, raise ``ValueError`` before any query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .hilbert import (
     _check_orthonormal,
     _ginibre,
     _haar_factor,
+    _hermitian_part,
     _square,
     haar_basis_matrices,
 )
@@ -66,25 +68,18 @@ class CheckReport:
 
 
 def check_density(m: np.ndarray, tol: float = 1e-10) -> CheckReport:
-    """Hermiticity, unit trace, and eigenvalue nonnegativity of a matrix."""
+    """Hermiticity, unit trace, and eigenvalue nonnegativity of a matrix; one
+    whose deviations or spectrum overflow float64 raises ``ValueError``."""
     _at_least(tol, 0, "tol")
     m = _square(m, "input")
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    trace = float(abs(np.trace(m) - 1.0))
-    wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-    negativity = max(0.0, -wmin)
-    deviation = max(herm, trace, negativity)
-    return CheckReport(
-        "density",
-        deviation,
-        tol,
-        {
-            "hermiticity": herm,
-            "trace": trace,
-            "min_eigenvalue": wmin,
-            "dim": m.shape[0],
-        },
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        herm = float(np.max(np.abs(m - m.conj().T)))
+        trace = float(abs(np.trace(m) - 1.0))
+    wmin = float(np.linalg.eigvalsh(_hermitian_part(m))[0])
+    if not np.isfinite([herm, trace, wmin]).all():
+        raise ValueError("the input's deviations or spectrum cannot be represented in float64")
+    context = {"hermiticity": herm, "trace": trace, "min_eigenvalue": wmin, "dim": m.shape[0]}
+    return CheckReport("density", max(herm, trace, -wmin, 0.0), tol, context)
 
 
 def _random_composition(d: int, rng: np.random.Generator) -> list[int]:
@@ -121,9 +116,8 @@ def check_additivity(
     for first in range(0, trials, _ADDITIVITY_CHUNK):
         count = min(_ADDITIVITY_CHUNK, trials - first)
         worst = max(worst, _additivity_chunk(oracle, count, rng))
-    return CheckReport(
-        "additivity", worst, tol, {"dim": oracle.dim, "trials": trials, "seed": seed}
-    )
+    return CheckReport("additivity", worst, tol,
+                       {"dim": oracle.dim, "trials": trials, "seed": seed})
 
 
 def _additivity_chunk(oracle: ValuationOracle, count: int, rng: np.random.Generator) -> float:
@@ -172,14 +166,9 @@ def check_unistochastic(
     """Row sums, column sums, and entry range of a transition matrix."""
     _at_least(tol, 0, "tol")
     arr = s.entries if isinstance(s, TransitionMatrix) else _square(s, "input", float)
-    row_dev, col_dev, range_dev = _stochastic_deviations(arr)
-    deviation = max(row_dev, col_dev, range_dev)
-    return CheckReport(
-        "unistochastic",
-        deviation,
-        tol,
-        {"row_sums": row_dev, "col_sums": col_dev, "entry_range": range_dev},
-    )
+    rows, cols, span = _stochastic_deviations(arr)
+    return CheckReport("unistochastic", max(rows, cols, span), tol,
+                       {"row_sums": rows, "col_sums": cols, "entry_range": span})
 
 
 def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
@@ -232,17 +221,9 @@ def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
             stderr > 0, abs_dev / np.where(stderr > 0, stderr, 1.0),
             np.where(abs_dev <= 1e-12, 0.0, np.inf),
         )
-    return CheckReport(
-        "haar-moment",
-        float(np.max(sigmas)),
-        _SIGMA_GATE,
-        {
-            "dim": dim,
-            "num_samples": num_samples,
-            "max_abs_deviation": float(np.max(abs_dev)),
-            "seed": seed,
-        },
-    )
+    context = {"dim": dim, "num_samples": num_samples,
+               "max_abs_deviation": float(np.max(abs_dev)), "seed": seed}
+    return CheckReport("haar-moment", float(np.max(sigmas)), _SIGMA_GATE, context)
 
 
 def check_basis_independence(
@@ -263,13 +244,6 @@ def check_basis_independence(
         explicit_reconstruct(oracle, OrthonormalBasis(m)).estimate
         for m in haar_basis_matrices(d, num_bases, rng)
     ]
-    worst = 0.0
-    for i in range(len(estimates)):
-        for j in range(i + 1, len(estimates)):
-            worst = max(worst, float(np.linalg.norm(estimates[i] - estimates[j])))
-    return CheckReport(
-        "basis-independence",
-        worst,
-        tol,
-        {"dim": d, "num_bases": num_bases, "seed": seed},
-    )
+    worst = max(float(np.linalg.norm(a - b)) for a, b in combinations(estimates, 2))
+    return CheckReport("basis-independence", worst, tol,
+                       {"dim": d, "num_bases": num_bases, "seed": seed})

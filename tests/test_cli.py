@@ -198,6 +198,26 @@ class TestVerifyCommand:
         assert "error:" in result.stderr and "finite" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("re, suite, code", [
+        ([[1e308, 0], [0, -1e308]], "density", 4),  # finite once halved before adding
+        ([[1e308, 0], [0, 1e308]], "density", 3),
+        ([[0, 1e308], [-1e308, 0]], "density", 3),
+        ([[1e308, 0], [0, 1e308]], "additivity", 3),
+        ([[0, 1e308], [-1e308, 0]], "additivity", 3),
+    ])
+    def test_entries_near_overflow_print_no_nan_or_infinity(self, tmp_path, re, suite, code):
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps({"dim": 2, "re": re, "im": [[0, 0], [0, 0]]}))
+        result = run("verify", "--suite", suite, "--in", state)
+        assert result.returncode == code
+        if code == 3:
+            assert "error:" in result.stderr and result.stdout == ""
+        else:
+            def refuse(name):
+                raise AssertionError(f"{name} in the printed report")
+            payload = json.loads(result.stdout.splitlines()[-1], parse_constant=refuse)
+            assert payload[0]["context"]["min_eigenvalue"] == -1e308
+
     def test_haar_moment_suite(self):
         result = run("verify", "--suite", "haar-moment", "--dim", 2, "--num-bases", 2000)
         assert result.returncode == 0

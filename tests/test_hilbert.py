@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gleason.hilbert import (
     ATOL,
@@ -72,6 +74,12 @@ class TestTypes:
     def test_density_matrix_rejects_nan(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("m", [[[1e308, 0.0], [0.0, 1e308]], [[0.0, 1e308], [-1e308, 0.0]]])
+    def test_density_matrix_rejects_overflowing_trace_or_asymmetry(self, m):
+        # a clean ValueError, with no overflow warning before it
+        with pytest.raises(ValueError):
+            DensityMatrix(np.array(m))
 
 
 class TestHaarBasis:
@@ -251,8 +259,64 @@ class TestNearestDensityMatrix:
     def test_arbitrary_matrix_yields_valid_state(self):
         rng = np.random.default_rng(10)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        out = nearest_density_matrix(m)  # constructor re-validates
+        out = nearest_density_matrix(m)
         assert out.dim == 5
+        DensityMatrix(out.matrix)  # passes the full public check
+
+    @pytest.mark.parametrize("big", [1e16, 1e300])
+    def test_eigenvalue_far_above_one(self, big):
+        # unshifted, u - (cumsum(u) - 1)/k > 0 rounds to false at every k here
+        out = nearest_density_matrix(np.diag([big, 0.0]))
+        np.testing.assert_array_equal(out.matrix, np.diag([1.0, 0.0]))
+
+    def test_hermitian_part_of_entries_near_overflow(self):
+        # m + m^H overflows here; halving first does not
+        out = nearest_density_matrix(np.diag([1e308, -1e308]))
+        np.testing.assert_array_equal(out.matrix, np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="cannot be represented"):
+            nearest_density_matrix(np.full((3, 3), 1e308))  # an eigenvalue of 3e308
+
+    def test_repair_matches_reference_on_fixed_seeds(self):
+        rng = np.random.default_rng(12)
+        for d in range(1, 9):
+            for field in ("complex", "real"):
+                for scale in (1e-6, 1e-2, 1.0):
+                    check_repair(noisy_state(rng, d, field, scale))
+
+
+def reference_repair(m):
+    """The projection in its textbook form: complex eigh, sorted simplex step."""
+    h = (m + m.conj().T) / 2
+    w, v = np.linalg.eigh(h.astype(np.complex128))
+    u = np.sort(w)[::-1]
+    cumulative = np.cumsum(u) - 1.0
+    k = np.flatnonzero(u - cumulative / np.arange(1, w.size + 1) > 0)[-1]
+    return (v * np.maximum(w - cumulative[k] / (k + 1), 0.0)) @ v.conj().T
+
+
+def noisy_state(rng, d, field, scale):
+    """A random state plus Gaussian noise of the given scale; a float array when real."""
+    rho = random_density_matrix(d, int(rng.integers(1, d + 1)), int(rng.integers(2**32)), field)
+    noise = rng.standard_normal((d, d))
+    if field == "real":
+        return rho.matrix.real + scale * noise
+    return rho.matrix + scale * (noise + 1j * rng.standard_normal((d, d)))
+
+
+def check_repair(m):
+    out = nearest_density_matrix(m).matrix
+    DensityMatrix(out)  # the full public check passes: the checks it skips would have
+    np.testing.assert_allclose(out, reference_repair(m), rtol=0, atol=1e-14)
+    if not np.iscomplexobj(m):
+        assert not out.imag.any()
+    np.testing.assert_allclose(nearest_density_matrix(out).matrix, out, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8),
+       field=st.sampled_from(["complex", "real"]), scale=st.floats(1e-8, 1.0))
+def test_repair_matches_reference(seed, d, field, scale):
+    check_repair(noisy_state(np.random.default_rng(seed), d, field, scale))
 
 
 class TestSpectralDecomposition:

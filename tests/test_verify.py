@@ -58,6 +58,16 @@ class TestCheckDensity:
         with pytest.raises(ValueError):
             check_density(np.ones((2, 3)))
 
+    def test_entries_near_overflow(self):
+        # m + m^H overflows here; halved before adding it does not
+        r = check_density(np.diag([1e308, -1e308]))
+        assert not r.passed and r.deviation == 1e308 and r.context["min_eigenvalue"] == -1e308
+
+    @pytest.mark.parametrize("m", [[[1e308, 0.0], [0.0, 1e308]], [[0.0, 1e308], [-1e308, 0.0]]])
+    def test_unrepresentable_trace_or_asymmetry_is_rejected(self, m):
+        with pytest.raises(ValueError, match="cannot be represented"):
+            check_density(np.array(m))
+
 
 class TestCheckAdditivity:
     def test_exact_oracle_passes(self):
