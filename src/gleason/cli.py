@@ -202,7 +202,13 @@ def cmd_compare(args) -> int:
     b = _load_matrix(args.path_b)
     if a.shape != b.shape:
         raise UsageError(f"shape mismatch: {a.shape} vs {b.shape}")
-    distance = float(np.linalg.norm(a - b))
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        diff = a - b
+        distance = float(np.linalg.norm(diff))
+        if distance == np.inf:  # the sum of squares overflows above ~1e154; hypot does not
+            distance = float(np.hypot.reduce(np.abs(diff), axis=None))
+    if not np.isfinite(distance):
+        raise ValueError("the distance cannot be represented in float64")
     print(f"frobenius_distance {distance:.17e}")
     return EXIT_OK if distance <= args.tol else EXIT_CHECK
 

@@ -219,8 +219,6 @@ def explicit_reconstruct_real(
     """Real-Hilbert-space variant: d^2 queries, no imaginary probes."""
     if oracle.field != "real":
         raise ValueError("explicit_reconstruct_real needs a real-mode oracle")
-    if not basis.is_real():
-        raise ValueError("real-mode reconstruction needs a real basis")
     return _polarization_report("explicit-real", oracle, basis)
 
 

@@ -43,7 +43,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"matrix JSON missing or malformed field: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"matrix JSON arrays are not of shape {(dim, dim)}")
-    return re + 1j * im
+    return _square(re + 1j * im, "matrix")  # rejects non-finite entries
 
 
 def vector_to_json(v: np.ndarray) -> dict:

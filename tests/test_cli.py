@@ -204,14 +204,26 @@ class TestVerifyCommand:
         ([[0, 1e308], [-1e308, 0]], "density", 3),
         ([[1e308, 0], [0, 1e308]], "additivity", 3),
         ([[0, 1e308], [-1e308, 0]], "additivity", 3),
+        # compare against the negated matrix: the distance overflows, or is NaN
+        ([[1e308, 0], [0, 1e308]], "compare", 3),
+        ([[float("nan"), 0], [0, 1]], "compare", 3),
+        ([[1e200, 0], [0, 1e200]], "compare", 4),  # 2.83e200 is representable
     ])
     def test_entries_near_overflow_print_no_nan_or_infinity(self, tmp_path, re, suite, code):
         state = tmp_path / "s.json"
         state.write_text(json.dumps({"dim": 2, "re": re, "im": [[0, 0], [0, 0]]}))
-        result = run("verify", "--suite", suite, "--in", state)
+        if suite == "compare":
+            negated = tmp_path / "n.json"
+            negated.write_text(json.dumps({"dim": 2, "re": (-np.array(re)).tolist(),
+                                           "im": [[0, 0], [0, 0]]}))
+            result = run("compare", state, negated)
+        else:
+            result = run("verify", "--suite", suite, "--in", state)
         assert result.returncode == code
         if code == 3:
             assert "error:" in result.stderr and result.stdout == ""
+        elif suite == "compare":
+            assert float(result.stdout.split()[1]) == pytest.approx(np.sqrt(8) * 1e200)
         else:
             def refuse(name):
                 raise AssertionError(f"{name} in the printed report")

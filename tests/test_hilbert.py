@@ -63,6 +63,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             Projector(np.diag([0.5, 0.5]))
 
+    # P @ P overflows to inf, or to inf - inf = NaN; either fails the check,
+    # with no overflow warning before it
+    @pytest.mark.parametrize("m", [[[1e308, 0.0], [0.0, 0.0]], [[1e308, 1e308], [1e308, -1e308]]])
+    def test_projector_rejects_overflowing_idempotence_check(self, m):
+        with pytest.raises(ValueError, match="not idempotent"):
+            Projector(np.array(m))
+
     def test_unit_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             UnitVector(np.array([np.nan, 0.0]))
@@ -100,7 +107,7 @@ class TestHaarBasis:
 
     def test_real_field_gives_orthogonal_matrix(self):
         b = haar_random_basis(4, seed=1, field="real")
-        assert b.is_real()
+        assert not b.matrix.imag.any()
         np.testing.assert_allclose(b.matrix @ b.matrix.T, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("field", ["complex", "real"])
@@ -352,6 +359,11 @@ class TestSpectralDecomposition:
         # its Hermitian part [[0, 1/2], [1/2, 0]] would give eigenvalues (1/2, -1/2)
         with pytest.raises(ValueError, match="not Hermitian"):
             spectral_decomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_asymmetry_that_overflows(self):
+        # m - m^H would overflow; the check compares halves, with no warning
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectral_decomposition(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
     def test_phase_convention_reproducible(self):
         rho = random_density_matrix(3, 3, seed=13)

@@ -195,6 +195,19 @@ class TestExplicitReal:
         with pytest.raises(ValueError):
             explicit_reconstruct_real(oracle, standard_basis(3))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_real_basis_rejected_uncharged(self, d):
+        # every basis row is queried, and the oracle rejects the non-real block
+        oracle = ExactOracle(random_density_matrix(d, d, seed=15, field="real"), field="real")
+        with pytest.raises(ValueError, match="complex vector"):
+            explicit_reconstruct_real(oracle, haar_random_basis(d, seed=16))
+        assert oracle.query_count == 0
+
+    def test_dim_one_phase_basis_needs_no_query(self):
+        oracle = ExactOracle(DensityMatrix([[1.0]]), field="real")
+        report = explicit_reconstruct_real(oracle, OrthonormalBasis([[1j]]))
+        assert report.query_count == 0 and report.estimate[0, 0] == 1.0
+
 
 class TestPauli2d:
     def test_maximally_mixed_zero_bloch(self):

@@ -1,10 +1,12 @@
 """Checker suite: identities pass, constructed violations fail."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gleason import verify
 from gleason.hilbert import (
     DensityMatrix,
     haar_basis_matrices,
@@ -201,6 +203,30 @@ class TestCheckHaarMoment:
         b = check_haar_moment(2, 1000, seed=16)
         assert a.deviation == b.deviation
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_gate_is_four_sigma_up_to_dim_four(self, dim):
+        assert check_haar_moment(dim, 100, seed=0).tolerance == 4.0
+
+    def test_gate_widens_with_the_packed_entry_count(self):
+        # at d=8 a correct sampler's largest of 36^2 packed deviations reads
+        # 4.14 sigma on this seed, which a fixed 4-sigma gate fails
+        r = check_haar_moment(8, 100, seed=103)
+        assert r.deviation > 4.0
+        assert r.tolerance == pytest.approx(math.sqrt(16 + 2 * math.log(36**2 / 100)))
+        assert r.passed, (r.deviation, r.tolerance)
+
+    def test_one_real_basis_in_twenty_fails(self, monkeypatch):
+        # real orthogonal bases have a different second moment than Haar
+        # unitaries; the check must still see them when 5% of the draws are
+        def contaminated(dim, count, rng):
+            q = haar_basis_matrices(dim, count, rng)
+            q[::20] = haar_basis_matrices(dim, len(q[::20]), rng, field="real")
+            return q
+
+        monkeypatch.setattr(verify, "haar_basis_matrices", contaminated)
+        r = check_haar_moment(4, 20_000, seed=22)
+        assert not r.passed, (r.deviation, r.tolerance)
+
 
 def einsum_haar_moment(dim, num_samples, seed):
     """Reference: the moment check's max |mean - expected| and max sigma, with
@@ -225,7 +251,7 @@ def einsum_haar_moment(dim, num_samples, seed):
 
 # dim 4 at 5000 samples is two chunks, 4096 samples and 904
 @pytest.mark.parametrize(("dim", "num_samples"),
-                         [(2, 100), (2, 5000), (3, 100), (3, 5000), (4, 5000)])
+                         [(2, 100), (2, 5000), (3, 100), (3, 5000), (4, 5000), (5, 500)])
 def test_haar_moment_matches_einsum_reference(dim, num_samples):
     r = check_haar_moment(dim, num_samples, seed=dim + num_samples)
     ref_dev, ref_sigma = einsum_haar_moment(dim, num_samples, seed=dim + num_samples)
@@ -233,16 +259,19 @@ def test_haar_moment_matches_einsum_reference(dim, num_samples):
     assert abs(r.deviation - ref_sigma) <= 1e-9 * ref_sigma
 
 
-def test_haar_moment_peak_memory():
-    # one chunk of 4096 samples at d=4: the packed 10 x 10 block per sample
-    # bounds the peak, where the full 16 x 16 block took 25 MB
+@pytest.mark.parametrize(("dim", "num_samples", "bound"), [(4, 4096, 16e6), (32, 100, 100e6)])
+def test_haar_moment_peak_memory(dim, num_samples, bound):
+    # d=4, one chunk of 4096 samples: the packed 10 x 10 block per sample
+    # bounds the peak, where the full 16 x 16 block took 25 MB.  d=32: the
+    # chunk is bounded by its packed 528 x 528 blocks and the moment is
+    # compared packed, where expanding it to d^4 entries took 451 MB
     tracemalloc.start()
     try:
-        check_haar_moment(4, 4096, 3)
+        check_haar_moment(dim, num_samples, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16e6
+    assert peak <= bound
 
 
 class TestCheckBasisIndependence:
