@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -31,6 +30,7 @@ from .reconstruct import (
     transition_matrix,
 )
 from .serialize import (
+    _encode,
     dump_json,
     load_json,
     matrix_from_json,
@@ -142,7 +142,7 @@ def cmd_reconstruct(args) -> int:
         print(f"{report.method}: {report.query_count} queries, "
               f"residual {report.residual:.3e} -> {args.out}")
     else:
-        print(json.dumps(report.to_json(), indent=2))
+        print(_encode(report.to_json()))
     return EXIT_OK
 
 
@@ -184,13 +184,14 @@ def cmd_verify(args) -> int:
     raw = matrix_from_json(load_json(args.infile)) if args.infile else None
     d = args.dim if raw is None else raw.shape[0]
     reports = [check(args, raw, d) for check, _ in entries]
+    payload = [r.to_json() for r in reports]
+    text = _encode(payload)  # before any output, so a report JSON cannot hold prints none
     width = max(len(r.check) for r in reports)
     for r in reports:
         status = "ok  " if r.passed else "FAIL"
         print(f"{r.check:<{width}}  {status}  deviation={r.deviation:.3e}  "
               f"tolerance={r.tolerance:.3e}")
-    payload = [r.to_json() for r in reports]
-    print(json.dumps(payload))
+    print(text)
     if args.out:
         dump_json(payload, args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK

@@ -171,18 +171,16 @@ def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> n
     return rows
 
 
-def _polarization_report(
-    method: str, oracle: ValuationOracle, basis: OrthonormalBasis
-) -> ReconstructionReport:
-    """The explicit construction shared by every explicit-family route.
+def _polarization_estimate(oracle: ValuationOracle, basis: OrthonormalBasis) -> np.ndarray:
+    """The raw estimate of the explicit construction shared by every
+    explicit-family route; 1, with no query, in one dimension.
 
     A pair's probes have squared norm 2 before normalization, so f = 2 v."""
     d = basis.dim
     if d != oracle.dim:
         raise ValueError(f"basis dim {d} != oracle dim {oracle.dim}")
     if d == 1:
-        return _trivial_report(method)
-    before = oracle.query_count
+        return np.ones((1, 1), dtype=np.complex128)
     vals = oracle.query_batch(explicit_query_vectors(basis, oracle.field))
     w = polarize(2 * vals[d:], oracle.field)
     j, k = _pairs(d)
@@ -190,7 +188,15 @@ def _polarization_report(
     m[j, k] = w
     m[k, j] = np.conj(w)
     b = basis.matrix
-    return _finish(method, b @ m @ b.conj().T, oracle.query_count - before)
+    return b @ m @ b.conj().T
+
+
+def _polarization_report(
+    method: str, oracle: ValuationOracle, basis: OrthonormalBasis
+) -> ReconstructionReport:
+    before = oracle.query_count
+    estimate = _polarization_estimate(oracle, basis)
+    return _finish(method, estimate, oracle.query_count - before)
 
 
 def explicit_reconstruct(

@@ -3,13 +3,15 @@
 A matrix is ``{"dim": d, "re": [[...]], "im": [[...]]}`` with row-major
 d-by-d arrays; a vector is the same with flat length-d arrays.  A
 tabulated oracle is a JSON list of ``{"vector": {...}, "value": p}``
-records.  All loaders raise ``ValueError`` on malformed input so callers
-can map them to a parse-error exit code.
+records.  All loaders take JSON numbers only (no booleans or strings) and
+raise ``ValueError`` on malformed input so callers can map them to a
+parse-error exit code.  Outputs are one line of compact, strict JSON.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +37,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"matrix JSON missing or malformed field: {exc}") from exc
+    if not obj.keys() >= {"dim", "re", "im"}:
+        raise ValueError("matrix JSON needs the fields dim, re and im")
+    dim = obj["dim"]
+    if type(dim) is not int:  # a bool is an int, but not a JSON number
+        raise ValueError("matrix JSON dim must be an integer")
+    re = _json_array(obj["re"], float, 2, "matrix JSON re")
+    im = _json_array(obj["im"], float, 2, "matrix JSON im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"matrix JSON arrays are not of shape {(dim, dim)}")
     return _square(re + 1j * im, "matrix")  # rejects non-finite entries
@@ -62,15 +65,17 @@ def oracle_table_to_json(vectors: np.ndarray, values: np.ndarray) -> list:
     ]
 
 
-def _table_field(items: list, dtype: type, ndim: int, what: str) -> np.ndarray:
-    """One field of every table record as an array of ``ndim`` dimensions."""
+def _json_array(items: list, dtype: type, ndim: int, what: str) -> np.ndarray:
+    """A list (of lists when ``ndim`` is 2) of finite JSON ints, or for a float
+    ``dtype`` ints and floats, as an array; its entry types are read in one pass."""
     try:
+        kinds = set(map(type, chain.from_iterable(items) if ndim == 2 else items))
         arr = np.asarray(items, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"oracle table {what} malformed: {exc}") from exc
-    if arr.ndim != ndim or not np.isfinite(arr).all():
-        kind = "list of numbers" if ndim == 2 else "number"
-        raise ValueError(f"oracle table {what} malformed: need one finite {kind} per record")
+        raise ValueError(f"{what} malformed: {exc}") from exc
+    kind = "integers" if dtype is int else "numbers"
+    if not kinds <= {int, dtype} or arr.ndim != ndim or not np.isfinite(arr).all():
+        raise ValueError(f"{what} malformed: need {ndim}-d finite JSON {kind}")
     return arr
 
 
@@ -86,15 +91,15 @@ def oracle_table_from_json(obj: list) -> tuple[np.ndarray, np.ndarray]:
         ):
             raise ValueError(f"oracle table record {i} malformed")
     vecs = [rec["vector"] for rec in obj]
-    dims = _table_field([v["dim"] for v in vecs], int, 1, "dim")
+    dims = _json_array([v["dim"] for v in vecs], int, 1, "oracle table dim")
     if np.any(dims != dims[0]):
         raise ValueError("oracle table vectors have mixed dimensions")
-    re = _table_field([v["re"] for v in vecs], float, 2, "re")
-    im = _table_field([v["im"] for v in vecs], float, 2, "im")
+    re = _json_array([v["re"] for v in vecs], float, 2, "oracle table re")
+    im = _json_array([v["im"] for v in vecs], float, 2, "oracle table im")
     shape = (len(obj), int(dims[0]))
     if re.shape != shape or im.shape != shape:
         raise ValueError(f"oracle table vector arrays are not of shape {shape[1:]}")
-    values = _table_field([rec["value"] for rec in obj], float, 1, "value")
+    values = _json_array([rec["value"] for rec in obj], float, 1, "oracle table value")
     return re + 1j * im, values
 
 
@@ -106,7 +111,14 @@ def load_json(path: str | Path):
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _encode(obj) -> str:
+    """One line of compact, strict JSON: NaN or infinity is a ``ValueError``."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
 def dump_json(obj, path: str | Path) -> None:
+    """Write ``_encode(obj)`` and a newline to ``path``, encoding before the file
+    is opened, so an object that cannot be encoded leaves the file as it was."""
+    text = _encode(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

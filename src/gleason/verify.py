@@ -23,7 +23,7 @@ from .hilbert import (
     _square,
     haar_basis_matrices,
 )
-from .reconstruct import TransitionMatrix, _stochastic_deviations, explicit_reconstruct
+from .reconstruct import TransitionMatrix, _polarization_estimate, _stochastic_deviations
 from .valuation import ValuationOracle
 
 __all__ = [
@@ -226,17 +226,20 @@ def check_basis_independence(
 ) -> CheckReport:
     """Explicit reconstructions from different bases must agree.
 
-    Runs the explicit route in ``num_bases`` Haar-random bases and reports
-    the maximum pairwise Frobenius distance between the raw estimates.
+    Runs the explicit route's construction, without its PSD repair, in
+    ``num_bases`` Haar-random bases and reports the maximum pairwise
+    Frobenius distance between the raw estimates of a complex-mode oracle.
     Exact oracles pass at 1e-10; shot-noise oracles are expected to fail
     this gate (useful as a negative control).
     """
     _at_least(num_bases, 2, "num_bases")
     _at_least(tol, 0, "tol")
+    if oracle.field != "complex":
+        raise ValueError("check_basis_independence needs a complex-mode oracle")
     d = oracle.dim
     rng = np.random.default_rng(seed)
     estimates = [
-        explicit_reconstruct(oracle, OrthonormalBasis(m)).estimate
+        _polarization_estimate(oracle, OrthonormalBasis(m))
         for m in haar_basis_matrices(d, num_bases, rng)
     ]
     worst = max(float(np.linalg.norm(a - b)) for a, b in combinations(estimates, 2))

@@ -17,7 +17,7 @@ import pytest
 
 from gleason import cli
 from gleason.hilbert import random_density_matrix, standard_basis
-from gleason.reconstruct import explicit_query_vectors
+from gleason.reconstruct import explicit_query_vectors, explicit_reconstruct
 from gleason.serialize import (
     dump_json,
     matrix_from_json,
@@ -312,6 +312,79 @@ class TestCompare:
 
     def test_usage_error_without_args(self):
         assert run_module("compare").returncode == 2
+
+
+def _strict(text):
+    """``text`` parsed as strict JSON: a NaN or infinity literal fails the test."""
+    def refuse(name):
+        raise AssertionError(f"{name} in the JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestFileFormat:
+    def test_written_files_are_one_strict_line(self, tmp_path):
+        state, report, checks = tmp_path / "s.json", tmp_path / "r.json", tmp_path / "c.json"
+        assert run("gen", "--dim", 3, "--seed", 31, "--out", state).returncode == 0
+        result = run("reconstruct", "--method", "explicit", "--in", state, "--out", report)
+        assert result.returncode == 0
+        shown = run("reconstruct", "--method", "explicit", "--in", state)
+        verified = run("verify", "--suite", "density", "--in", state, "--out", checks)
+        assert verified.returncode == 0
+        for path in (state, report, checks):
+            text = path.read_text()
+            assert text.endswith("\n") and text.count("\n") == 1
+        # stdout carries the same line as the file
+        assert shown.stdout == report.read_text()
+        assert verified.stdout.splitlines()[-1] + "\n" == checks.read_text()
+        rho = random_density_matrix(3, 3, seed=31)
+        assert np.array_equal(matrix_from_json(_strict(state.read_text())), rho.matrix)
+        expected = explicit_reconstruct(ExactOracle(rho), standard_basis(3))
+        payload = _strict(report.read_text())
+        assert np.array_equal(matrix_from_json(payload["estimate"]), expected.estimate)
+        assert np.array_equal(matrix_from_json(payload["repaired"]), expected.repaired.matrix)
+        assert _strict(checks.read_text())[0]["pass"] is True
+
+    def test_indented_files_still_load(self, tmp_path):
+        rho = random_density_matrix(2, 2, seed=32)
+        rows = explicit_query_vectors(standard_basis(2))
+        state, table, report = tmp_path / "s.json", tmp_path / "t.json", tmp_path / "r.json"
+        state.write_text(json.dumps(matrix_to_json(rho.matrix), indent=2) + "\n")
+        records = oracle_table_to_json(rows, ExactOracle(rho).query_batch(rows))
+        table.write_text(json.dumps(records, indent=2) + "\n")
+        result = run("reconstruct", "--method", "explicit", "--in", table, "--out", report)
+        assert result.returncode == 0
+        report.write_text(json.dumps(json.loads(report.read_text()), indent=2) + "\n")
+        assert run("compare", report, state).returncode == 0
+        assert run("verify", "--suite", "density", "--in", state).returncode == 0
+
+    def test_report_json_cannot_hold_is_parse_error(self, tmp_path, monkeypatch):
+        out = tmp_path / "c.json"
+        monkeypatch.setattr(cli, "check_haar_moment",
+                            lambda *args: CheckReport("haar-moment", float("inf"), 4.0))
+        result = run("verify", "--suite", "haar-moment", "--dim", 2, "--out", out)
+        assert result.returncode == 3
+        assert result.stdout == "" and "error:" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, obj", [
+        ("explicit", {"dim": "2", "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}),
+        ("explicit", {"dim": 2, "re": [[0.5, 0], [0, "0.5"]], "im": [[0, 0], [0, 0]]}),
+        ("explicit", [{"vector": {"dim": 1, "re": [1], "im": [0]}, "value": True}]),
+        ("explicit", [{"vector": {"dim": 1, "re": [True], "im": [0]}, "value": 1}]),
+        ("additivity", {"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, False], [0, 0]]}),
+    ], ids=["string-dim", "string-entry", "bool-value", "bool-table-entry", "bool-entry"])
+    def test_non_numbers_are_parse_errors_without_queries(self, tmp_path, monkeypatch,
+                                                         method, obj):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        if method == "additivity":
+            result = run("verify", "--suite", "additivity", "--in", path)
+        else:
+            result = run("reconstruct", "--method", method, "--in", path)
+        assert result.returncode == 3
+        assert result.stdout == "" and "error:" in result.stderr and "JSON" in result.stderr
 
 
 class TestDispatch:

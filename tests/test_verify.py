@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gleason import verify
+from gleason import reconstruct, verify
 from gleason.hilbert import (
     DensityMatrix,
+    OrthonormalBasis,
     haar_basis_matrices,
     haar_random_basis,
     random_density_matrix,
@@ -297,6 +298,26 @@ class TestCheckBasisIndependence:
         check_basis_independence(oracle, num_bases=3, seed=24)
         assert np.array_equal(before_state, oracle._state)
         assert oracle.query_count == 3 * 15
+
+    def test_estimates_match_the_explicit_route_without_repair(self, monkeypatch):
+        rho = random_density_matrix(4, 2, seed=26)
+        bases = haar_basis_matrices(4, 3, np.random.default_rng(27))
+        estimates = [explicit_reconstruct(ExactOracle(rho), OrthonormalBasis(m)).estimate
+                     for m in bases]
+        worst = max(np.linalg.norm(a - b) for i, a in enumerate(estimates)
+                    for b in estimates[i + 1:])
+        monkeypatch.setattr(reconstruct, "nearest_density_matrix",
+                            lambda m: pytest.fail("an estimate was repaired"))
+        oracle = ExactOracle(rho)
+        r = check_basis_independence(oracle, num_bases=3, seed=27)
+        assert r.deviation == worst
+        assert oracle.query_count == 3 * (2 * 4 * 4 - 4)
+
+    def test_real_oracle_rejected_before_any_query(self):
+        oracle = ExactOracle(random_density_matrix(3, 3, seed=28, field="real"), field="real")
+        with pytest.raises(ValueError, match="complex-mode"):
+            check_basis_independence(oracle, num_bases=3, seed=29)
+        assert oracle.query_count == 0
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0])
