@@ -46,7 +46,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     im = _json_array(obj["im"], float, 2, "matrix JSON im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"matrix JSON arrays are not of shape {(dim, dim)}")
-    return _square(re + 1j * im, "matrix")  # rejects non-finite entries
+    return _square(re + 1j * im, "matrix")
 
 
 def vector_to_json(v: np.ndarray) -> dict:
