@@ -190,65 +190,29 @@ class SpectralDecomposition:
     eigenprojectors: tuple[Projector, ...]
 
 
-_GS_MIN_COUNT = 256
-_GS_MAX_DIM = 8
+_HOUSEHOLDER_MIN_COUNT = 128
+_HOUSEHOLDER_MAX_DIM = 16
 
 
-def _gram_schmidt_twice(q: np.ndarray) -> np.ndarray:
-    """Q factor, in place, of every matrix in the stack ``q`` (dim, dim, count)
-    whose R has a positive real diagonal, by classical Gram-Schmidt applied twice.
-
-    The batch sits on the last axis (``q[a, j, s]``: component a of column
-    j of matrix s), so each step is one vectorized pass over the stack; p^H v
-    is taken as conj(p^T conj(v)), so only the column v is conjugated.  A
-    second projection pass makes the columns orthonormal to working
-    precision ("twice is enough": Giraud, Langou, Rozloznik & van den
-    Eshof, Numer. Math. 101, 2005).  Returns a (count, dim, dim) view.
-    """
-    for j in range(q.shape[1]):
-        v, p = q[:, j], q[:, :j]
-        for _ in range(2):
-            v -= np.einsum("aks,ks->as", p, np.einsum("aks,as->ks", p, v.conj()).conj())
-        v /= np.sqrt(np.einsum("as,as->s", v.real, v.real)
-                     + np.einsum("as,as->s", v.imag, v.imag))
-    return q.transpose(2, 0, 1)
-
-
-def _ginibre(shape: tuple[int, ...], rng: np.random.Generator, field: str,
-             axes: tuple[int, ...] | None = None) -> np.ndarray:
+def _ginibre(shape: tuple[int, ...], rng: np.random.Generator, field: str) -> np.ndarray:
     """Complex128 array of the given shape with standard normal entries, real
     parts drawn before imaginary parts, and no imaginary part when
-    ``field="real"``: a Ginibre stack for shape (count, dim, dim).  With
-    ``axes``, the draw is written straight into a C-ordered array of its
-    transpose ``np.transpose(draw, axes)``."""
+    ``field="real"``: a Ginibre stack for shape (count, dim, dim)."""
     if field not in ("complex", "real"):
         raise ValueError(f"unknown field {field!r}")
     draw = rng.standard_normal(shape)
-    view = draw.transpose(axes or range(draw.ndim))
-    out = np.zeros(view.shape, np.complex128)
-    out.real = view
+    out = np.zeros(shape, np.complex128)
+    out.real = draw
     if field == "complex":
-        rng.standard_normal(out=draw)  # refills the buffer ``view`` shows
-        out.imag = view
+        out.imag = rng.standard_normal(out=draw)
     return out
 
 
 def _haar_factor(z: np.ndarray) -> np.ndarray:
     """Q factor of every matrix in the stack ``z`` (count, dim, dim) whose R
-    has a positive real diagonal.
-
-    Stacks of at least ``_GS_MIN_COUNT`` matrices with ``dim <=
-    _GS_MAX_DIM`` are factorized by ``_gram_schmidt_twice``, where batched
-    LAPACK QR pays more per matrix than the arithmetic costs; the rest by
-    ``np.linalg.qr`` with column j multiplied by the phase of R_jj.
-    Gram-Schmidt divides each column by its positive norm, so its R already
-    has that diagonal: both return the unique Q, and the choice changes the
-    result only by rounding.  Gram-Schmidt works in place when ``z`` is a
-    view of a C-ordered batch-last (dim, dim, count) array.
-    """
-    count, dim = z.shape[:2]
-    if count >= _GS_MIN_COUNT and dim <= _GS_MAX_DIM:
-        return _gram_schmidt_twice(np.ascontiguousarray(z.transpose(1, 2, 0)))
+    has a positive real diagonal: ``np.linalg.qr`` with column j multiplied
+    by the phase of R_jj, which makes Q unique and, for a Ginibre ``z``,
+    exactly Haar rather than QR-biased (Mezzadri, arXiv:math-ph/0609050)."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
@@ -260,15 +224,44 @@ def haar_basis_matrices(
 ) -> np.ndarray:
     """Stack of ``count`` Haar-distributed unitaries, shape (count, dim, dim).
 
-    Columns are the basis vectors.  Each is the Q factor of a Ginibre
-    matrix (``_ginibre``) under the convention that R has a positive real
-    diagonal, which makes Q unique and its distribution exactly Haar rather
-    than QR-biased (Mezzadri, arXiv:math-ph/0609050); ``_haar_factor``
-    chooses Gram-Schmidt or QR by the stack's size.  Scaling the Ginibre
-    draw by a positive number leaves Q unchanged, so its entries are not
-    normalized.  ``field="real"`` draws from the orthogonal group instead.
+    Columns are the basis vectors; ``field="real"`` draws from the
+    orthogonal group instead.  A stack of fewer than
+    ``_HOUSEHOLDER_MIN_COUNT`` matrices, or with ``dim >
+    _HOUSEHOLDER_MAX_DIM``, is the ``_haar_factor`` of a Ginibre stack.  A
+    larger one is a product of Householder reflectors built from one
+    Gaussian vector x_m of each length m = 1..dim per matrix, d(d+1)/2
+    entries in place of d^2 (Stewart, SIAM J. Numer. Anal. 17, 1980;
+    Mezzadri, section 5).  From the trailing 1 x 1 phase outward, the
+    m-block's first column is u = x_m/|x_m| and its others are the
+    (m-1)-block B times the complement of u: the trailing columns of the
+    reflector H = I - tau w w^H with H e_0 = -c u, c the sign of Re u_0, in
+    the LAPACK convention of ``reconstruct._householder_complement``.  As
+    tau w = c (u_0 + c, u_1, ...), that is the rank-one update
+    [0; B] - (u_0 + c, u_1, ...)^T g with g = c (u_1, ...)^H B / conj(u_0 + c).
+    Each u is uniform on the sphere and B, Haar and independent of u,
+    absorbs the rotation of u's complement, so Q is exactly Haar, though
+    not the matrix the QR branch would give.  The stack is built in place
+    with the batch on its last axis (``q[a, j, s]``: component a of column
+    j of matrix s), so each step is a few vectorized passes; the result is
+    a view.
     """
-    return _haar_factor(_ginibre((count, dim, dim), rng, field, (1, 2, 0)).transpose(2, 0, 1))
+    if count < _HOUSEHOLDER_MIN_COUNT or dim > _HOUSEHOLDER_MAX_DIM:
+        return _haar_factor(_ginibre((count, dim, dim), rng, field))
+    q = np.zeros((dim, dim, count), np.complex128)
+    for m in range(1, dim + 1):
+        u = _ginibre((m, count), rng, field)
+        u /= np.sqrt(np.einsum("as,as->s", u.real, u.real)
+                     + np.einsum("as,as->s", u.imag, u.imag))
+        sign = np.copysign(1.0, u[0].real)
+        lead = u[0] + sign
+        block = q[dim - m :, dim - m + 1 :]
+        g = np.einsum("aks,as->ks", block[1:], u[1:].conj())
+        g *= sign / lead.conj()
+        block[0] = -lead * g
+        for a in range(1, m):  # by rows: a whole-block temporary is refaulted per call
+            block[a] -= u[a] * g
+        q[dim - m :, dim - m] = u
+    return q.transpose(2, 0, 1)
 
 
 def haar_random_basis(dim: int, seed: int, field: str = "complex") -> OrthonormalBasis:

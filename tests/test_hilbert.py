@@ -111,12 +111,12 @@ class TestHaarBasis:
         np.testing.assert_allclose(b.matrix @ b.matrix.T, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("field", ["complex", "real"])
-    @pytest.mark.parametrize("count", [1, 255, 256, 2048])
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize(("dim", "count"),
+                             [(d, c) for d in (1, 2, 3, 8, 9) for c in (1, 127)] + [(17, 128)])
     def test_stack_matches_phase_fixed_qr(self, dim, count, field):
-        # the same Ginibre draw through np.linalg.qr, with column j
-        # multiplied by the phase of R_jj: the unique Q whose R has a
-        # positive real diagonal, whichever factorization the sampler used
+        # below the crossover (fewer than 128 bases, or d > 16): the same
+        # Ginibre draw through np.linalg.qr, with column j multiplied by the
+        # phase of R_jj, the unique Q whose R has a positive real diagonal
         seed = 1000 * dim + count
         q = haar_basis_matrices(dim, count, np.random.default_rng(seed), field)
         rng = np.random.default_rng(seed)
@@ -133,9 +133,84 @@ class TestHaarBasis:
         if field == "real":
             assert not q.imag.any()
 
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("count", [128, 255, 2048])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 16])
+    def test_large_stack_matches_reflector_product(self, dim, count, field):
+        # at and above the crossover: the dense product, matrix by matrix, of
+        # the LAPACK reflectors H_m = I - tau w w^H (H_m^H u = beta e_0) built
+        # from the same draws, x_m of length m = 1..dim, real parts first:
+        # the m-block is H_m diag(beta, (m-1)-block), whose first column is u
+        seed = 1000 * dim + count
+        q = haar_basis_matrices(dim, count, np.random.default_rng(seed), field)
+        rng = np.random.default_rng(seed)
+        ref = np.ones((count, 0, 0), np.complex128)
+        for m in range(1, dim + 1):
+            x = rng.standard_normal((m, count)).astype(np.complex128)
+            if field == "complex":
+                x += 1j * rng.standard_normal((m, count))
+            u = (x / np.linalg.norm(x, axis=0)).T
+            beta = -np.copysign(1.0, u[:, 0].real)
+            w = u / (u[:, :1] - beta[:, None])
+            w[:, 0] = 1.0
+            tau = (beta - u[:, 0]) / beta
+            h = np.eye(m) - tau[:, None, None] * w[:, :, None] * w.conj()[:, None, :]
+            inner = np.zeros((count, m, m), np.complex128)
+            inner[:, 0, 0] = beta
+            inner[:, 1:, 1:] = ref
+            ref = h @ inner
+        assert q.shape == (count, dim, dim)
+        assert np.max(np.abs(q - ref)) <= 1e-12
+        gram = np.swapaxes(q, 1, 2).conj() @ q
+        assert np.max(np.abs(gram - np.eye(dim))) <= ATOL
+        if field == "real":
+            assert not q.imag.any()
+
+    @pytest.mark.parametrize("count", [1, 2048])
+    def test_unknown_field_rejected_before_any_draw(self, count):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="unknown field"):
+            haar_basis_matrices(3, count, rng, "quaternion")
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("count", [1, 127, 128, 2048])
+    def test_dim_one_is_a_phase_or_sign(self, count, field):
+        q = haar_basis_matrices(1, count, np.random.default_rng(count), field)
+        assert q.shape == (count, 1, 1)
+        assert np.max(np.abs(np.abs(q) - 1.0)) <= 1e-15
+        if field == "real":
+            assert not q.imag.any()
+            assert 0 < np.count_nonzero(q.real > 0) < count or count == 1
+
+    @pytest.mark.parametrize("count", [1, 127, 128, 2048])
+    @pytest.mark.parametrize("dim", [2, 5, 16, 17])
+    def test_real_field_has_exactly_zero_imaginary_parts(self, dim, count):
+        q = haar_basis_matrices(dim, count, np.random.default_rng(dim + count), "real")
+        assert not q.imag.any()
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_fourth_moments(self, dim, field):
+        # E|q_ij|^4 and E|q_11|^2 |q_22|^2 over the group: 2/(d(d+1)) and
+        # 1/(d^2-1) on the unitary one, 3/(d(d+2)) and (d+1)/(d(d-1)(d+2))
+        # on the orthogonal one; the first is averaged over the d^2 entries
+        # of each matrix, and each is held to 4 standard errors
+        d, n = dim, 40000
+        q = haar_basis_matrices(d, n, np.random.default_rng(31 + d), field)
+        p = np.abs(q) ** 2
+        if field == "complex":
+            expected = (2 / (d * (d + 1)), 1 / (d * d - 1))
+        else:
+            expected = (3 / (d * (d + 2)), (d + 1) / (d * (d - 1) * (d + 2)))
+        for sample, mean in zip(((p**2).mean(axis=(1, 2)), p[:, 0, 0] * p[:, 1, 1]), expected):
+            stderr = sample.std() / np.sqrt(n)
+            assert abs(sample.mean() - mean) <= 4 * stderr
+
     def test_stack_peak_memory_is_near_its_size(self):
-        # the draw is written into the batch-last array Gram-Schmidt
-        # factorizes in place; drawing, combining and copying took 3.6x
+        # the stack is built in place in its batch-last array, and each
+        # step's draw and temporaries hold one column of it
         rng = np.random.default_rng(13)
         tracemalloc.start()
         try:

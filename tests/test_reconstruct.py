@@ -497,7 +497,7 @@ def einsum_haar_average(oracle, num_bases, seed):
     return (estimate + estimate.conj().T) / 2
 
 
-# dim 8 at 4100 bases is two Gram-Schmidt chunks and a 4-basis QR tail
+# dim 8 at 4100 bases is two Householder-product chunks and a 4-basis QR tail
 @pytest.mark.parametrize(("dim", "num_bases"),
                          [(d, n) for d in (2, 3, 5) for n in (1, 17, 2500)] + [(8, 4100)])
 def test_haar_average_matches_einsum_reference(dim, num_bases):
