@@ -250,8 +250,7 @@ def haar_basis_matrices(
     q = np.zeros((dim, dim, count), np.complex128)
     for m in range(1, dim + 1):
         u = _ginibre((m, count), rng, field)
-        u /= np.sqrt(np.einsum("as,as->s", u.real, u.real)
-                     + np.einsum("as,as->s", u.imag, u.imag))
+        u /= np.linalg.norm(u, axis=0)
         sign = np.copysign(1.0, u[0].real)
         lead = u[0] + sign
         block = q[dim - m :, dim - m + 1 :]

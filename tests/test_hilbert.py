@@ -144,7 +144,7 @@ class TestHaarBasis:
         seed = 1000 * dim + count
         q = haar_basis_matrices(dim, count, np.random.default_rng(seed), field)
         rng = np.random.default_rng(seed)
-        ref = np.ones((count, 0, 0), np.complex128)
+        ref = np.empty((count, 0, 0), np.complex128)
         for m in range(1, dim + 1):
             x = rng.standard_normal((m, count)).astype(np.complex128)
             if field == "complex":
@@ -182,7 +182,6 @@ class TestHaarBasis:
         assert np.max(np.abs(np.abs(q) - 1.0)) <= 1e-15
         if field == "real":
             assert not q.imag.any()
-            assert 0 < np.count_nonzero(q.real > 0) < count or count == 1
 
     @pytest.mark.parametrize("count", [1, 127, 128, 2048])
     @pytest.mark.parametrize("dim", [2, 5, 16, 17])
@@ -210,7 +209,7 @@ class TestHaarBasis:
 
     def test_stack_peak_memory_is_near_its_size(self):
         # the stack is built in place in its batch-last array, and each
-        # step's draw and temporaries hold one column of it
+        # step's draw and temporaries are a few of its columns
         rng = np.random.default_rng(13)
         tracemalloc.start()
         try:
