@@ -17,6 +17,10 @@ its two-probe form for orthonormal pairs whose diagonals are already known,
 which the implicit route uses.  The two probe builders are the only place probe
 rows are formed; both can write into a block the caller owns.  ``_born`` is the
 one Born-rule kernel, a BLAS product.
+
+Every oracle kernel runs over row blocks of its batch (``_by_blocks``) whose
+product holds at most ``_BLOCK_ENTRIES`` entries, so no kernel allocates
+scratch in proportion to the batch; a small batch is one block.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ from .hilbert import ATOL, DensityMatrix, UnitVector, _at_least, _is_real, _row_
 ZERO_NORM = 1e-14
 _SQRT2 = np.sqrt(2.0)
 TABLE_MATCH_TOL = 1e-9
+# Entries (rows x width) of the product an oracle kernel forms per row block.
+# 2**14 complex entries are 256 kB, which the allocator serves from heap the
+# process already holds; a product as large as the batch (1 MB for d=32's
+# explicit block) is returned to the system and first-touched again per call.
+_BLOCK_ENTRIES = 2**14
 
 __all__ = [
     "ValuationOracle",
@@ -78,12 +87,16 @@ class ValuationOracle:
         return float(self.query_batch(v.components[None, :])[0])
 
     def query_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Valuations of a stack of unit row vectors, shape (k, dim), k >= 1.
+        """Valuations of a stack of unit row vectors, shape (k, dim), k >= 1,
+        or of one row, shape (dim,).
 
         Rows may come in any memory layout; their norms (``_row_norms``) emit
         no warning on any entry.  Bad input (empty, NaN, inf, rows whose norm
-        is not 1 within ``ATOL``) is rejected uncharged."""
+        is not 1 within ``ATOL``, arrays of three or more dimensions) is
+        rejected uncharged."""
         vecs = np.atleast_2d(np.ascontiguousarray(vectors, dtype=np.complex128))
+        if vecs.ndim != 2:
+            raise ValueError(f"query batch of shape {vecs.shape}: need one row or a stack of rows")
         if vecs.shape[1] != self.dim:
             raise ValueError(f"vectors have dim {vecs.shape[1]}, oracle dim {self.dim}")
         if vecs.shape[0] == 0:
@@ -101,9 +114,27 @@ class ValuationOracle:
         raise NotImplementedError
 
 
+def _by_blocks(kernel, vecs: np.ndarray, width: int) -> np.ndarray:
+    """``kernel`` run on consecutive row blocks of ``vecs`` (k >= 1 rows), its
+    float results written into one output of length k.  The blocks are the
+    fewest of at most ``_BLOCK_ENTRIES // width`` rows (at least one), of
+    near-equal size, so no lone row is left for a last block: numpy takes a
+    one-row product through gemv, whose rounding differs from gemm's, and
+    each row's value stays bitwise the unblocked kernel's."""
+    k = len(vecs)
+    blocks = -(-k // max(1, _BLOCK_ENTRIES // width))
+    step = -(-k // blocks)
+    out = np.empty(k)
+    for first in range(0, k, step):
+        out[first : first + step] = kernel(vecs[first : first + step])
+    return out
+
+
 def _born(vecs: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Born rule <n_k|rho|n_k> of each row n_k, as one GEMM and a row-wise dot."""
-    return np.vecdot(vecs, vecs @ state.T).real
+    """Born rule <n_k|rho|n_k> of each row n_k: one GEMM and a row-wise dot per
+    row block of ``_by_blocks`` (width d)."""
+    state_t = state.T
+    return _by_blocks(lambda rows: np.vecdot(rows, rows @ state_t).real, vecs, len(state))
 
 
 def _check_hidden_state(state: DensityMatrix, field: str) -> None:
@@ -163,9 +194,11 @@ class TabulatedOracle(ValuationOracle):
 
     Lookups match rays: a query q hits the row t of largest |<t|q>| when
     min over phases of ||q - e^{i phi} t|| is within ``TABLE_MATCH_TOL``,
-    so every phase multiple of a tabulated vector returns its value.  A
-    miss raises :class:`OracleLookupError`.  Rows must be finite and of
-    unit norm within ``TABLE_MATCH_TOL``.
+    so every phase multiple of a tabulated vector returns its value.  The
+    k x T similarity matrix is formed per row block (``_by_blocks``, width
+    T, the table's row count), and blocks are scanned in order, so a miss
+    raises :class:`OracleLookupError` for the first missed row.  Rows must
+    be finite and of unit norm within ``TABLE_MATCH_TOL``.
     """
 
     def __init__(
@@ -189,7 +222,12 @@ class TabulatedOracle(ValuationOracle):
         self._vals = np.clip(values, 0.0, 1.0)
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
-        idx = np.argmax(np.abs(vecs @ self._table.conj().T), axis=1)
+        table_h = self._table.conj().T
+        return _by_blocks(lambda rows: self._lookup(rows, table_h), vecs, len(self._table))
+
+    def _lookup(self, vecs: np.ndarray, table_h: np.ndarray) -> np.ndarray:
+        """Values of one row block, given the table's conjugate transpose."""
+        idx = np.argmax(np.abs(vecs @ table_h), axis=1)
         t = self._table[idx]
         inner = np.einsum("ki,ki->k", t.conj(), vecs)
         dists = np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * t, axis=1)

@@ -14,6 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from .hilbert import (
+    _HOUSEHOLDER_MAX_DIM,
+    _HOUSEHOLDER_MIN_COUNT,
     OrthonormalBasis,
     _at_least,
     _check_orthonormal,
@@ -195,16 +197,22 @@ def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
     a, e = np.triu_indices(dim)
     total = np.zeros(a.size**2, dtype=np.complex128)
     total_sq = np.zeros(a.size**2)
-    chunk = max(1, min(num_samples, 65536 // max(1, dim**2), 2**21 // a.size**2))
+    # Bases per product block: its packed K x K products stay within 2**21
+    # entries (32 MiB) and its d x d matrices within 65536.  Bases per draw:
+    # one block, but never fewer than the Householder sampler's crossover
+    # count at the dims it serves (d=16 draws 128 bases for 113-basis blocks).
+    block = max(1, min(65536 // dim**2, 2**21 // a.size**2))
+    chunk = max(block, _HOUSEHOLDER_MIN_COUNT if dim <= _HOUSEHOLDER_MAX_DIM else 1)
     for first in range(0, num_samples, chunk):
-        c = min(chunk, num_samples - first)
-        q = haar_basis_matrices(dim, c, rng)
-        s = q[:, a]  # a copy (fancy indexing), so the product is formed in it
-        s *= q[:, e]
-        x = (s @ np.swapaxes(s.conj(), 1, 2)).reshape(c, -1)
-        total += x.sum(axis=0)
-        xf = x.view(np.float64)
-        total_sq += np.einsum("sk,sk->k", xf, xf).reshape(-1, 2).sum(axis=1)
+        stack = haar_basis_matrices(dim, min(chunk, num_samples - first), rng)
+        for lo in range(0, len(stack), block):
+            q = stack[lo : lo + block]
+            s = q[:, a]  # a copy (fancy indexing), so the product is formed in it
+            s *= q[:, e]
+            x = (s @ np.swapaxes(s.conj(), 1, 2)).reshape(len(q), -1)
+            total += x.sum(axis=0)
+            xf = x.view(np.float64)
+            total_sq += np.einsum("sk,sk->k", xf, xf).reshape(-1, 2).sum(axis=1)
     mean = total / num_samples
     variance = np.maximum(total_sq / num_samples - np.abs(mean) ** 2, 0.0)
     stderr = np.sqrt(variance / num_samples)

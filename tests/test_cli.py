@@ -143,6 +143,16 @@ class TestReconstruct:
         assert result.returncode == 3
         assert "error:" in result.stderr
 
+    def test_shots_on_a_table_is_usage_error_without_queries(self, tmp_path, monkeypatch):
+        rows = explicit_query_vectors(standard_basis(2))
+        table = tmp_path / "table.json"
+        dump_json(oracle_table_to_json(rows, np.full(len(rows), 0.5)), table)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run("reconstruct", "--method", "explicit", "--in", table, "--shots", 100)
+        assert result.returncode == 2
+        assert "--shots applies to generated states" in result.stderr
+
     def test_pauli2d_wrong_dim_is_usage_error(self, tmp_path):
         state = tmp_path / "s.json"
         run("gen", "--dim", 3, "--seed", 8, "--out", state)
@@ -312,6 +322,29 @@ class TestCompare:
 
     def test_usage_error_without_args(self):
         assert run_module("compare").returncode == 2
+
+    def test_table_file_is_parse_error_without_queries(self, tmp_path, monkeypatch):
+        state, table = tmp_path / "s.json", tmp_path / "table.json"
+        run("gen", "--dim", 2, "--seed", 17, "--out", state)
+        rows = explicit_query_vectors(standard_basis(2))
+        dump_json(oracle_table_to_json(rows, np.full(len(rows), 0.5)), table)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run("compare", state, table)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "not a matrix or reconstruction report file" in result.stderr
+
+    def test_shape_mismatch_is_usage_error_without_queries(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run("gen", "--dim", 2, "--seed", 18, "--out", a)
+        run("gen", "--dim", 3, "--seed", 18, "--out", b)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run("compare", a, b)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "shape mismatch: (2, 2) vs (3, 3)" in result.stderr
 
 
 def _strict(text):

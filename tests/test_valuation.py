@@ -1,6 +1,7 @@
 """Oracle contracts, the quadratic-form extension, and polarization."""
 
 import json
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,12 +15,16 @@ from gleason.hilbert import (
     random_density_matrix,
     standard_basis,
 )
+from gleason.reconstruct import explicit_query_vectors
 from gleason.serialize import dump_json, load_json, oracle_table_from_json, oracle_table_to_json
 from gleason.valuation import (
+    _BLOCK_ENTRIES,
+    TABLE_MATCH_TOL,
     ExactOracle,
     NoisyOracle,
     OracleLookupError,
     TabulatedOracle,
+    ValuationOracle,
     _born,
     coupling_probes,
     extend,
@@ -92,6 +97,23 @@ class TestExactOracle:
         oracle = ExactOracle(random_density_matrix(2, 2, seed=5))
         with pytest.raises(ValueError, match="empty query batch"):
             oracle.query_batch(np.empty((0, 2)))
+        assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (1, 1, 3), (1, 1, 1, 3)])
+    def test_rejects_arrays_of_three_or_more_dims_without_charge(self, shape):
+        oracle = ExactOracle(random_density_matrix(3, 3, seed=5))
+        with pytest.raises(ValueError, match=rf"query batch of shape \({shape[0]}, "):
+            oracle.query_batch(np.ones(shape) / np.sqrt(3))
+        assert oracle.query_count == 0
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown field 'quaternion'"):
+            ExactOracle(random_density_matrix(2, 2, seed=5), field="quaternion")
+
+    def test_base_class_has_no_kernel_and_charges_nothing(self):
+        oracle = ValuationOracle(2)
+        with pytest.raises(NotImplementedError):
+            oracle.query_batch(np.eye(2))
         assert oracle.query_count == 0
 
     def test_real_mode_contract(self):
@@ -173,6 +195,102 @@ def test_query_batch_rejects_non_finite_rows_uncharged_and_silently(bad):
             with pytest.raises(ValueError, match="unit norm"):
                 oracle.query_batch(view)
     assert oracle.query_count == 0
+
+
+def one_shot_lookup(table, values, vecs):
+    """Reference: the tabulated lookup as one k x T similarity matrix."""
+    idx = np.argmax(np.abs(vecs @ table.conj().T), axis=1)
+    t = table[idx]
+    inner = np.einsum("ki,ki->k", t.conj(), vecs)
+    dists = np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * t, axis=1)
+    misses = ~(dists <= TABLE_MATCH_TOL)
+    if np.any(misses):
+        bad = int(np.flatnonzero(misses)[0])
+        raise OracleLookupError(f"no tabulated ray within {TABLE_MATCH_TOL} of query "
+                                f"(nearest at distance {dists[bad]:.3e})")
+    return values[idx]
+
+
+class TestBlockedKernels:
+    """The oracle kernels run over row blocks of at most
+    ``_BLOCK_ENTRIES // width`` rows; at and around every block edge they give
+    the one-shot formula's values bit for bit."""
+
+    D = 8
+    T = 200  # table rows: 81 rows per block
+
+    @staticmethod
+    def batch_sizes(width):
+        step = _BLOCK_ENTRIES // width
+        return [step - 1, step, step + 1, 3 * step + 5]
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_exact_and_noisy_match_one_shot_born(self, field):
+        rho = random_density_matrix(self.D, self.D, seed=60, field=field)
+        rng = np.random.default_rng(61)
+        for k in self.batch_sizes(self.D):
+            vecs = unit_rows(rng, k, self.D, field)
+            born = np.vecdot(vecs, vecs @ rho.matrix.T).real.clip(0.0, 1.0)
+            assert np.array_equal(ExactOracle(rho, field=field).query_batch(vecs), born)
+            noisy = NoisyOracle(rho, shots=500, seed=k, field=field)
+            draws = np.random.default_rng(k).binomial(500, born) / 500
+            assert np.array_equal(noisy.query_batch(vecs), draws)
+            assert noisy.query_count == k
+
+    def make_table(self):
+        table = unit_rows(np.random.default_rng(62), self.T, self.D, "complex")
+        return table, np.random.default_rng(63).random(self.T)
+
+    def test_tabulated_matches_one_shot_lookup(self):
+        table, values = self.make_table()
+        rng = np.random.default_rng(64)
+        for k in self.batch_sizes(self.T):
+            pick = rng.integers(0, self.T, k)
+            vecs = table[pick] * np.exp(1j * rng.uniform(0, 2 * np.pi, k))[:, None]
+            oracle = TabulatedOracle(table, values)
+            got = oracle.query_batch(vecs)
+            assert np.array_equal(got, one_shot_lookup(table, values, vecs))
+            assert np.array_equal(got, values[pick])
+            assert oracle.query_count == k
+
+    def test_miss_in_a_later_block_raises_the_first_miss_uncharged(self):
+        table, values = self.make_table()
+        step = _BLOCK_ENTRIES // self.T
+        vecs = np.resize(table, (3 * step + 5, self.D))
+        strays = unit_rows(np.random.default_rng(65), 2, self.D, "complex")
+        vecs[step + 7], vecs[2 * step + 1] = strays  # misses in the second and third blocks
+        with pytest.raises(OracleLookupError) as ref:
+            one_shot_lookup(table, values, vecs)
+        oracle = TabulatedOracle(table, values)
+        with pytest.raises(OracleLookupError) as got:
+            oracle.query_batch(vecs)
+        assert str(got.value) == str(ref.value)
+        assert oracle.query_count == 0
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_born_kernel_peak_is_bounded_on_the_d32_explicit_block():
+    # the 2016 x 32 block's one-shot `vecs @ state.T` product alone is 1.03 MB
+    oracle = ExactOracle(random_density_matrix(32, 32, seed=66))
+    rows = explicit_query_vectors(haar_random_basis(32, 67))
+    assert traced_peak(lambda: oracle.query_batch(rows)) <= 0.5e6
+
+
+def test_table_lookup_peak_is_bounded_on_a_496_row_table():
+    # one-shot, the 496 x 496 similarity matrix and its modulus took 5.9 MB
+    rho = random_density_matrix(16, 16, seed=68)
+    rows = explicit_query_vectors(haar_random_basis(16, 69))
+    oracle = TabulatedOracle(rows, ExactOracle(rho).query_batch(rows))
+    queries = np.ascontiguousarray(rows[::-1] * 1j)
+    assert traced_peak(lambda: oracle.query_batch(queries)) <= 1e6
 
 
 def stacked_pair_probes(x, y, field):
@@ -329,6 +447,16 @@ class TestSesquilinear:
             extend(oracle, np.array([np.nan, 0, 0]))
         assert oracle.query_count == 0
 
+    def test_rejects_mismatched_dims_without_charge(self):
+        oracle = ExactOracle(random_density_matrix(3, 3, seed=23))
+        with pytest.raises(ValueError, match="same dimension"):
+            sesquilinear(oracle, e(0, 3), e(1, 4))
+        with pytest.raises(ValueError, match="vector dim 4 != oracle dim 3"):
+            sesquilinear(oracle, e(0, 4), e(1, 4))
+        with pytest.raises(ValueError, match="vector dim 2 != oracle dim 3"):
+            extend(oracle, e(0, 2))
+        assert oracle.query_count == 0
+
 
 class TestSubspaceMeasure:
     """The valuation of a subspace, by additivity: the sum of the ray values of
@@ -436,6 +564,11 @@ class TestTabulatedOracle:
             TabulatedOracle([[np.inf, 0.0], [0.0, 1.0]], [0.9, 0.1])
         with pytest.raises(ValueError):
             TabulatedOracle([[1.1, 0.0], [0.0, 1.0]], [0.9, 0.1])
+
+    def test_rejects_one_value_short(self):
+        vectors, values = self.make_table()
+        with pytest.raises(ValueError, match="one value per vector"):
+            TabulatedOracle(vectors, values[:-1])
 
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError, match="empty table"):

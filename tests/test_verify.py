@@ -275,6 +275,23 @@ def test_haar_moment_peak_memory(dim, num_samples, bound):
     assert peak <= bound
 
 
+@pytest.mark.parametrize(("dim", "draws"), [(15, [145, 145, 10]), (16, [128, 128, 44])])
+def test_haar_moment_draws_stacks_at_the_sampler_crossover(monkeypatch, dim, draws):
+    # at d=16 the packed product bounds a block to 113 bases, below the
+    # Householder sampler's 128-basis crossover, so the draws are 128 bases
+    # each and the blocks split them; at d=15 the block is 145 bases already
+    counts = []
+
+    def spy(dim, count, rng, field="complex"):
+        counts.append(count)
+        return haar_basis_matrices(dim, count, rng, field)
+
+    monkeypatch.setattr(verify, "haar_basis_matrices", spy)
+    r = check_haar_moment(dim, 300, seed=dim)
+    assert counts == draws
+    assert r.passed, (r.deviation, r.tolerance)
+
+
 class TestCheckBasisIndependence:
     def test_exact_oracle_passes(self):
         oracle = ExactOracle(random_density_matrix(3, 3, seed=17))
