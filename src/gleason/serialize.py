@@ -21,7 +21,6 @@ from .hilbert import _square
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
-    "vector_to_json",
     "oracle_table_to_json",
     "oracle_table_from_json",
     "load_json",
@@ -49,18 +48,14 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return _square(re + 1j * im, "matrix")
 
 
-def vector_to_json(v: np.ndarray) -> dict:
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return {"dim": v.size, "re": v.real.tolist(), "im": v.imag.tolist()}
-
-
 def oracle_table_to_json(vectors: np.ndarray, values: np.ndarray) -> list:
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
     values = np.asarray(values, dtype=float).reshape(-1)
     if vectors.shape[0] != values.size:
         raise ValueError("one value per vector required")
     return [
-        {"vector": vector_to_json(vec), "value": float(val)}
+        {"vector": {"dim": vec.size, "re": vec.real.tolist(), "im": vec.imag.tolist()},
+         "value": float(val)}
         for vec, val in zip(vectors, values)
     ]
 

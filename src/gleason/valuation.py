@@ -1,22 +1,21 @@
-"""Ray-valuation oracles and the quadratic-form machinery built on them.
+"""Ray-valuation oracles and the polarization identity built on them.
 
 A valuation assigns a probability to every ray of the Hilbert space,
 additively over orthogonal decompositions and normalized so any full
 orthonormal basis sums to 1.  Oracles expose only ray queries; subspace
-values are obtained by additivity.  The extension ``f`` of a valuation to
-non-unit vectors, and the polarization identity recovering a sesquilinear
-form from it, are what the explicit reconstruction routes consume:
+values are obtained by additivity.  With f(x) = ||x||^2 v(x/||x||) on
+non-unit vectors, polarization recovers the matrix elements of rho, which is
+what the explicit reconstruction routes consume:
 
-    f(x)       = ||x||^2 v(x / ||x||)
     <x|rho|y>  = [f(x+y) - f(x-y)]/4 - i [f(x+iy) - f(x-iy)]/4
 
 with the imaginary bracket dropped on real Hilbert spaces.  ``pair_probes``
-and ``polarize`` implement this identity once, for ``sesquilinear`` and for
-every explicit route; ``coupling_probes`` and ``known_diagonal_coupling`` are
-its two-probe form for orthonormal pairs whose diagonals are already known,
-which the implicit route uses.  The two probe builders are the only place probe
-rows are formed; both can write into a block the caller owns.  ``_born`` is the
-one Born-rule kernel, a BLAS product.
+and ``polarize`` implement this identity once, for every explicit route;
+``coupling_probes`` and ``known_diagonal_coupling`` are its two-probe form
+for orthonormal pairs whose diagonals are already known, which the implicit
+route uses.  The two probe builders are the only place probe rows are
+formed, always into a block the caller owns.  ``_born`` is the one
+Born-rule kernel, a BLAS product.
 
 Every oracle kernel runs over row blocks of its batch (``_by_blocks``) whose
 product holds at most ``_BLOCK_ENTRIES`` entries, so no kernel allocates
@@ -31,7 +30,6 @@ import numpy as np
 
 from .hilbert import ATOL, DensityMatrix, UnitVector, _at_least, _is_real, _row_norms
 
-ZERO_NORM = 1e-14
 _SQRT2 = np.sqrt(2.0)
 TABLE_MATCH_TOL = 1e-9
 # Entries (rows x width) of the product an oracle kernel forms per row block.
@@ -46,8 +44,6 @@ __all__ = [
     "NoisyOracle",
     "TabulatedOracle",
     "OracleLookupError",
-    "extend",
-    "sesquilinear",
 ]
 
 
@@ -241,46 +237,32 @@ class TabulatedOracle(ValuationOracle):
         return self._vals[idx]
 
 
-def _probe_slots(x: np.ndarray, y: np.ndarray, field: str, per_pair: int,
-                 out: np.ndarray | None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The block for ``per_pair`` probe rows per row pair (``out``, or a new
-    array when None) and the strided view of each of its row slots."""
-    if out is None:
-        p, d = y.shape
-        out = np.empty((per_pair * p, d), np.result_type(x, y, 1j if field == "complex" else 1.0))
-    return out, [out[s::per_pair] for s in range(per_pair)]
-
-
-def pair_probes(x: np.ndarray, y: np.ndarray, field: str,
-                out: np.ndarray | None = None) -> np.ndarray:
+def pair_probes(x: np.ndarray, y: np.ndarray, field: str, out: np.ndarray) -> np.ndarray:
     """Probe rows x+y, x-y (and x+iy, x-iy in complex mode) of each stacked
     row pair (x_p, y_p) in turn: shape (4p, d), or (2p, d) in real mode.
 
     ``y`` is a (p, d) stack, possibly empty, and ``x`` one row or p rows.
-    The rows are written into ``out``, a block of exactly that shape, when
-    given, else into a new array; the block is returned."""
-    complex_ = field == "complex"
-    out, slots = _probe_slots(x, y, field, 4 if complex_ else 2, out)
-    np.add(x, y, out=slots[0])
-    np.subtract(x, y, out=slots[1])
-    if complex_:
-        iy = np.multiply(y, 1j, out=slots[3])
-        np.add(x, iy, out=slots[2])
-        np.subtract(x, iy, out=slots[3])
+    The rows are written into ``out``, a block of exactly that shape, which
+    is returned."""
+    per_pair = 4 if field == "complex" else 2
+    np.add(x, y, out=out[0::per_pair])
+    np.subtract(x, y, out=out[1::per_pair])
+    if per_pair == 4:
+        iy = np.multiply(y, 1j, out=out[3::4])
+        np.add(x, iy, out=out[2::4])
+        np.subtract(x, iy, out=out[3::4])
     return out
 
 
-def coupling_probes(x: np.ndarray, y: np.ndarray, field: str,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def coupling_probes(x: np.ndarray, y: np.ndarray, field: str, out: np.ndarray) -> np.ndarray:
     """Unit probe rows (x_p+y_p)/sqrt2 and, in complex mode, (x_p+iy_p)/sqrt2
     of each orthonormal row pair in turn, which ``known_diagonal_coupling``
     consumes: shape (2p, d), or (p, d) in real mode.  Broadcasting and
     ``out`` work as in ``pair_probes``."""
-    complex_ = field == "complex"
-    out, slots = _probe_slots(x, y, field, 2 if complex_ else 1, out)
-    np.add(x, y, out=slots[0])
-    if complex_:
-        np.add(x, np.multiply(y, 1j, out=slots[1]), out=slots[1])
+    per_pair = 2 if field == "complex" else 1
+    np.add(x, y, out=out[0::per_pair])
+    if per_pair == 2:
+        np.add(x, np.multiply(y, 1j, out=out[1::2]), out=out[1::2])
     out /= _SQRT2
     return out
 
@@ -302,42 +284,3 @@ def known_diagonal_coupling(vx, vy, v: np.ndarray, field: str) -> np.ndarray:
     avg = (vx + vy) / 2
     re = v[:, 0] - avg
     return re + 1j * (avg - v[:, 1]) if field == "complex" else re
-
-
-def _extend_rows(oracle: ValuationOracle, rows: np.ndarray) -> np.ndarray:
-    """f on each row in one ``query_batch``; rows of norm below ZERO_NORM cost nothing."""
-    if rows.shape[1] != oracle.dim:
-        raise ValueError(f"vector dim {rows.shape[1]} != oracle dim {oracle.dim}")
-    norms = _row_norms(rows)
-    if not np.isfinite(norms).all():
-        raise ValueError("vectors must be finite, with a squared norm that does not overflow")
-    live = norms >= ZERO_NORM
-    f = np.zeros(rows.shape[0])
-    if live.any():
-        n = norms[live]
-        f[live] = n**2 * oracle.query_batch(rows[live] / n[:, None])
-    return f
-
-
-def extend(oracle: ValuationOracle, x: np.ndarray) -> float:
-    """Quadratic-form extension f(x) = ||x||^2 v(x/||x||), with f(0) = 0."""
-    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    return float(_extend_rows(oracle, x)[0])
-
-
-def sesquilinear(oracle: ValuationOracle, x: np.ndarray, y: np.ndarray) -> complex:
-    """Recover <x|rho|y> from quadratic-form evaluations by polarization.
-
-    Complex mode uses the four probes x+y, x-y, x+iy, x-iy; real mode
-    uses only the first two (the form is then symmetric and real).  All
-    probes go out in one ``query_batch``.
-    """
-    x = np.asarray(x, dtype=np.complex128).reshape(1, -1)
-    y = np.asarray(y, dtype=np.complex128).reshape(1, -1)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have the same dimension")
-    if not np.isfinite(_row_norms(np.vstack([x, y]))).all():  # before x +/- y can overflow
-        raise ValueError("vectors must be finite, with a squared norm that does not overflow")
-    f = _extend_rows(oracle, pair_probes(x, y, oracle.field))
-    return complex(polarize(f, oracle.field)[0])
-

@@ -63,6 +63,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             Projector(np.diag([0.5, 0.5]))
 
+    def test_projector_rejects_non_integer_trace_within_idempotence_tolerance(self):
+        # P+ + eps*I with P+- the eigenprojectors of the Sylvester Hadamard
+        # matrix H4: exactly symmetric, M @ M - M = eps*H4/2 + eps**2*I is
+        # 7.5e-13 <= ATOL, but the trace 2 + 4*eps is 6e-12 > 4*ATOL off
+        h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+        h4 = np.kron(h2, h2)
+        p_plus, p_minus = (np.eye(4) + h4 / 2) / 2, (np.eye(4) - h4 / 2) / 2
+        eps = 1.5e-12
+        with pytest.raises(ValueError, match="is not an integer"):
+            Projector((1 + eps) * p_plus + eps * p_minus)
+
     # P @ P overflows to inf, or to inf - inf = NaN; either fails the check,
     # with no overflow warning before it
     @pytest.mark.parametrize("m", [[[1e308, 0.0], [0.0, 0.0]], [[1e308, 1e308], [1e308, -1e308]]])

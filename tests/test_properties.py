@@ -36,8 +36,6 @@ from gleason.valuation import (
     NoisyOracle,
     TabulatedOracle,
     ValuationOracle,
-    extend,
-    sesquilinear,
 )
 from gleason.verify import (
     check_additivity,
@@ -163,8 +161,6 @@ def test_empty_matrix_is_rejected(boundary):
 # each takes a finite row whose squared norm overflows, and an oracle to charge
 HUGE_ROW = {
     "UnitVector": lambda oracle, x: UnitVector(x),
-    "extend": extend,
-    "sesquilinear": lambda oracle, x: sesquilinear(oracle, x, [0.0, 1.0, 0.0]),
     "TabulatedOracle": lambda oracle, x: TabulatedOracle(x[None], [0.5]),
 }
 
@@ -176,18 +172,6 @@ def test_row_whose_squared_norm_overflows_is_rejected_silently(boundary):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             HUGE_ROW[boundary](oracle, np.array([1e200, 0.0, 0.0]))
-    assert oracle.query_count == 0
-
-
-def test_sesquilinear_rejects_huge_rows_before_forming_probes():
-    # x + x would overflow to inf while forming the probes
-    oracle = ExactOracle(DensityMatrix(np.eye(3) / 3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError):
-            sesquilinear(oracle, [1e308, 0.0, 0.0], [1e308, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            sesquilinear(oracle, [0.0, 1.0, 0.0], [-1e308, 0.0, 0.0])
     assert oracle.query_count == 0
 
 

@@ -12,7 +12,6 @@ from gleason.serialize import (
     matrix_to_json,
     oracle_table_from_json,
     oracle_table_to_json,
-    vector_to_json,
 )
 
 
@@ -25,7 +24,7 @@ def test_matrix_round_trip():
 
 def test_vector_round_trip():
     v = np.array([0.5, -0.25 + 1j, 0.0])
-    vectors, _ = oracle_table_from_json([{"vector": vector_to_json(v), "value": 0.5}])
+    vectors, _ = oracle_table_from_json(oracle_table_to_json(v, [0.5]))
     assert np.array_equal(vectors[0], v)
 
 
@@ -72,8 +71,8 @@ def test_oracle_table_round_trip():
 
 def test_oracle_table_rejects_mixed_dims():
     records = [
-        {"vector": vector_to_json(np.ones(2) / np.sqrt(2)), "value": 0.5},
-        {"vector": vector_to_json(np.ones(3) / np.sqrt(3)), "value": 0.5},
+        *oracle_table_to_json(np.ones(2) / np.sqrt(2), [0.5]),
+        *oracle_table_to_json(np.ones(3) / np.sqrt(3), [0.5]),
     ]
     with pytest.raises(ValueError):
         oracle_table_from_json(records)

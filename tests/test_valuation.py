@@ -1,4 +1,4 @@
-"""Oracle contracts, the quadratic-form extension, and polarization."""
+"""Oracle contracts and the polarization probe builders."""
 
 import json
 import tracemalloc
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gleason.hilbert import (
-    DensityMatrix,
     UnitVector,
     haar_random_basis,
     random_density_matrix,
@@ -27,10 +26,8 @@ from gleason.valuation import (
     ValuationOracle,
     _born,
     coupling_probes,
-    extend,
     known_diagonal_coupling,
     pair_probes,
-    sesquilinear,
 )
 
 
@@ -311,13 +308,12 @@ def test_probe_builders_match_stack_reference_bitwise(dim, field):
     got = pair_probes(x, y, field, out=out)
     assert got is out and np.isnan(block[:2]).all()
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-    assert pair_probes(x, y, field).tobytes() == ref.tobytes()
     # one row x against a stack, as the implicit route pairs u with each w_l,
     # and against an empty stack
     x0 = b[:, :1].T
     for ys in (b.T[1:], b.T[:0]):
         ref = stacked_pair_probes(np.broadcast_to(x0, ys.shape), ys, field)
-        got = pair_probes(x0, ys, field)
+        got = pair_probes(x0, ys, field, out=np.empty_like(ref))
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         half = ref[::2] / np.sqrt(2)
         block = np.empty_like(half)
@@ -325,137 +321,18 @@ def test_probe_builders_match_stack_reference_bitwise(dim, field):
         assert got is block and got.shape == half.shape and got.tobytes() == half.tobytes()
 
 
-class TestExtend:
-    def setup_method(self):
-        self.rho = random_density_matrix(3, 3, seed=10)
-        self.oracle = ExactOracle(self.rho)
-
-    def test_unit_vector_unchanged(self):
-        x = e(1, 3)
-        assert abs(extend(self.oracle, x) - self.oracle.query(UnitVector(x))) < 1e-14
-
-    def test_doubled_basis_vector_scales_by_four(self):
-        v1 = float(self.rho.matrix[0, 0].real)
-        assert abs(extend(self.oracle, 2 * e(0, 3)) - 4 * v1) < 1e-13
-
-    def test_zero_vector_is_zero(self):
-        assert extend(self.oracle, np.zeros(3)) == 0.0
-
-    def test_quadratic_scaling(self):
-        rng = np.random.default_rng(11)
-        x = random_vec(rng, 3)
-        c = 1.7 - 0.3j
-        assert abs(extend(self.oracle, c * x) - abs(c) ** 2 * extend(self.oracle, x)) < 1e-12
-
-
-class TestSesquilinear:
-    def test_collapses_on_diagonal(self):
-        oracle = ExactOracle(random_density_matrix(3, 3, seed=12))
-        rng = np.random.default_rng(13)
-        x = random_vec(rng, 3)
-        val = sesquilinear(oracle, x, x)
-        assert abs(val.imag) < 1e-12
-        assert abs(val.real - extend(oracle, x)) < 1e-12
-
-    def test_orthogonal_args_on_maximally_mixed(self):
-        d = 4
-        oracle = ExactOracle(DensityMatrix(np.eye(d) / d))
-        x, y = e(0, d), e(2, d)
-        # direct evaluation: <x| (I/d) |y> = <x|y>/d = 0
-        direct = complex(x.conj() @ (np.eye(d) / d) @ y)
-        assert direct == 0
-        assert abs(sesquilinear(oracle, x, y) - direct) < 1e-13
-
-    def test_matches_matrix_element_brute_force(self):
-        rho = random_density_matrix(3, 3, seed=14)
-        oracle = ExactOracle(rho)
-        rng = np.random.default_rng(15)
-        for _ in range(10):
-            x, y = random_vec(rng, 3), random_vec(rng, 3)
-            direct = complex(x.conj() @ rho.matrix @ y)
-            assert abs(sesquilinear(oracle, x, y) - direct) < 1e-12
-
-    def test_bilinear_form_laws(self):
-        oracle = ExactOracle(random_density_matrix(4, 4, seed=16))
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            x, y = random_vec(rng, 4), random_vec(rng, 4)
-            a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
-            lhs = sesquilinear(oracle, a * x, b * y)
-            rhs = np.conj(a) * b * sesquilinear(oracle, x, y)
-            assert abs(lhs - rhs) < 1e-11
-            assert abs(sesquilinear(oracle, x, y) - np.conj(sesquilinear(oracle, y, x))) < 1e-12
-            y2 = random_vec(rng, 4)
-            additive = sesquilinear(oracle, x, y + y2)
-            split = sesquilinear(oracle, x, y) + sesquilinear(oracle, x, y2)
-            assert abs(additive - split) < 1e-11
-
-    @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_known_diagonal_coupling_matches_matrix_elements(self, field):
-        rho = random_density_matrix(5, 5, seed=18, field=field)
-        oracle = ExactOracle(rho, field=field)
-        b = haar_random_basis(5, seed=19, field=field).matrix.T  # orthonormal rows
-        x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
-        half = coupling_probes(x, y, field)
-        got = known_diagonal_coupling(
-            oracle.query_batch(x), oracle.query_batch(y), oracle.query_batch(half), field
-        )
-        direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
-        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
-
-    def test_real_mode_drops_imaginary_bracket(self):
-        rho = random_density_matrix(3, 3, seed=18, field="real")
-        oracle = ExactOracle(rho, field="real")
-        rng = np.random.default_rng(19)
-        x, y = random_vec(rng, 3, real=True), random_vec(rng, 3, real=True)
-        before = oracle.query_count
-        val = sesquilinear(oracle, x, y)
-        assert oracle.query_count - before == 2
-        assert val.imag == 0.0
-        assert abs(val.real - float(x @ rho.matrix.real @ y)) < 1e-12
-
-
-    @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_one_query_batch_call(self, field):
-        oracle = ExactOracle(random_density_matrix(3, 3, seed=20, field=field), field=field)
-        calls = []
-        query_batch = oracle.query_batch
-        oracle.query_batch = lambda rows: calls.append(len(rows)) or query_batch(rows)
-        rng = np.random.default_rng(21)
-        x, y = random_vec(rng, 3, real=field == "real"), random_vec(rng, 3, real=field == "real")
-        sesquilinear(oracle, x, y)
-        assert calls == [4 if field == "complex" else 2]
-        # x - x has zero norm, so that probe is neither sent nor charged
-        calls.clear()
-        before = oracle.query_count
-        sesquilinear(oracle, x, x)
-        assert calls == [3 if field == "complex" else 1]
-        assert oracle.query_count - before == calls[0]
-
-    def test_zero_vectors_cost_nothing(self):
-        oracle = ExactOracle(random_density_matrix(3, 3, seed=22))
-        assert sesquilinear(oracle, np.zeros(3), np.zeros(3)) == 0
-        assert oracle.query_count == 0
-
-    def test_rejects_nan(self):
-        oracle = ExactOracle(random_density_matrix(3, 3, seed=23))
-        with pytest.raises(ValueError):
-            sesquilinear(oracle, np.array([np.nan, 0, 0]), e(1, 3))
-        with pytest.raises(ValueError):
-            sesquilinear(oracle, e(1, 3), np.array([np.inf, 0, 0]))
-        with pytest.raises(ValueError):
-            extend(oracle, np.array([np.nan, 0, 0]))
-        assert oracle.query_count == 0
-
-    def test_rejects_mismatched_dims_without_charge(self):
-        oracle = ExactOracle(random_density_matrix(3, 3, seed=23))
-        with pytest.raises(ValueError, match="same dimension"):
-            sesquilinear(oracle, e(0, 3), e(1, 4))
-        with pytest.raises(ValueError, match="vector dim 4 != oracle dim 3"):
-            sesquilinear(oracle, e(0, 4), e(1, 4))
-        with pytest.raises(ValueError, match="vector dim 2 != oracle dim 3"):
-            extend(oracle, e(0, 2))
-        assert oracle.query_count == 0
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_known_diagonal_coupling_matches_matrix_elements(field):
+    rho = random_density_matrix(5, 5, seed=18, field=field)
+    oracle = ExactOracle(rho, field=field)
+    b = haar_random_basis(5, seed=19, field=field).matrix.T  # orthonormal rows
+    x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
+    half = coupling_probes(x, y, field, out=np.empty((4 if field == "complex" else 2, 5), b.dtype))
+    got = known_diagonal_coupling(
+        oracle.query_batch(x), oracle.query_batch(y), oracle.query_batch(half), field
+    )
+    direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
+    np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
 
 
 class TestSubspaceMeasure:
@@ -516,6 +393,23 @@ class TestNoisyOracle:
         a = NoisyOracle(rho, shots=500, seed=37).query_batch(np.eye(3))
         b = NoisyOracle(rho, shots=500, seed=37).query_batch(np.eye(3))
         assert np.array_equal(a, b)
+
+    def test_concurrent_calls_each_draw_one_whole_sample(self):
+        # every call's draws come from one stretch of the seeded stream, so the
+        # calls of 8 threads are the sequential calls in some order
+        rho = random_density_matrix(4, 4, seed=41)
+        rows = explicit_query_vectors(haar_random_basis(4, seed=42))  # 28 rows
+        shared = NoisyOracle(rho, shots=1000, seed=3)
+
+        def hammer(_):
+            return [tuple(shared.query_batch(rows)) for _ in range(100)]
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = [call for calls in pool.map(hammer, range(8)) for call in calls]
+        alone = NoisyOracle(rho, shots=1000, seed=3)
+        sequential = [tuple(alone.query_batch(rows)) for _ in range(800)]
+        assert sorted(threaded) == sorted(sequential)
+        assert shared.query_count == 800 * 28
 
     def test_completeness_in_expectation(self):
         rho = random_density_matrix(3, 3, seed=38)
