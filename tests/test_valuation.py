@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gleason.hilbert import (
+    DensityMatrix,
     UnitVector,
     haar_random_basis,
     random_density_matrix,
@@ -28,6 +29,7 @@ from gleason.valuation import (
     coupling_probes,
     known_diagonal_coupling,
     pair_probes,
+    polarize,
 )
 
 
@@ -333,6 +335,105 @@ def test_known_diagonal_coupling_matches_matrix_elements(field):
     )
     direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
     np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
+
+
+def polarized(oracle, x, y):
+    """<x_p|rho|y_p> of each row pair by ``pair_probes`` and ``polarize``, with
+    f(p) = ||p||^2 v(p/||p||) read from the oracle and f(0) = 0 unqueried."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    per_pair = 4 if oracle.field == "complex" else 2
+    probes = pair_probes(x, y, oracle.field, out=np.empty((per_pair * len(y), oracle.dim), complex))
+    sq = np.einsum("pi,pi->p", probes.conj(), probes).real
+    f = np.zeros(len(probes))
+    live = sq > 0
+    if live.any():
+        f[live] = sq[live] * oracle.query_batch(probes[live] / np.sqrt(sq[live])[:, None])
+    return polarize(f, oracle.field)
+
+
+class TestPolarize:
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_combines_probe_values_by_the_identity(self, field):
+        # [f(x+y) - f(x-y)]/4 - i [f(x+iy) - f(x-iy)]/4, pair by pair
+        if field == "complex":
+            f = np.array([8.0, 4.0, 2.0, 6.0, 0.0, 4.0, 12.0, 0.0])
+            want = np.array([1 + 1j, -1 - 3j])
+        else:
+            f = np.array([8.0, 4.0, 0.0, 4.0])
+            want = np.array([1.0, -1.0])
+        got = polarize(f, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_collapses_on_diagonal(self, field):
+        rho = random_density_matrix(3, 3, seed=12, field=field)
+        oracle = ExactOracle(rho, field=field)
+        x = random_vec(np.random.default_rng(13), 3, real=field == "real")
+        val = polarized(oracle, x, x)[0]
+        assert abs(val.imag) < 1e-12
+        assert abs(val.real - (x.conj() @ rho.matrix @ x).real) < 1e-12
+
+    def test_orthogonal_args_on_maximally_mixed(self):
+        d = 4
+        oracle = ExactOracle(DensityMatrix(np.eye(d) / d))
+        # direct evaluation: <x| (I/d) |y> = <x|y>/d = 0
+        assert abs(polarized(oracle, e(0, d), e(2, d))[0]) < 1e-13
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_matches_matrix_elements_of_a_stack(self, field):
+        rho = random_density_matrix(3, 3, seed=14, field=field)
+        oracle = ExactOracle(rho, field=field)
+        rng = np.random.default_rng(15)
+        x = np.array([random_vec(rng, 3, real=field == "real") for _ in range(10)])
+        y = np.array([random_vec(rng, 3, real=field == "real") for _ in range(10)])
+        direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
+        np.testing.assert_allclose(polarized(oracle, x, y), direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_one_row_against_a_stack(self, field):
+        # the shape the implicit route pairs u with each w_l in
+        rho = random_density_matrix(5, 5, seed=24, field=field)
+        oracle = ExactOracle(rho, field=field)
+        b = haar_random_basis(5, seed=25, field=field).matrix.T
+        direct = np.einsum("i,ij,pj->p", b[0].conj(), rho.matrix, b[1:])
+        got = polarized(oracle, b[:1], b[1:])
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
+
+    def test_sesquilinear_form_laws(self):
+        oracle = ExactOracle(random_density_matrix(4, 4, seed=16))
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            x, y, y2 = (random_vec(rng, 4) for _ in range(3))
+            a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+            xy = polarized(oracle, x, y)[0]
+            assert abs(polarized(oracle, a * x, b * y)[0] - np.conj(a) * b * xy) < 1e-11
+            assert abs(xy - np.conj(polarized(oracle, y, x)[0])) < 1e-12
+            split = xy + polarized(oracle, x, y2)[0]
+            assert abs(polarized(oracle, x, y + y2)[0] - split) < 1e-11
+
+    def test_real_mode_drops_imaginary_bracket(self):
+        rho = random_density_matrix(3, 3, seed=18, field="real")
+        oracle = ExactOracle(rho, field="real")
+        rng = np.random.default_rng(19)
+        x, y = random_vec(rng, 3, real=True), random_vec(rng, 3, real=True)
+        val = polarized(oracle, x, y)
+        assert oracle.query_count == 2
+        assert val.dtype == np.float64
+        assert abs(val[0] - float(x @ rho.matrix.real @ y)) < 1e-12
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_agrees_with_known_diagonal_coupling(self, field):
+        # the four-probe and the two-probe form read the same element on an
+        # orthonormal pair
+        rho = random_density_matrix(5, 5, seed=26, field=field)
+        oracle = ExactOracle(rho, field=field)
+        b = haar_random_basis(5, seed=27, field=field).matrix.T
+        x, y = b[:2], b[2:4]
+        half = coupling_probes(x, y, field, out=np.empty((4 if field == "complex" else 2, 5), b.dtype))
+        two = known_diagonal_coupling(
+            oracle.query_batch(x), oracle.query_batch(y), oracle.query_batch(half), field
+        )
+        np.testing.assert_allclose(polarized(oracle, x, y), two, rtol=0, atol=1e-14)
 
 
 class TestSubspaceMeasure:
