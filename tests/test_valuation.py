@@ -399,7 +399,7 @@ class TestPolarize:
         got = polarized(oracle, b[:1], b[1:])
         np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
 
-    def test_sesquilinear_form_laws(self):
+    def test_conjugate_linear_hermitian_and_additive(self):
         oracle = ExactOracle(random_density_matrix(4, 4, seed=16))
         rng = np.random.default_rng(17)
         for _ in range(5):
