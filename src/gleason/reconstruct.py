@@ -51,8 +51,9 @@ _CHUNK = 2048
 
 class ConvergenceError(RuntimeError):
     """Sphere maximization did not converge within the iteration budget; carries
-    the ascent's last iterate, the valuation there, its residual norm ||r||,
-    the iteration count ``sweeps`` and the noise floor no tolerance can beat."""
+    the last point the ascent measured, the valuation and residual norm ||r||
+    read there, the iteration (residual batch) count ``sweeps`` and the noise
+    floor no tolerance can beat."""
 
     def __init__(self, best_vector: np.ndarray, best_value: float, residual: float,
                  sweeps: int, floor: float):
@@ -308,11 +309,11 @@ class ImplicitConfig:
     """Settings of the sphere-maximization route.
 
     ``tol`` bounds the residual norm ||rho u - v(u) u|| at which a stage's
-    ascent stops; ``None`` stops at the oracle's noise floor (at least 1e-8),
-    and a ``tol`` below that floor is never met.  A NaN or negative ``tol``
-    could never be met on any oracle, so it is rejected with ``ValueError``.
-    ``seed`` draws the random part of every stage's start vector (see
-    ``implicit_reconstruct``).
+    ascent stops, read at a measured point u or computed at a Ritz vector;
+    ``None`` stops at the oracle's noise floor (at least 1e-8), and a ``tol``
+    below that floor is never met.  A NaN or negative ``tol`` could never be
+    met on any oracle, so it is rejected with ``ValueError``.  ``seed`` draws
+    the random part of every stage's start vector (see ``implicit_reconstruct``).
     """
 
     tol: float | None = None
@@ -346,39 +347,41 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
     """Maximize the valuation over unit vectors in the span of ``w_frame``,
     starting from the unit vector ``u`` of frame coordinates.
 
-    Rayleigh-Ritz ascent on span{u, r, p} (LOBPCG without a preconditioner),
-    two ``query_batch`` calls per iteration.  The residual batch queries u
-    and w_l, (u+w_l)/sqrt2, (u+iw_l)/sqrt2 over the basis w_l of u's
-    complement that one Householder reflector gives
-    (``_householder_complement``): v(u) and c_l = <u|rho|w_l> give
-    r = rho u - v(u) u = sum_l conj(c_l) w_l.  The Ritz batch queries r^, p^,
-    (r^+p^)/sqrt2, (r^+ip^)/sqrt2, with p^ the last step made orthogonal to u
-    and r^ (only r^ if there is none), to fill the compression of rho to
-    (u, r^, p^); <u|rho|r^> = ||r|| and <u|rho|p^> = 0 as rho u lies in
-    span{u, r}.  Its top eigenvector is the next iterate, and its (r^, p^)
-    part the next step.  Real mode drops the imaginary probes.  Each batch is
-    written in place into a block allocated once per call (the coupling rows
-    by ``coupling_probes``) and mapped to frame coordinates by one matmul.
-    Each residual batch appends (F u, F (v(u) u + r)) to ``history``, for the
-    frame F: the pair (x, rho x) that ``implicit_reconstruct`` warm-starts from.
+    Krylov ascent (Lanczos, or Davidson without a preconditioner), one
+    ``query_batch`` call per iteration: u and w_l, (u+w_l)/sqrt2,
+    (u+iw_l)/sqrt2 over the basis w_l of u's complement that one Householder
+    reflector gives (``_householder_complement``), so that v(u) and
+    c_l = <u|rho|w_l> give r = rho u - v(u) u = sum_l conj(c_l) w_l.  Real
+    mode drops the imaginary probes.  The batch is written in place into a
+    block allocated once per call (the coupling rows by ``coupling_probes``)
+    and mapped to frame coordinates by one matmul.  Each batch appends
+    (F u, F (v(u) u + r)) to ``history``, for the frame F: the pair (x, rho x)
+    that ``implicit_reconstruct`` warm-starts from.  The points measured since
+    the last restart are the orthonormal rows of X, and rho applied to them
+    those of AX; the top eigenpair (theta, y) of the Hermitian part of
+    X^* AX^T gives the Ritz vector z = yX and its residual g = y AX - theta z,
+    exact to rounding on an exact oracle.  The next u is g orthogonalized
+    twice against X, or z itself, restarting X, when that leaves a norm below
+    1e-12 or X fills the frame.
 
-    Stops when ||r|| <= tol (eigenvalue error at most ||r||^2 / gap).  With
+    Stops when ||r|| <= tol, returning u and v(u), or when ||g|| <= tol,
+    returning z and theta (eigenvalue error at most tol^2 / gap).  With
     ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))), for the oracle's
     ``noise_scale`` sigma and k = 3 (complex) or 2 (real); a ``tol`` below the
     noise floor is never met.  Returns the maximizer's coordinates in
-    ``w_frame`` and the value v(u) its last residual batch read; raises
-    :class:`ConvergenceError` after ``_MAX_SWEEPS``.
+    ``w_frame`` and its value; raises :class:`ConvergenceError` after
+    ``_MAX_SWEEPS`` iterations.
     """
     m = w_frame.shape[1]
     field = oracle.field
     k = 3 if field == "complex" else 2  # rows per complement direction w_l
     floor = 3 * oracle.noise_scale * np.sqrt(k * (m - 1))
     tol = max(_EXACT_TOL, floor) if tol is None else (tol if tol >= floor else -np.inf)
-    p = np.zeros_like(u)
     resid = np.empty((1 + k * (m - 1), m), u.dtype)  # u, the w_l, their coupling probes
     w = resid[1:m]
-    ritz = np.empty((k + 1, m), u.dtype)  # r^, p^, their coupling probes
+    x, ax = np.empty((2, m, m), u.dtype)  # measured points u and rho u, one per row
     frame_t = w_frame.T
+    j = 0
     for sweep in range(_MAX_SWEEPS):
         resid[0] = u
         _householder_complement(u, w)
@@ -387,35 +390,31 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
         vu = vals[0]
         c = known_diagonal_coupling(vu, vals[1:m], vals[m:], field)
         nr = math.sqrt(np.vdot(c, c).real)
-        r = np.matmul(c.conj(), w, out=ritz[0])
-        history.append((w_frame @ u, w_frame @ (vu * u + r)))
+        x[j] = u
+        np.matmul(c.conj(), w, out=ax[j])
+        ax[j] += vu * u
+        history.append((w_frame @ u, w_frame @ ax[j]))
         if nr <= tol:
             return u, float(vu)
         if sweep == _MAX_SWEEPS - 1:
             break
-        if nr == 0:  # a noisy batch can read r = 0 by chance; nothing to step along
+        if nr == 0:  # a noisy batch can read r = 0 by chance; measure u again
             continue
-        r /= nr
-        q = p - u * np.vdot(u, p)
-        q -= r * np.vdot(r, q)
-        qn = math.sqrt(np.vdot(q, q).real)
-        # drop a step that (nearly) lies in span{u, r}, as it always does when m = 2
-        if qn > 1e-8 * math.sqrt(np.vdot(p, p).real):
-            dirs = ritz[:2]
-            np.divide(q, qn, out=ritz[1])
-            coupling_probes(r, ritz[1:2], field, out=ritz[2:])
-            vals = oracle.query_batch(ritz @ frame_t)
-            t12 = known_diagonal_coupling(vals[0], vals[1], vals[2:], field)[0]
-            t = np.array([[vu, nr, 0], [nr, vals[0], t12], [0, np.conj(t12), vals[1]]],
-                         u.dtype)
+        j += 1
+        theta, y = np.linalg.eigh(_hermitian_part(x[:j].conj() @ ax[:j].T))
+        theta, y = theta[-1], y[:, -1]
+        z = y @ x[:j]
+        z /= math.sqrt(np.vdot(z, z).real)
+        g = y @ ax[:j] - theta * z
+        if math.sqrt(np.vdot(g, g).real) <= tol:
+            return z, float(theta)
+        for _ in range(2):
+            g -= (x[:j].conj() @ g) @ x[:j]
+        gn = math.sqrt(np.vdot(g, g).real)
+        if gn < 1e-12 or j == m:  # no new direction: restart from the Ritz vector
+            u, j = z, 0
         else:
-            dirs = ritz[:1]
-            vals = oracle.query_batch(dirs @ frame_t)
-            t = np.array([[vu, nr], [nr, vals[0]]], u.dtype)
-        y = np.linalg.eigh(t)[1][:, -1]
-        p = y[1:] @ dirs
-        u = y[0] * u + p
-        u /= math.sqrt(np.vdot(u, u).real)
+            u = g / gn
     raise ConvergenceError(w_frame @ u, float(vu), nr, _MAX_SWEEPS, floor)
 
 
@@ -427,10 +426,11 @@ def implicit_reconstruct(
     Finds n_1 maximizing the valuation on the unit sphere, then n_2
     maximizing it on the sphere orthogonal to n_1, and so on; the
     valuations at the maximizers are the eigenvalues (non-increasing) and
-    the estimate is  sum_i v(n_i) |n_i><n_i|.  Each stage runs one ascent.
-    On an exact oracle v(n_i) is the value the ascent's last residual batch
-    read at n_i; a noisy oracle is queried afresh at the maximizer, as that
-    query is an unbiased sample and the ascent's own value a selected one.
+    the estimate is  sum_i v(n_i) |n_i><n_i|.  Each stage runs one Krylov
+    ascent.  On an exact oracle v(n_i) is the value the ascent returns (read
+    at n_i, or the Ritz value of the points it measured); a noisy oracle is
+    queried afresh at the maximizer, as that query is an unbiased sample and
+    the ascent's own value a selected one.
     The last stage needs no ascent, as its sphere is one ray: it queries.
 
     The first stage starts from a seeded random unit vector, and so does
