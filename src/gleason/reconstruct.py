@@ -41,7 +41,6 @@ __all__ = [
     "haar_average_reconstruct",
     "pauli_reconstruct_2d",
     "transition_matrix",
-    "bloch_vector_of",
 ]
 
 # Averaging chunk for the Monte Carlo route; fixed so the summation order
@@ -117,19 +116,6 @@ class ReconstructionReport:
             "estimate": matrix_to_json(self.estimate),
             "repaired": matrix_to_json(self.repaired.matrix),
         }
-
-
-def bloch_vector_of(state: DensityMatrix | np.ndarray) -> np.ndarray:
-    """The float array (r_x, r_y, r_z) with state = (I + r.sigma)/2; a state
-    is physical when its norm is at most 1."""
-    m = state.matrix if isinstance(state, DensityMatrix) else _square(state, "state")
-    if m.shape != (2, 2):
-        raise ValueError("Bloch vector is defined for 2x2 states")
-    return np.array([
-        (m[0, 1] + m[1, 0]).real,  # tr(m sigma_x)
-        (m[1, 0] - m[0, 1]).imag,  # tr(m sigma_y)
-        (m[0, 0] - m[1, 1]).real,  # tr(m sigma_z)
-    ])
 
 
 def _finish(method: str, estimate: np.ndarray, query_count: int) -> ReconstructionReport:
@@ -235,8 +221,7 @@ def pauli_reconstruct_2d(
     """Qubit reconstruction from 6 valuations (4 in real mode).
 
     Its probes x, y, (x +/- y)/sqrt2, (x +/- iy)/sqrt2 are the d=2 explicit
-    probes in order, so this is the explicit route at d=2, in either field.
-    ``bloch_vector_of`` gives the Bloch view (r_z = v(x) - v(y), ...)."""
+    probes in order, so this is the explicit route at d=2, in either field."""
     if oracle.dim != 2:
         raise ValueError("pauli_reconstruct_2d is defined for dim 2 only")
     return _polarization_report("pauli2d", oracle, basis)
@@ -398,8 +383,6 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
             return u, float(vu)
         if sweep == _MAX_SWEEPS - 1:
             break
-        if nr == 0:  # a noisy batch can read r = 0 by chance; measure u again
-            continue
         j += 1
         theta, y = np.linalg.eigh(_hermitian_part(x[:j].conj() @ ax[:j].T))
         theta, y = theta[-1], y[:, -1]

@@ -218,11 +218,10 @@ def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
     stderr = np.sqrt(variance / num_samples)
     expected = np.diag(np.where(a == e, 2.0, 1.0) / (dim + 1)).reshape(-1)
     abs_dev = np.abs(mean - expected)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigmas = np.where(
-            stderr > 0, abs_dev / np.where(stderr > 0, stderr, 1.0),
-            np.where(abs_dev <= 1e-12, 0.0, np.inf),
-        )
+    sigmas = np.where(
+        stderr > 0, abs_dev / np.where(stderr > 0, stderr, 1.0),
+        np.where(abs_dev <= 1e-12, 0.0, np.inf),
+    )
     context = {"dim": dim, "num_samples": num_samples,
                "max_abs_deviation": float(np.max(abs_dev)), "seed": seed}
     gate = math.sqrt(16 + 2 * math.log(max(a.size**2, 100) / 100))

@@ -10,10 +10,13 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gleason import cli
 from gleason.hilbert import random_density_matrix, standard_basis
@@ -624,3 +627,85 @@ def test_option_grid(tmp_path, monkeypatch, command, option):
             for x in (a, getattr(a, "tol", None), getattr(a, "shots", None))
             if isinstance(x, (int, float))}
     assert GIVEN[option] in seen
+
+
+# What a fuzzed file may hold in place of one of its values: wrong types, the
+# NaN and +-Infinity literals ``json.dumps`` writes, huge finite numbers, and
+# small integers, which also make a mismatched dim.
+JUNK = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308,
+                     True, None, "0.5", [], {}, [[0.5]]]),
+    st.integers(-1, 4), st.floats(-2, 2),
+)
+JUNK_TEXT = ["", "{", "[1,", "NaN", "-Infinity", "1e999", "null", '"s"', "[]", "{}"]
+
+
+@st.composite
+def fuzzed_file(draw) -> str:
+    """The text of junk JSON, or of a matrix or table file (the standard
+    basis's explicit queries, so the explicit routes hit it) that may have one
+    value replaced by junk or deleted."""
+    kind = draw(st.sampled_from(["matrix", "table", "junk"]))
+    if kind == "junk":
+        return draw(st.sampled_from(JUNK_TEXT))
+    d = draw(st.integers(1, 3))
+    rho = random_density_matrix(d, d, seed=draw(st.integers(0, 9)),
+                                field=draw(st.sampled_from(["complex", "real"])))
+    if kind == "matrix":
+        obj = matrix_to_json(rho.matrix)
+    else:
+        rows = explicit_query_vectors(standard_basis(d))
+        obj = oracle_table_to_json(rows, ExactOracle(rho).query_batch(rows))
+    node = obj
+    while draw(st.booleans()):  # walk down to the value to spoil
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+        elif isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+            break
+        else:
+            node[key] = draw(JUNK)
+            break
+    return json.dumps(obj)
+
+
+def test_fuzzed_files_and_options_exit_cleanly(tmp_path, monkeypatch):
+    """Malformed files and the option grid's options give a known exit code, no
+    traceback or warning, and only strict JSON on stdout; a usage or parse
+    error (exit 2 or 3) prints nothing on stdout and charges no query."""
+    charged = []
+    query_batch = ValuationOracle.query_batch
+
+    def counted(self, rows):
+        values = query_batch(self, rows)
+        charged.append(len(values))
+        return values
+
+    monkeypatch.setattr(ValuationOracle, "query_batch", counted)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 3))
+    def check(data, seed):
+        command = data.draw(st.sampled_from([*TAKES, ("compare",)]))
+        takes = TAKES.get(command, {"--tol"})
+        # options the command takes, and at most one more of the grid's, taken or not
+        options = data.draw(st.sets(st.sampled_from(sorted(takes))))
+        options |= data.draw(st.sets(st.sampled_from(list(GIVEN)), max_size=1))
+        a.write_text(data.draw(fuzzed_file()))
+        if command == ("compare",):
+            b.write_text(data.draw(fuzzed_file()))
+        inputs = [a, b] if command == ("compare",) else ["--in", a, "--seed", seed]
+        charged.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(*command, *inputs, *(x for o in sorted(options) for x in (o, GIVEN[o])))
+        assert result.returncode in (0, 2, 3, 4, 5)
+        for line in result.stdout.splitlines():
+            if line.startswith(("{", "[")):
+                _strict(line)
+        if result.returncode in (2, 3):
+            assert result.stdout == "" and charged == []
+
+    check()

@@ -1,7 +1,8 @@
 """README's Python examples run as written, and the public names are pinned,
 so adding or removing one shows up here and README cannot call a deleted
-function."""
+function.  Every public name must also have a caller."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 import gleason
 from gleason import serialize
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
                            flags=re.MULTILINE | re.DOTALL)
 
@@ -29,13 +31,13 @@ def test_package_public_names():
         "ATOL", "CheckReport", "ConvergenceError", "DensityMatrix", "ExactOracle",
         "ImplicitConfig", "NoisyOracle", "OracleLookupError", "OrthonormalBasis",
         "Projector", "ReconstructionReport", "SpectralDecomposition", "TabulatedOracle",
-        "TransitionMatrix", "UnitVector", "ValuationOracle", "bloch_vector_of",
-        "check_additivity", "check_basis_independence", "check_density",
-        "check_haar_moment", "check_unistochastic", "explicit_query_vectors",
-        "explicit_reconstruct", "explicit_reconstruct_real", "haar_average_reconstruct",
-        "haar_random_basis", "implicit_reconstruct", "nearest_density_matrix",
-        "pauli_reconstruct_2d", "random_density_matrix", "spectral_decomposition",
-        "standard_basis", "transition_matrix",
+        "TransitionMatrix", "UnitVector", "ValuationOracle", "check_additivity",
+        "check_basis_independence", "check_density", "check_haar_moment",
+        "check_unistochastic", "explicit_query_vectors", "explicit_reconstruct",
+        "explicit_reconstruct_real", "haar_average_reconstruct", "haar_random_basis",
+        "implicit_reconstruct", "nearest_density_matrix", "pauli_reconstruct_2d",
+        "random_density_matrix", "spectral_decomposition", "standard_basis",
+        "transition_matrix",
     ]
 
 
@@ -44,3 +46,22 @@ def test_serialize_public_names():
         "dump_json", "load_json", "matrix_from_json", "matrix_to_json",
         "oracle_table_from_json", "oracle_table_to_json",
     ]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names a module reads, as a bare name or an attribute; a definition, an
+    assignment or an ``__all__`` string is not a read."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is the package itself, the benchmark, the acceptance tests or README
+    package = set().union(*(loaded_names(p.read_text(encoding="utf-8"))
+                            for p in (ROOT / "src" / "gleason").glob("*.py")))
+    texts = [p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py")]
+    texts += [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"), *PYTHON_BLOCKS]
+    unused = [name for name in [*gleason.__all__, *serialize.__all__] if name not in package
+              and not any(re.search(rf"\b{name}\b", text) for text in texts)]
+    assert unused == []

@@ -10,7 +10,6 @@ from gleason import reconstruct
 from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
-    UnitVector,
     haar_basis_matrices,
     haar_random_basis,
     random_density_matrix,
@@ -21,7 +20,6 @@ from gleason.reconstruct import (
     ConvergenceError,
     ImplicitConfig,
     TransitionMatrix,
-    bloch_vector_of,
     explicit_query_vectors,
     explicit_reconstruct,
     explicit_reconstruct_real,
@@ -63,8 +61,7 @@ class TestExplicit:
         for k in range(1, d):
             for probe in (e(0, d) + e(k, d), e(0, d) - e(k, d),
                           e(0, d) + 1j * e(k, d), e(0, d) - 1j * e(k, d)):
-                u = UnitVector(probe / np.sqrt(2))
-                assert abs(oracle.query(u) - 0.5) < 1e-14
+                assert abs(oracle.query_batch(probe / np.sqrt(2))[0] - 0.5) < 1e-14
         report = explicit_reconstruct(oracle, basis)
         np.testing.assert_allclose(report.estimate, np.diag([1.0, 0, 0]), atol=1e-13)
 
@@ -213,12 +210,10 @@ class TestExplicitReal:
 
 
 class TestPauli2d:
-    def test_maximally_mixed_zero_bloch(self):
+    def test_maximally_mixed(self):
         oracle = ExactOracle(DensityMatrix(np.eye(2) / 2))
         report = pauli_reconstruct_2d(oracle, standard_basis(2))
         np.testing.assert_allclose(report.estimate, np.eye(2) / 2, atol=1e-14)
-        r = bloch_vector_of(report.repaired)
-        assert np.linalg.norm(r) < 1e-12
 
     def test_basis_aligned_pure_state(self):
         basis = haar_random_basis(2, seed=15)
@@ -227,10 +222,9 @@ class TestPauli2d:
         oracle = ExactOracle(rho)
         report = pauli_reconstruct_2d(oracle, basis)
         np.testing.assert_allclose(report.estimate, rho.matrix, atol=1e-13)
-        # in basis coordinates the state is |x><x|: r_z = 1, r_x = r_y = 0
+        # in basis coordinates the state is |x><x| = diag(1, 0)
         in_basis = basis.matrix.conj().T @ report.estimate @ basis.matrix
-        r = bloch_vector_of(in_basis)
-        assert abs(r[2] - 1.0) < 1e-12 and abs(r[0]) < 1e-12 and abs(r[1]) < 1e-12
+        np.testing.assert_allclose(in_basis, np.diag([1.0, 0.0]), rtol=0, atol=1e-12)
 
     def test_agrees_with_explicit_six_queries(self):
         for seed in range(10):
@@ -266,23 +260,6 @@ class TestPauli2d:
         oracle = ExactOracle(random_density_matrix(3, 3, seed=17))
         with pytest.raises(ValueError):
             pauli_reconstruct_2d(oracle, standard_basis(3))
-
-    def test_bloch_vector_physicality(self):
-        r = bloch_vector_of(random_density_matrix(2, 2, seed=18))
-        assert r.shape == (3,) and r.dtype == np.float64
-        assert np.linalg.norm(r) <= 1 + 1e-10
-        # Hermitian with unit trace but not PSD: its Bloch vector is (1, 1, 1)
-        sx = np.array([[0, 1], [1, 0]])
-        sy = np.array([[0, -1j], [1j, 0]])
-        sz = np.diag([1, -1])
-        r = bloch_vector_of((np.eye(2) + sx + sy + sz) / 2)
-        np.testing.assert_allclose(r, [1.0, 1.0, 1.0], rtol=0, atol=1e-15)
-        assert not np.linalg.norm(r) <= 1 + 1e-10
-
-    @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.eye(3) / 3, np.ones((2, 2, 2))])
-    def test_bloch_vector_rejects_bad_matrix(self, m):
-        with pytest.raises(ValueError):
-            bloch_vector_of(m)
 
 
 class TestImplicit:

@@ -10,7 +10,6 @@ import pytest
 
 from gleason.hilbert import (
     DensityMatrix,
-    UnitVector,
     haar_random_basis,
     random_density_matrix,
     standard_basis,
@@ -55,14 +54,14 @@ class TestExactOracle:
             x = random_vec(rng, 4)
             x /= np.linalg.norm(x)
             direct = float((x.conj() @ rho.matrix @ x).real)
-            assert abs(oracle.query(UnitVector(x)) - direct) < 1e-14
+            assert abs(oracle.query_batch(x)[0] - direct) < 1e-14
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_completeness_over_random_bases(self, dim):
         oracle = ExactOracle(random_density_matrix(dim, dim, seed=dim))
         for seed in range(5):
             basis = haar_random_basis(dim, seed=seed)
-            total = sum(oracle.query(UnitVector(c)) for c in basis.matrix.T)
+            total = sum(oracle.query_batch(c)[0] for c in basis.matrix.T)
             assert abs(total - 1.0) < 1e-12
 
     def test_values_in_unit_interval(self):
@@ -73,7 +72,7 @@ class TestExactOracle:
     def test_query_counting(self):
         oracle = ExactOracle(random_density_matrix(3, 3, seed=4))
         assert oracle.query_count == 0
-        oracle.query(UnitVector(e(0, 3)))
+        oracle.query_batch(e(0, 3))[0]
         oracle.query_batch(np.eye(3))
         assert oracle.query_count == 4
 
@@ -447,7 +446,7 @@ class TestSubspaceMeasure:
     def test_single_vector_is_ray_value(self):
         oracle = ExactOracle(random_density_matrix(3, 3, seed=21))
         v = haar_random_basis(3, seed=22).matrix[:, :1]
-        assert abs(oracle.query_batch(v.T).sum() - oracle.query(UnitVector(v))) < 1e-14
+        assert abs(oracle.query_batch(v.T).sum() - oracle.query_batch(v[:, 0])[0]) < 1e-14
 
     def test_spanning_set_independence_and_trace_formula(self):
         rho = random_density_matrix(4, 4, seed=23)
@@ -467,17 +466,17 @@ class TestNoisyOracle:
     def test_mean_converges_with_binomial_bound(self):
         rho = random_density_matrix(3, 3, seed=30)
         oracle = NoisyOracle(rho, shots=10_000, seed=31)
-        v = UnitVector(e(0, 3))
+        v = e(0, 3)
         p = float(rho.matrix[0, 0].real)
         m = 200
-        samples = [oracle.query(v) for _ in range(m)]
+        samples = [oracle.query_batch(v)[0] for _ in range(m)]
         bound = 1.0 / (2 * np.sqrt(10_000 * m))
         assert abs(np.mean(samples) - p) < 4 * bound
 
     def test_fresh_samples_without_memoization(self):
         oracle = NoisyOracle(random_density_matrix(2, 2, seed=32), shots=100, seed=33)
-        v = UnitVector(np.array([1.0, 1.0]) / np.sqrt(2))
-        vals = {oracle.query(v) for _ in range(50)}
+        v = np.array([1.0, 1.0]) / np.sqrt(2)
+        vals = {oracle.query_batch(v)[0] for _ in range(50)}
         assert len(vals) > 1
 
     def test_noise_scale_bounds_the_shot_noise(self):
@@ -538,7 +537,7 @@ class TestTabulatedOracle:
         oracle = TabulatedOracle(vectors, values)
         wiggled = vectors[1] + 1e-10
         wiggled /= np.linalg.norm(wiggled)
-        assert abs(oracle.query(UnitVector(wiggled)) - values[1]) < 1e-9
+        assert abs(oracle.query_batch(wiggled)[0] - values[1]) < 1e-9
 
     @pytest.mark.parametrize("phase", [1j, -1.0, np.exp(0.7j)])
     def test_lookup_matches_rays(self, phase):
@@ -574,7 +573,7 @@ class TestTabulatedOracle:
         oracle = TabulatedOracle(vectors, values)
         probe = np.ones(3, dtype=complex) / np.sqrt(3)
         with pytest.raises(OracleLookupError):
-            oracle.query(UnitVector(probe))
+            oracle.query_batch(probe)[0]
 
     def test_json_round_trip(self, tmp_path):
         vectors, values = self.make_table()
