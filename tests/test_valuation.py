@@ -182,6 +182,26 @@ def test_query_batch_accepts_any_row_layout(field):
             assert a.query_count == b.query_count == 7
 
 
+ONE_ROW_ORACLES = {
+    "exact": lambda rho: ExactOracle(rho),
+    "noisy": lambda rho: NoisyOracle(rho, shots=1000, seed=28),
+    "tabulated": lambda rho: TabulatedOracle(np.eye(4), np.diag(rho.matrix).real),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_ROW_ORACLES))
+def test_one_row_is_a_one_row_stack(kind):
+    # a single query is query_batch of one row of shape (dim,): the same value,
+    # of shape (1,), charged once, as the same row stacked to shape (1, dim)
+    rho = random_density_matrix(4, 4, seed=29)
+    a, b = ONE_ROW_ORACLES[kind](rho), ONE_ROW_ORACLES[kind](rho)
+    row = e(2, 4) * np.exp(0.3j)
+    got = a.query_batch(row)
+    assert got.shape == (1,)
+    assert np.array_equal(got, b.query_batch(row[None, :]))
+    assert a.query_count == b.query_count == 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), 1e200])
 def test_query_batch_rejects_non_finite_rows_uncharged_and_silently(bad):
     oracle = ExactOracle(random_density_matrix(3, 3, seed=27))
@@ -487,6 +507,17 @@ class TestNoisyOracle:
         assert TabulatedOracle(np.eye(2), [0.5, 0.5]).noise_scale == 0.0
         with pytest.raises(AttributeError):
             oracle.noise_scale = 0.0
+
+    def test_real_mode_contract(self):
+        # the hidden-state check is ExactOracle's, reached through super().__init__
+        with pytest.raises(ValueError, match="real symmetric hidden state"):
+            NoisyOracle(random_density_matrix(3, 3, seed=6), field="real")
+        with pytest.raises(ValueError, match="unknown field"):
+            NoisyOracle(random_density_matrix(3, 3, seed=6), field="quaternion")
+        oracle = NoisyOracle(random_density_matrix(3, 3, seed=6, field="real"), field="real")
+        with pytest.raises(ValueError, match="complex vector"):
+            oracle.query_batch(e(0, 3) * 1j)
+        assert oracle.query_count == 0
 
     def test_seed_determinism(self):
         rho = random_density_matrix(3, 3, seed=36)
