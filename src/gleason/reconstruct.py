@@ -289,12 +289,30 @@ _SPAN_CUT = 1e-10
 _EXPLORE = 1e-3
 
 
+def _column_error(d: int) -> float:
+    """Bound delta = 8 (d+4) sqrt(d) eps on the rounding error of one measured
+    column rho x of the first stage, whose frame is I, so that x = u exactly.
+
+    Each value v(p) = Re p^H (rho p) is two length-d dots, off by at most
+    2(d+2) eps |p|^T |rho| |p| <= 2(d+2) eps (|p|^T |rho| |p| <= ||rho||_F <= 1),
+    and by 4 eps more from the rounding of the probe row p.  Each part of
+    c_l = <u|rho|w_l> is formed from three values (``known_diagonal_coupling``,
+    whose identity expands the quadratic form, so w_l need not be exactly
+    orthonormal), so |dc_l| <= 4 sqrt2 (d+4) eps.  r = sum_l conj(c_l) w_l over
+    d - 1 directions is off by sqrt(d-1) max|dc_l|, and v(u) u + r = H H^H rho u
+    for the Householder frame H = [u, W], unitary to O(d eps).  In sum at most
+    (d+4) eps (2 + 4 sqrt2 sqrt(d-1)) + O(d eps) <= delta for d >= 2.  The SVD's
+    backward error, O(sqrt(n) eps), sits inside sqrt(n) delta."""
+    return 8 * (d + 4) * math.sqrt(d) * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class ImplicitConfig:
     """Settings of the sphere-maximization route.
 
     ``tol`` bounds the residual norm ||rho u - v(u) u|| at which a stage's
-    ascent stops, read at a measured point u or computed at a Ritz vector;
+    ascent stops, read at a measured point u or computed at a Ritz vector,
+    and the error a certified model may carry (see ``implicit_reconstruct``);
     ``None`` stops at the oracle's noise floor (at least 1e-8), and a ``tol``
     below that floor is never met.  A NaN or negative ``tol`` could never be
     met on any oracle, so it is rejected with ``ValueError``.  ``seed`` draws
@@ -414,7 +432,8 @@ def implicit_reconstruct(
     at n_i, or the Ritz value of the points it measured); a noisy oracle is
     queried afresh at the maximizer, as that query is an unbiased sample and
     the ascent's own value a selected one.
-    The last stage needs no ascent, as its sphere is one ray: it queries.
+    The last stage needs no ascent, as its sphere is one ray: it queries,
+    unless the run ended earlier as below.
 
     The first stage starts from a seeded random unit vector, and so does
     every stage on a noisy oracle (warm starts raised their error medians).
@@ -428,6 +447,17 @@ def implicit_reconstruct(
     a start off a lower eigenvector when the measured span is invariant
     (degenerate spectra).  Only the start changes: each stage still stops on
     its own residual.
+
+    The second stage's model needs no ascent once it is certified: when the
+    first stage's n points x span the whole space (s_d of the stacked x above
+    the 1e-10 cut) and sqrt(n) delta / s_d <= tol (``tol``, or 1e-8 when it is
+    ``None``), for delta = 8 (d+4) sqrt(d) eps the rounding bound of one
+    measured column rho x, the model's error is within tol, and so is every
+    Ritz pair's residual in the stage's frame.  The stage then adds
+    sum_i theta_i |F y_i><F y_i| over all m eigenpairs (theta_i, y_i) of the
+    compressed model and ends the run, with no further query.  Noisy oracles,
+    points that do not span the space, and a ``tol`` below the bound run
+    every stage as above.
 
     Raises
     ------
@@ -450,7 +480,8 @@ def implicit_reconstruct(
     frame = np.eye(d, dtype=np.complex128 if complex_ else float)
     estimate = np.zeros((d, d), dtype=np.complex128)
     history: list[tuple[np.ndarray, np.ndarray]] = []  # (x, rho x) of each residual batch
-    for _stage in range(d):
+    tol = _EXACT_TOL if cfg.tol is None else cfg.tol
+    for stage in range(d):
         m = frame.shape[1]
         if m == 1:
             coeff, lam = np.ones(1, dtype=frame.dtype), None
@@ -462,7 +493,16 @@ def implicit_reconstruct(
                 k = np.count_nonzero(s > _SPAN_CUT * s[0])
                 t = q[:, :k].conj().T @ y @ (vh[:k].conj().T / s[:k])
                 g = frame.conj().T @ q[:, :k]
-                u = np.linalg.eigh(g @ _hermitian_part(t) @ g.conj().T)[1][:, -1]
+                theta, ritz = np.linalg.eigh(g @ _hermitian_part(t) @ g.conj().T)
+                # Only stage 1's pairs are exact to rounding (later frames add the
+                # found eigenvectors' residuals).  With Y = rho X + E and k = d,
+                # ||T - Q^H rho Q|| <= ||E|| / s_d <= sqrt(n) delta / s_d.
+                bound = math.sqrt(len(history)) * _column_error(d)
+                if stage == 1 and k == d and bound <= tol * s[-1]:
+                    n_vecs = frame @ ritz
+                    estimate += (n_vecs * theta) @ n_vecs.conj().T
+                    break
+                u = ritz[:, -1]
                 z = draw(m)
                 u += _EXPLORE * (z - g @ (g.conj().T @ z))
             else:

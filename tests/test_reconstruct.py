@@ -342,12 +342,14 @@ class TestImplicit:
     # Query counts recorded from the Krylov ascent (one residual batch of
     # 1 + k(m-1) rows per iteration, Rayleigh-Ritz over every point the stage
     # measured) whose later stages start warm from the pairs earlier stages
-    # measured.  A change to the ascent may lower these counts, never raise
-    # them.  An exact oracle's stages take their value from the ascent, so only
-    # the one-ray stage queries.
-    PINNED_QUERIES = {(3, "complex"): 26, (3, "real"): 19, (6, "complex"): 131,
-                      (6, "real"): 91, (8, "complex"): 246, (8, "real"): 169,
-                      (12, "complex"): 584}
+    # measured, and whose second stage takes every eigenpair left from that
+    # model once it is certified.  A change to the ascent may lower these
+    # counts, never raise them.  An exact oracle's stages take their value from
+    # the ascent or the model, so only an uncertified run's one-ray stage
+    # queries outside an ascent.
+    PINNED_QUERIES = {(3, "complex"): 21, (3, "real"): 15, (6, "complex"): 96,
+                      (6, "real"): 66, (8, "complex"): 176, (8, "real"): 120,
+                      (12, "complex"): 408}
 
     @pytest.mark.parametrize("dim, field", sorted(PINNED_QUERIES))
     def test_query_count_is_pinned(self, dim, field):
@@ -372,12 +374,14 @@ class TestImplicit:
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_every_ascent_query_is_one_residual_batch(self, field, monkeypatch):
-        # an iteration queries u and its complement's coupling probes, and
-        # nothing else; only the one-ray last stage queries outside an ascent
+        # An iteration queries u and its complement's coupling probes, and
+        # nothing else.  A full-rank state's first stage measures points that
+        # span the space, so the run certifies at stage 2 and queries nothing
+        # after its one ascent.  A rank-1 state's points span two dimensions,
+        # so every stage ascends and the one-ray last stage queries.
         d, k = 6, (3 if field == "complex" else 2)
-        oracle = ExactOracle(random_density_matrix(d, d, seed=31, field=field), field)
-        stage_m, rows = [None], []
-        ascend, query = reconstruct._ascend_sphere, oracle.query_batch
+        stage_m = [None]
+        ascend = reconstruct._ascend_sphere
 
         def in_stage(o, frame, *args):
             stage_m[0] = frame.shape[1]
@@ -386,21 +390,65 @@ class TestImplicit:
             finally:
                 stage_m[0] = None
 
-        def spy(vectors):
-            rows.append((stage_m[0], len(vectors)))
-            return query(vectors)
-
         monkeypatch.setattr(reconstruct, "_ascend_sphere", in_stage)
-        monkeypatch.setattr(oracle, "query_batch", spy)
-        implicit_reconstruct(oracle, ImplicitConfig(seed=32))
-        assert rows[-1] == (None, 1)
-        assert {m for m, _ in rows[:-1]} == set(range(2, d + 1))
-        assert all(n == 1 + k * (m - 1) for m, n in rows[:-1]), rows
+        for rank, widths in ((d, {d}), (1, set(range(2, d + 1)))):
+            oracle = ExactOracle(random_density_matrix(d, rank, seed=31, field=field), field)
+            rows, query = [], oracle.query_batch
+
+            def spy(vectors):
+                rows.append((stage_m[0], len(vectors)))
+                return query(vectors)
+
+            monkeypatch.setattr(oracle, "query_batch", spy)
+            implicit_reconstruct(oracle, ImplicitConfig(seed=32))
+            if rank == 1:
+                assert rows.pop() == (None, 1)
+            assert {m for m, _ in rows} == widths
+            assert all(n == 1 + k * (m - 1) for m, n in rows), rows
+
+    # The certified finish must leave these runs as they were.  A rank-1
+    # state's measured points span two dimensions, never the space.
+    @pytest.mark.parametrize("field, queries", [("complex", 51), ("real", 36)])
+    def test_rank_one_states_ascend_every_stage(self, field, queries):
+        for seed in range(5):
+            rho = random_density_matrix(6, 1, seed=seed, field=field)
+            report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
+            assert report.query_count == queries
+            assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
+
+    @pytest.mark.parametrize("field, queries", [("complex", 131), ("real", 91)])
+    def test_tol_below_the_bound_ascends_every_stage(self, field, queries):
+        # n unit columns give s_d <= sqrt(n/d), so the model's bound
+        # sqrt(n) delta / s_d is at least sqrt(d) delta, above tol = 1e-13 at
+        # d = 6: the pinned state keeps the count every stage's ascent costs
+        assert np.sqrt(6) * reconstruct._column_error(6) > 1e-13
+        rho = random_density_matrix(6, 6, seed=106, field=field)
+        oracle = ExactOracle(rho, field)
+        report = implicit_reconstruct(oracle, ImplicitConfig(tol=1e-13, seed=206))
+        assert report.query_count == queries
+        assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("ratio", [0.1, 0.6, 0.9])
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_geometric_spectra_are_recovered(self, d, ratio, field):
+        # certified (d = 8, ratios 0.6 and 0.9) and uncertified runs alike
+        spectrum = ratio ** np.arange(d)
+        spectrum /= spectrum.sum()
+        for seed in range(4):
+            u = haar_random_basis(d, 1000 * d + seed, field).matrix
+            m = (u * spectrum) @ u.conj().T
+            rho = DensityMatrix((m + m.conj().T) / 2)
+            report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
+            assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-7
+            got = np.linalg.eigvalsh(report.estimate)
+            assert np.max(np.abs(got - spectrum[::-1])) <= 1e-9
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_first_stage_span_makes_the_model_exact(self, field):
         # implicit-spectral's spectrum: stage 1 measures points spanning the
-        # whole space, so later stages start on, and stop at, exact eigenvectors
+        # whole space, so the run certifies at stage 2 with a model exact to
+        # rounding
         d = 6
         spectrum = 0.6 ** np.arange(d)
         spectrum /= spectrum.sum()
