@@ -290,8 +290,9 @@ _EXPLORE = 1e-3
 
 
 def _column_error(d: int) -> float:
-    """Bound delta = 8 (d+4) sqrt(d) eps on the rounding error of one measured
-    column rho x of the first stage, whose frame is I, so that x = u exactly.
+    """Bound delta = 8 (d+4) sqrt(d) eps on the rounding error of the measured
+    part of one column rho x of the first stage, whose frame is I, so that
+    x = u exactly.
 
     Each value v(p) = Re p^H (rho p) is two length-d dots, off by at most
     2(d+2) eps |p|^T |rho| |p| <= 2(d+2) eps (|p|^T |rho| |p| <= ||rho||_F <= 1),
@@ -299,10 +300,23 @@ def _column_error(d: int) -> float:
     c_l = <u|rho|w_l> is formed from three values (``known_diagonal_coupling``,
     whose identity expands the quadratic form, so w_l need not be exactly
     orthonormal), so |dc_l| <= 4 sqrt2 (d+4) eps.  r = sum_l conj(c_l) w_l over
-    d - 1 directions is off by sqrt(d-1) max|dc_l|, and v(u) u + r = H H^H rho u
-    for the Householder frame H = [u, W], unitary to O(d eps).  In sum at most
-    (d+4) eps (2 + 4 sqrt2 sqrt(d-1)) + O(d eps) <= delta for d >= 2.  The SVD's
-    backward error, O(sqrt(n) eps), sits inside sqrt(n) delta."""
+    at most d - 1 directions is off by sqrt(d-1) max|dc_l|, and the frame
+    [x_0 ... x_{j-1}, u, W] of the Householder chain is unitary to O(d eps).
+    In sum at most (d+4) eps (2 + 4 sqrt2 sqrt(d-1)) + O(d eps) <= delta for
+    d >= 2.
+
+    The rest of column j, its part along the points x_i (i < j) measured
+    since the last restart, is inherited: conj(<x_j|AX_i>) =
+    <x_i|rho|x_j> + conj(<x_j|e_i>), where e_i is the error of column i's
+    measured part (column i's own inherited part lies in span{x_0 ... x_{i-1}},
+    orthogonal to x_j).  So the inherited errors taken from column i are the
+    projections of e_i onto the orthonormal x_{i+1}, x_{i+2}, ..., and by
+    Bessel's inequality their squares sum to at most ||e_i||^2.  Over n
+    columns ||E_inh||_F <= ||E_meas||_F <= sqrt(n) delta, so the whole error
+    ||E||_F <= 2 sqrt(n) delta.  (The two parts of one column are orthogonal,
+    which would give sqrt2; the factor 2 leaves room for the chain's O(d eps)
+    loss of orthogonality.)  The SVD's backward error, O(sqrt(n) eps), sits
+    inside 2 sqrt(n) delta."""
     return 8 * (d + 4) * math.sqrt(d) * np.finfo(float).eps
 
 
@@ -327,20 +341,27 @@ class ImplicitConfig:
             _at_least(self.tol, 0, "tol")
 
 
-def _householder_complement(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rows w_l spanning the orthogonal complement of the unit vector u,
-    written into ``out`` of shape (m-1, m).
-
-    The w_l are the trailing columns of the Householder reflector
-    H = I - tau v v^H that maps e_0 onto a multiple of u, in LAPACK's
-    convention, so they agree with ``np.linalg.qr(u[:, None],
-    mode="complete")[0][:, 1:].T`` to rounding: w_l = e_l - tau conj(v_l) v,
-    one outer product."""
+def _reflector(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Householder vector v (v_0 = 1) of the reflector H = I - tau v v^H
+    that maps e_0 onto a multiple of u, in LAPACK's convention, and the
+    coefficients -tau conj(v_l), l >= 1, so that H's trailing columns are
+    e_l - tau conj(v_l) v."""
     alpha = u[0].item()
     beta = -math.copysign(math.sqrt(np.vdot(u, u).real), alpha.real)
     v = u / (alpha - beta)
     v[0] = 1.0
-    np.multiply(((alpha - beta) / beta * v[1:].conj())[:, None], v, out=out)
+    return (alpha - beta) / beta * v[1:].conj(), v
+
+
+def _householder_complement(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows w_l spanning the orthogonal complement of the unit vector u,
+    written into ``out`` of shape (m-1, m).
+
+    The w_l are the trailing columns of the reflector (``_reflector``), so
+    they agree with ``np.linalg.qr(u[:, None], mode="complete")[0][:, 1:].T``
+    to rounding: one outer product."""
+    coef, v = _reflector(u)
+    np.multiply(coef[:, None], v, out=out)
     out.reshape(-1)[1::u.size + 1] += 1.0
     return out
 
@@ -352,70 +373,107 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
 
     Krylov ascent (Lanczos, or Davidson without a preconditioner), one
     ``query_batch`` call per iteration: u and w_l, (u+w_l)/sqrt2,
-    (u+iw_l)/sqrt2 over the basis w_l of u's complement that one Householder
-    reflector gives (``_householder_complement``), so that v(u) and
-    c_l = <u|rho|w_l> give r = rho u - v(u) u = sum_l conj(c_l) w_l.  Real
-    mode drops the imaginary probes.  The batch is written in place into a
-    block allocated once per call (the coupling rows by ``coupling_probes``)
-    and mapped to frame coordinates by one matmul.  Each batch appends
-    (F u, F (v(u) u + r)) to ``history``, for the frame F: the pair (x, rho x)
-    that ``implicit_reconstruct`` warm-starts from.  The points measured since
-    the last restart are the orthonormal rows of X, and rho applied to them
-    those of AX; the top eigenpair (theta, y) of the Hermitian part of
-    X^* AX^T gives the Ritz vector z = yX and its residual g = y AX - theta z,
-    exact to rounding on an exact oracle.  The next u is g orthogonalized
-    twice against X, or z itself, restarting X, when that leaves a norm below
-    1e-12 or X fills the frame.
+    (u+iw_l)/sqrt2 over an orthonormal basis w_l of the directions still
+    unmeasured, so that v(u) and c_l = <u|rho|w_l> give rho u.  Real mode drops
+    the imaginary probes.  The points measured since the last restart are the
+    orthonormal rows x_i of X, and rho applied to them those of AX.  On a
+    noisy oracle the w_l span u's whole complement, from one Householder
+    reflector (``_householder_complement``): 1 + k(m-1) rows, for k = 3
+    (complex) or 2 (real).  On an exact oracle the new point u = x_j is
+    orthogonal to x_0 ... x_{j-1}, and <x_i|rho|u> = conj(<u|rho x_i>) is read
+    off the stored row AX_i with no query, so the w_l span only the complement
+    of {x_0 ... x_{j-1}, u}: 1 + k(m-1-j) rows.  That basis is a running
+    Householder chain: the reflector of u in the previous basis's coordinates
+    (``_reflector``), mapped back in place by one rank-one update of that
+    basis; a restart (j = 0) takes u's whole complement.
+    The batch is written in place into a block allocated once per call (the
+    coupling rows by ``coupling_probes``) and mapped to frame coordinates by
+    one matmul.
 
-    Stops when ||r|| <= tol, returning u and v(u), or when ||g|| <= tol,
-    returning z and theta (eigenvalue error at most tol^2 / gap).  With
-    ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))), for the oracle's
-    ``noise_scale`` sigma and k = 3 (complex) or 2 (real); a ``tol`` below the
-    noise floor is never met.  Returns the maximizer's coordinates in
-    ``w_frame`` and its value; raises :class:`ConvergenceError` after
-    ``_MAX_SWEEPS`` iterations.
+    The top eigenpair (theta, y) of the Ritz matrix T = X^* AX^T gives the
+    Ritz vector z = yX and its residual g = y AX - theta z, exact to rounding
+    on an exact oracle.  There T is filled one row and column per point, from
+    the same couplings, so it is Hermitian by construction; a noisy oracle
+    takes the Hermitian part of the product.  The next u is g orthogonalized
+    twice against X, or z itself, restarting X, when that leaves a norm below
+    1e-12 or X fills the frame.  Each run of points between restarts is
+    appended to ``history`` as one block (F X, F AX) of rows, for the frame F,
+    when it ends: the pairs (x, rho x) that ``implicit_reconstruct``
+    warm-starts from.
+
+    Stops when ||rho u - v(u) u|| <= tol, returning u and v(u), or when
+    ||g|| <= tol, returning z and theta (eigenvalue error at most
+    tol^2 / gap).  With ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))),
+    for the oracle's ``noise_scale`` sigma; a ``tol`` below the noise floor is
+    never met.  Returns the maximizer's coordinates in ``w_frame`` and its
+    value; raises :class:`ConvergenceError` after ``_MAX_SWEEPS`` iterations.
     """
     m = w_frame.shape[1]
     field = oracle.field
+    exact = oracle.noise_scale == 0
     k = 3 if field == "complex" else 2  # rows per complement direction w_l
     floor = 3 * oracle.noise_scale * np.sqrt(k * (m - 1))
     tol = max(_EXACT_TOL, floor) if tol is None else (tol if tol >= floor else -np.inf)
     resid = np.empty((1 + k * (m - 1), m), u.dtype)  # u, the w_l, their coupling probes
-    w = resid[1:m]
-    x, ax = np.empty((2, m, m), u.dtype)  # measured points u and rho u, one per row
+    x, ax, t = np.empty((3, m, m), u.dtype)  # points u and rho u, one per row; Ritz matrix
     frame_t = w_frame.T
+
+    def flush(n: int) -> None:  # the pairs measured since the last restart, as one block
+        history.append((x[:n] @ frame_t, ax[:n] @ frame_t))
+
     j = 0
     for sweep in range(_MAX_SWEEPS):
-        resid[0] = u
-        _householder_complement(u, w)
-        coupling_probes(u, w, field, out=resid[m:])
-        vals = oracle.query_batch(resid @ frame_t)
+        inh = j if exact else 0  # couplings <x_i|rho|u> known from earlier rows of AX
+        n = m - 1 - inh
+        w = resid[1 + inh:m]  # the complement basis, in place below the row of u
+        if inh:  # u's reflector in the previous basis's coordinates, mapped back
+            prev = resid[inh:m]
+            coef, v = _reflector(prev.conj() @ u)
+            w += coef[:, None] * (v @ prev)
+        else:
+            _householder_complement(u, w)
+        rows = resid[inh:m + (k - 1) * n]
+        rows[0] = u
+        coupling_probes(u, w, field, out=rows[1 + n:])
+        vals = oracle.query_batch(rows @ frame_t)
         vu = vals[0]
-        c = known_diagonal_coupling(vu, vals[1:m], vals[m:], field)
-        nr = math.sqrt(np.vdot(c, c).real)
+        c = known_diagonal_coupling(vu, vals[1:1 + n], vals[1 + n:], field)
         x[j] = u
         np.matmul(c.conj(), w, out=ax[j])
         ax[j] += vu * u
-        history.append((w_frame @ u, w_frame @ ax[j]))
+        t[j, j] = vu
+        nr2 = np.vdot(c, c).real
+        if inh:
+            h = ax[:inh].conj() @ u  # <x_i|rho|u> = conj(<u|rho x_i>)
+            ax[j] += h @ x[:inh]
+            t[:inh, j] = h
+            t[j, :inh] = h.conj()
+            nr2 += np.vdot(h, h).real
+        nr = math.sqrt(nr2)
         if nr <= tol:
+            flush(j + 1)
             return u, float(vu)
         if sweep == _MAX_SWEEPS - 1:
             break
         j += 1
-        theta, y = np.linalg.eigh(_hermitian_part(x[:j].conj() @ ax[:j].T))
+        theta, y = np.linalg.eigh(t[:j, :j] if exact
+                                  else _hermitian_part(x[:j].conj() @ ax[:j].T))
         theta, y = theta[-1], y[:, -1]
         z = y @ x[:j]
         z /= math.sqrt(np.vdot(z, z).real)
         g = y @ ax[:j] - theta * z
         if math.sqrt(np.vdot(g, g).real) <= tol:
+            flush(j)
             return z, float(theta)
         for _ in range(2):
             g -= (x[:j].conj() @ g) @ x[:j]
         gn = math.sqrt(np.vdot(g, g).real)
         if gn < 1e-12 or j == m:  # no new direction: restart from the Ritz vector
+            flush(j)
             u, j = z, 0
         else:
             u = g / gn
+    flush(j + 1)
     raise ConvergenceError(w_frame @ u, float(vu), nr, _MAX_SWEEPS, floor)
 
 
@@ -439,25 +497,30 @@ def implicit_reconstruct(
     every stage on a noisy oracle (warm starts raised their error medians).
     On an exact oracle each later stage starts warm: the pairs (x, rho x) of
     all earlier residual batches (exact up to the found eigenvectors'
-    residuals in later frames) give, by Rayleigh-Ritz on their span, a model
-    rho^ = Q T Q^H of rho, built in the full space from an SVD of the stacked
-    x (directions below a relative singular value of 1e-10 dropped); the
-    stage starts at the top eigenvector of rho^ compressed to its frame, plus
-    a random part of weight 1e-3 outside the measured span.  That part keeps
-    a start off a lower eigenvector when the measured span is invariant
-    (degenerate spectra).  Only the start changes: each stage still stops on
-    its own residual.
+    residuals in later frames), which the ascents append as row blocks, give,
+    by Rayleigh-Ritz on their span, a model rho^ = Q T Q^H of rho, built in
+    the full space from an SVD of the stacked x (directions below a relative
+    singular value of 1e-10 dropped); the stage starts at the top eigenvector
+    of rho^ compressed to its frame, plus a random part of weight 1e-3 outside
+    the measured span.  That part keeps a start off a lower eigenvector when
+    the measured span is invariant (degenerate spectra).  Only the start
+    changes: each stage still stops on its own residual.
 
     The second stage's model needs no ascent once it is certified: when the
     first stage's n points x span the whole space (s_d of the stacked x above
-    the 1e-10 cut) and sqrt(n) delta / s_d <= tol (``tol``, or 1e-8 when it is
-    ``None``), for delta = 8 (d+4) sqrt(d) eps the rounding bound of one
-    measured column rho x, the model's error is within tol, and so is every
+    the 1e-10 cut) and 2 sqrt(n) delta / s_d <= tol (``tol``, or 1e-8 when it
+    is ``None``), for delta = 8 (d+4) sqrt(d) eps the rounding bound of one
+    measured column rho x (doubled for the couplings an ascent reuses; see
+    ``_column_error``), the model's error is within tol, and so is every
     Ritz pair's residual in the stage's frame.  The stage then adds
     sum_i theta_i |F y_i><F y_i| over all m eigenpairs (theta_i, y_i) of the
-    compressed model and ends the run, with no further query.  Noisy oracles,
-    points that do not span the space, and a ``tol`` below the bound run
-    every stage as above.
+    compressed model and ends the run, with no further query.  A first stage
+    that measures d points without a restart costs d + k d(d-1)/2 queries
+    (k = 3 complex, 2 real; ``_ascend_sphere``), so a run certified at stage
+    2 costs (3d^2 - d)/2 in the complex field, below the explicit route's
+    2d^2 - d for d >= 3, and d^2 in the real field.  Noisy oracles, points
+    that do not span the space, and a ``tol`` below the bound run every stage
+    as above.
 
     Raises
     ------
@@ -479,7 +542,7 @@ def implicit_reconstruct(
 
     frame = np.eye(d, dtype=np.complex128 if complex_ else float)
     estimate = np.zeros((d, d), dtype=np.complex128)
-    history: list[tuple[np.ndarray, np.ndarray]] = []  # (x, rho x) of each residual batch
+    history: list[tuple[np.ndarray, np.ndarray]] = []  # row blocks (X, rho X) of the ascents
     tol = _EXACT_TOL if cfg.tol is None else cfg.tol
     for stage in range(d):
         m = frame.shape[1]
@@ -488,7 +551,7 @@ def implicit_reconstruct(
         else:
             if history and oracle.noise_scale == 0:
                 # Rayleigh-Ritz on span{x}: X = Q S V^H, rho Q = Y V S^-1
-                x, y = (np.array(h).T for h in zip(*history))
+                x, y = (np.concatenate(h).T for h in zip(*history))
                 q, s, vh = np.linalg.svd(x, full_matrices=False)
                 k = np.count_nonzero(s > _SPAN_CUT * s[0])
                 t = q[:, :k].conj().T @ y @ (vh[:k].conj().T / s[:k])
@@ -496,8 +559,8 @@ def implicit_reconstruct(
                 theta, ritz = np.linalg.eigh(g @ _hermitian_part(t) @ g.conj().T)
                 # Only stage 1's pairs are exact to rounding (later frames add the
                 # found eigenvectors' residuals).  With Y = rho X + E and k = d,
-                # ||T - Q^H rho Q|| <= ||E|| / s_d <= sqrt(n) delta / s_d.
-                bound = math.sqrt(len(history)) * _column_error(d)
+                # ||T - Q^H rho Q|| <= ||E|| / s_d <= 2 sqrt(n) delta / s_d.
+                bound = 2 * math.sqrt(x.shape[1]) * _column_error(d)
                 if stage == 1 and k == d and bound <= tol * s[-1]:
                     n_vecs = frame @ ritz
                     estimate += (n_vecs * theta) @ n_vecs.conj().T

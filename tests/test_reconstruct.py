@@ -28,7 +28,7 @@ from gleason.reconstruct import (
     pauli_reconstruct_2d,
     transition_matrix,
 )
-from gleason.reconstruct import _householder_complement
+from gleason.reconstruct import _ascend_sphere, _householder_complement
 from gleason.serialize import matrix_from_json
 from gleason.valuation import ExactOracle, NoisyOracle
 
@@ -339,17 +339,18 @@ class TestImplicit:
         report = implicit_reconstruct(ExactOracle(DensityMatrix([[1.0]])))
         assert report.estimate.tolist() == [[1.0]]
 
-    # Query counts recorded from the Krylov ascent (one residual batch of
-    # 1 + k(m-1) rows per iteration, Rayleigh-Ritz over every point the stage
-    # measured) whose later stages start warm from the pairs earlier stages
-    # measured, and whose second stage takes every eigenpair left from that
-    # model once it is certified.  A change to the ascent may lower these
-    # counts, never raise them.  An exact oracle's stages take their value from
-    # the ascent or the model, so only an uncertified run's one-ray stage
-    # queries outside an ascent.
-    PINNED_QUERIES = {(3, "complex"): 21, (3, "real"): 15, (6, "complex"): 96,
-                      (6, "real"): 66, (8, "complex"): 176, (8, "real"): 120,
-                      (12, "complex"): 408}
+    # Query counts recorded from the Krylov ascent (one residual batch per
+    # iteration, Rayleigh-Ritz over every point the stage measured; on exact
+    # oracles a batch skips the couplings to the points measured since the last
+    # restart, read off their stored columns) whose later stages start warm
+    # from the pairs earlier stages measured, and whose second stage takes
+    # every eigenpair left from that model once it is certified.  A change to
+    # the ascent may lower these counts, never raise them.  An exact oracle's
+    # stages take their value from the ascent or the model, so only an
+    # uncertified run's one-ray stage queries outside an ascent.
+    PINNED_QUERIES = {(3, "complex"): 12, (3, "real"): 9, (6, "complex"): 51,
+                      (6, "real"): 36, (8, "complex"): 92, (8, "real"): 64,
+                      (12, "complex"): 210}
 
     @pytest.mark.parametrize("dim, field", sorted(PINNED_QUERIES))
     def test_query_count_is_pinned(self, dim, field):
@@ -372,56 +373,92 @@ class TestImplicit:
         report = implicit_reconstruct(oracle, ImplicitConfig(seed=500 + dim))
         assert report.query_count == self.PINNED_NOISY_QUERIES[dim, field]
 
-    @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_every_ascent_query_is_one_residual_batch(self, field, monkeypatch):
-        # An iteration queries u and its complement's coupling probes, and
-        # nothing else.  A full-rank state's first stage measures points that
-        # span the space, so the run certifies at stage 2 and queries nothing
-        # after its one ascent.  A rank-1 state's points span two dimensions,
-        # so every stage ascends and the one-ray last stage queries.
-        d, k = 6, (3 if field == "complex" else 2)
-        stage_m = [None]
-        ascend = reconstruct._ascend_sphere
+    @staticmethod
+    def spy_ascents(monkeypatch, oracle):
+        """Record each ascent as (frame width m, rows of each query it makes,
+        lengths of the history blocks it appends); queries made outside an
+        ascent go to the second list returned."""
+        ascents, outside = [], []
+        current = [outside]
+        ascend, query = _ascend_sphere, oracle.query_batch
 
-        def in_stage(o, frame, *args):
-            stage_m[0] = frame.shape[1]
+        def in_stage(o, frame, u, tol, history):
+            start, current[0] = len(history), []
             try:
-                return ascend(o, frame, *args)
+                return ascend(o, frame, u, tol, history)
             finally:
-                stage_m[0] = None
+                blocks = [len(x) for x, _ in history[start:]]
+                ascents.append((frame.shape[1], current[0], blocks))
+                current[0] = outside
+
+        def spy(vectors):
+            current[0].append(len(vectors))
+            return query(vectors)
 
         monkeypatch.setattr(reconstruct, "_ascend_sphere", in_stage)
-        for rank, widths in ((d, {d}), (1, set(range(2, d + 1)))):
+        monkeypatch.setattr(oracle, "query_batch", spy)
+        return ascents, outside
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_every_ascent_query_is_one_residual_batch(self, field, monkeypatch):
+        # An iteration queries u and the coupling probes of the directions not
+        # yet measured since the last restart: 1 + k(m-1), 1 + k(m-2), ...
+        # rows, back to 1 + k(m-1) only where a restart begins a new history
+        # block.  A full-rank state certifies at stage 2 after one ascent; a
+        # rank-1 state ascends at every stage and queries its one-ray last
+        # stage; tol = 0 is never met on an exact oracle, so its ascent
+        # restarts until the budget runs out.
+        d, k = 6, (3 if field == "complex" else 2)
+        for rank, tol in ((d, None), (1, None), (d, 0.0)):
             oracle = ExactOracle(random_density_matrix(d, rank, seed=31, field=field), field)
-            rows, query = [], oracle.query_batch
+            ascents, outside = self.spy_ascents(monkeypatch, oracle)
+            config = ImplicitConfig(tol=tol, seed=32)
+            if tol == 0.0:
+                with pytest.raises(ConvergenceError):
+                    implicit_reconstruct(oracle, config)
+                assert len(ascents[0][2]) > 1 and sum(ascents[0][2]) == 300
+            else:
+                implicit_reconstruct(oracle, config)
+            assert outside == ([1] if rank == 1 else [])
+            assert [m for m, _, _ in ascents] == (list(range(d, 1, -1)) if rank == 1 else [d])
+            for m, widths, blocks in ascents:
+                assert widths == [1 + k * (m - 1 - i) for n in blocks for i in range(n)], widths
 
-            def spy(vectors):
-                rows.append((stage_m[0], len(vectors)))
-                return query(vectors)
-
-            monkeypatch.setattr(oracle, "query_batch", spy)
-            implicit_reconstruct(oracle, ImplicitConfig(seed=32))
-            if rank == 1:
-                assert rows.pop() == (None, 1)
-            assert {m for m, _ in rows} == widths
-            assert all(n == 1 + k * (m - 1) for m, n in rows), rows
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_noisy_ascent_batches_stay_full(self, field, monkeypatch):
+        # a noisy oracle reuses no coupling: every iteration measures u's
+        # whole complement, and each maximizer is queried afresh
+        d, k = 6, (3 if field == "complex" else 2)
+        rho = random_density_matrix(d, d, seed=31, field=field)
+        oracle = NoisyOracle(rho, shots=10_000, seed=33, field=field)
+        ascents, outside = self.spy_ascents(monkeypatch, oracle)
+        implicit_reconstruct(oracle, ImplicitConfig(seed=32))
+        assert [m for m, _, _ in ascents] == list(range(d, 1, -1))
+        assert outside == [1] * d
+        for m, widths, _ in ascents:
+            assert widths and all(n == 1 + k * (m - 1) for n in widths), widths
 
     # The certified finish must leave these runs as they were.  A rank-1
-    # state's measured points span two dimensions, never the space.
-    @pytest.mark.parametrize("field, queries", [("complex", 51), ("real", 36)])
-    def test_rank_one_states_ascend_every_stage(self, field, queries):
+    # state's measured points span two dimensions, never the space.  The start
+    # is drawn from its own seed: with the state's seed it would be the
+    # eigenvector itself, and stage 1 would stop after one batch.
+    @pytest.mark.parametrize("field, queries", [("complex", 64), ("real", 45)])
+    def test_rank_one_states_ascend_every_stage(self, field, queries, monkeypatch):
         for seed in range(5):
             rho = random_density_matrix(6, 1, seed=seed, field=field)
-            report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
+            oracle = ExactOracle(rho, field)
+            ascents, _ = self.spy_ascents(monkeypatch, oracle)
+            report = implicit_reconstruct(oracle, ImplicitConfig(seed=seed + 1000))
+            assert len(ascents[0][1]) >= 2
             assert report.query_count == queries
             assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
 
-    @pytest.mark.parametrize("field, queries", [("complex", 131), ("real", 91)])
+    @pytest.mark.parametrize("field, queries", [("complex", 86), ("real", 61)])
     def test_tol_below_the_bound_ascends_every_stage(self, field, queries):
         # n unit columns give s_d <= sqrt(n/d), so the model's bound
-        # sqrt(n) delta / s_d is at least sqrt(d) delta, above tol = 1e-13 at
-        # d = 6: the pinned state keeps the count every stage's ascent costs
-        assert np.sqrt(6) * reconstruct._column_error(6) > 1e-13
+        # 2 sqrt(n) delta / s_d is at least 2 sqrt(d) delta, above tol = 1e-13
+        # at d = 6: the pinned state keeps the count every stage's ascent costs
+        assert 2 * np.sqrt(6) * reconstruct._column_error(6) > 1e-13
         rho = random_density_matrix(6, 6, seed=106, field=field)
         oracle = ExactOracle(rho, field)
         report = implicit_reconstruct(oracle, ImplicitConfig(tol=1e-13, seed=206))
@@ -445,11 +482,15 @@ class TestImplicit:
             assert np.max(np.abs(got - spectrum[::-1])) <= 1e-9
 
     @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_first_stage_span_makes_the_model_exact(self, field):
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_first_stage_span_makes_the_model_exact(self, d, field):
         # implicit-spectral's spectrum: stage 1 measures points spanning the
         # whole space, so the run certifies at stage 2 with a model exact to
-        # rounding
-        d = 6
+        # rounding.  The i-th point (from 0) queries itself and k rows for each
+        # of the d-1-i directions still unmeasured: d + k d(d-1)/2 queries in
+        # all, (3d^2 - d)/2 in the complex field, below the explicit route's
+        # 2d^2 - d for d >= 3, and d^2 in the real field
+        k = 3 if field == "complex" else 2
         spectrum = 0.6 ** np.arange(d)
         spectrum /= spectrum.sum()
         for seed in range(4):
@@ -457,6 +498,9 @@ class TestImplicit:
             m = (u * spectrum) @ u.conj().T
             rho = DensityMatrix((m + m.conj().T) / 2)
             report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
+            assert report.query_count == d + k * d * (d - 1) // 2
+            if field == "complex":
+                assert report.query_count < 2 * d * d - d
             assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-12
 
     def test_unreachable_tol_restarts_until_the_budget(self):
