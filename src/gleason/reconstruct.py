@@ -291,8 +291,8 @@ _EXPLORE = 1e-3
 
 def _column_error(d: int) -> float:
     """Bound delta = 8 (d+4) sqrt(d) eps on the rounding error of the measured
-    part of one column rho x of the first stage, whose frame is I, so that
-    x = u exactly.
+    part of one column rho x of the full-span pass (``_span_pass``), whose
+    frame is I, so that x = u exactly.
 
     Each value v(p) = Re p^H (rho p) is two length-d dots, off by at most
     2(d+2) eps |p|^T |rho| |p| <= 2(d+2) eps (|p|^T |rho| |p| <= ||rho||_F <= 1),
@@ -305,18 +305,18 @@ def _column_error(d: int) -> float:
     In sum at most (d+4) eps (2 + 4 sqrt2 sqrt(d-1)) + O(d eps) <= delta for
     d >= 2.
 
-    The rest of column j, its part along the points x_i (i < j) measured
-    since the last restart, is inherited: conj(<x_j|AX_i>) =
-    <x_i|rho|x_j> + conj(<x_j|e_i>), where e_i is the error of column i's
-    measured part (column i's own inherited part lies in span{x_0 ... x_{i-1}},
-    orthogonal to x_j).  So the inherited errors taken from column i are the
-    projections of e_i onto the orthonormal x_{i+1}, x_{i+2}, ..., and by
-    Bessel's inequality their squares sum to at most ||e_i||^2.  Over n
-    columns ||E_inh||_F <= ||E_meas||_F <= sqrt(n) delta, so the whole error
-    ||E||_F <= 2 sqrt(n) delta.  (The two parts of one column are orthogonal,
-    which would give sqrt2; the factor 2 leaves room for the chain's O(d eps)
-    loss of orthogonality.)  The SVD's backward error, O(sqrt(n) eps), sits
-    inside 2 sqrt(n) delta."""
+    The rest of column j, along x_i (i < j), is inherited: conj(<x_j|AX_i>)
+    = <x_i|rho|x_j> + conj(<x_j|e_i>), for e_i the error of column i's
+    measured part, whose inherited part is orthogonal to x_j.  By Bessel's
+    inequality these projections of e_i onto the orthonormal x_{i+1}, ... have
+    squares summing to at most ||e_i||^2, so the Ritz matrix is T = M^H rho M
+    + E for M = X^T, ||E||_F <= 2 sqrt(d) delta (sqrt2 for the two orthogonal
+    parts of a column, with room for the chain's O(d eps) loss of orthogonality).
+
+    The model M^-H T M^-1 is within ||E|| / s_d^2 of rho, for s_d the least
+    singular value of X, and eta = ||X X^H - I||_F >= 1 - s_d^2, so it is
+    within tol once 2 sqrt(d) delta <= tol (1 - eta).  The estimate M T M^H =
+    sum_i theta_i |M y_i><M y_i| differs from it by O(eta), rounding level."""
     return 8 * (d + 4) * math.sqrt(d) * np.finfo(float).eps
 
 
@@ -366,29 +366,65 @@ def _householder_complement(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _measure(oracle: ValuationOracle, frame_t: np.ndarray | None, u: np.ndarray, j: int,
+             inh: int, xat: np.ndarray, resid: np.ndarray) -> tuple[float, float]:
+    """One residual batch at the unit point u = x_j of frame coordinates:
+    writes u, rho u and the j-th row and column of T into ``xat`` = (X, AX, T)
+    and returns v(u) and ||rho u - v(u) u||.  The batch, built in ``resid``
+    and mapped to full space by ``frame_t`` (``None`` for frame I), is u and
+    (u+w_l)/sqrt2, (u+iw_l)/sqrt2 (real mode: k = 2, the first only; else 3)
+    over the w_l spanning the complement of {x_0 ... x_{inh-1}, u}, so
+    1 + k(m-1-inh) rows; the couplings to those x_i, conj(<u|rho x_i>), are
+    read off AX.  The w_l are a Householder chain: u's reflector in the
+    previous w_l's coordinates, mapped back by one rank-one update."""
+    m = u.size
+    k = 3 if oracle.field == "complex" else 2
+    x, ax, t = xat
+    n = m - 1 - inh
+    w = resid[1 + inh:m]  # the complement basis, in place below the row of u
+    if inh:  # u's reflector in the previous basis's coordinates, mapped back
+        prev = resid[inh:m]
+        coef, v = _reflector(prev.conj() @ u)
+        w += coef[:, None] * (v @ prev)
+    else:
+        _householder_complement(u, w)
+    rows = resid[inh:m + (k - 1) * n]
+    rows[0] = u
+    coupling_probes(u, w, oracle.field, out=rows[1 + n:])
+    vals = oracle.query_batch(rows if frame_t is None else rows @ frame_t)
+    vu = vals[0]
+    c = known_diagonal_coupling(vu, vals[1:1 + n], vals[1 + n:], oracle.field)
+    x[j] = u
+    np.matmul(c.conj(), w, out=ax[j])
+    ax[j] += vu * u
+    t[j, j] = vu
+    nr2 = np.vdot(c, c).real
+    if inh:
+        h = ax[:inh].conj() @ u  # <x_i|rho|u> = conj(<u|rho x_i>)
+        ax[j] += h @ x[:inh]
+        t[:inh, j] = h
+        t[j, :inh] = h.conj()
+        nr2 += np.vdot(h, h).real
+    return float(vu), math.sqrt(nr2)
+
+
+def _orthogonalized(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """g orthogonalized twice against the orthonormal rows of x, and its norm."""
+    for _ in range(2):
+        g = g - (x.conj() @ g) @ x
+    return g, math.sqrt(np.vdot(g, g).real)
+
+
 def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
                    tol: float | None, history: list) -> np.ndarray:
     """Maximize the valuation over unit vectors in the span of ``w_frame``,
     starting from the unit vector ``u`` of frame coordinates.
 
     Krylov ascent (Lanczos, or Davidson without a preconditioner), one
-    ``query_batch`` call per iteration: u and w_l, (u+w_l)/sqrt2,
-    (u+iw_l)/sqrt2 over an orthonormal basis w_l of the directions still
-    unmeasured, so that v(u) and c_l = <u|rho|w_l> give rho u.  Real mode drops
-    the imaginary probes.  The points measured since the last restart are the
-    orthonormal rows x_i of X, and rho applied to them those of AX.  On a
-    noisy oracle the w_l span u's whole complement, from one Householder
-    reflector (``_householder_complement``): 1 + k(m-1) rows, for k = 3
-    (complex) or 2 (real).  On an exact oracle the new point u = x_j is
-    orthogonal to x_0 ... x_{j-1}, and <x_i|rho|u> = conj(<u|rho x_i>) is read
-    off the stored row AX_i with no query, so the w_l span only the complement
-    of {x_0 ... x_{j-1}, u}: 1 + k(m-1-j) rows.  That basis is a running
-    Householder chain: the reflector of u in the previous basis's coordinates
-    (``_reflector``), mapped back in place by one rank-one update of that
-    basis; a restart (j = 0) takes u's whole complement.
-    The batch is written in place into a block allocated once per call (the
-    coupling rows by ``coupling_probes``) and mapped to frame coordinates by
-    one matmul.
+    residual batch (``_measure``) per iteration at the j-th point x_j since
+    the last restart, the rows of X, and rho x_j, those of AX.  An exact
+    oracle inherits the couplings to x_0 ... x_{j-1}: 1 + k(m-1-j) rows; a
+    noisy one measures u's whole complement, 1 + k(m-1) rows.
 
     The top eigenpair (theta, y) of the Ritz matrix T = X^* AX^T gives the
     Ritz vector z = yX and its residual g = y AX - theta z, exact to rounding
@@ -409,13 +445,12 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
     value; raises :class:`ConvergenceError` after ``_MAX_SWEEPS`` iterations.
     """
     m = w_frame.shape[1]
-    field = oracle.field
     exact = oracle.noise_scale == 0
-    k = 3 if field == "complex" else 2  # rows per complement direction w_l
+    k = 3 if oracle.field == "complex" else 2  # rows per complement direction w_l
     floor = 3 * oracle.noise_scale * np.sqrt(k * (m - 1))
     tol = max(_EXACT_TOL, floor) if tol is None else (tol if tol >= floor else -np.inf)
     resid = np.empty((1 + k * (m - 1), m), u.dtype)  # u, the w_l, their coupling probes
-    x, ax, t = np.empty((3, m, m), u.dtype)  # points u and rho u, one per row; Ritz matrix
+    x, ax, t = xat = np.empty((3, m, m), u.dtype)  # points u, rho u as rows; Ritz matrix
     frame_t = w_frame.T
 
     def flush(n: int) -> None:  # the pairs measured since the last restart, as one block
@@ -423,36 +458,10 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
 
     j = 0
     for sweep in range(_MAX_SWEEPS):
-        inh = j if exact else 0  # couplings <x_i|rho|u> known from earlier rows of AX
-        n = m - 1 - inh
-        w = resid[1 + inh:m]  # the complement basis, in place below the row of u
-        if inh:  # u's reflector in the previous basis's coordinates, mapped back
-            prev = resid[inh:m]
-            coef, v = _reflector(prev.conj() @ u)
-            w += coef[:, None] * (v @ prev)
-        else:
-            _householder_complement(u, w)
-        rows = resid[inh:m + (k - 1) * n]
-        rows[0] = u
-        coupling_probes(u, w, field, out=rows[1 + n:])
-        vals = oracle.query_batch(rows @ frame_t)
-        vu = vals[0]
-        c = known_diagonal_coupling(vu, vals[1:1 + n], vals[1 + n:], field)
-        x[j] = u
-        np.matmul(c.conj(), w, out=ax[j])
-        ax[j] += vu * u
-        t[j, j] = vu
-        nr2 = np.vdot(c, c).real
-        if inh:
-            h = ax[:inh].conj() @ u  # <x_i|rho|u> = conj(<u|rho x_i>)
-            ax[j] += h @ x[:inh]
-            t[:inh, j] = h
-            t[j, :inh] = h.conj()
-            nr2 += np.vdot(h, h).real
-        nr = math.sqrt(nr2)
+        vu, nr = _measure(oracle, frame_t, u, j, j if exact else 0, xat, resid)
         if nr <= tol:
             flush(j + 1)
-            return u, float(vu)
+            return u, vu
         if sweep == _MAX_SWEEPS - 1:
             break
         j += 1
@@ -465,16 +474,38 @@ def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
         if math.sqrt(np.vdot(g, g).real) <= tol:
             flush(j)
             return z, float(theta)
-        for _ in range(2):
-            g -= (x[:j].conj() @ g) @ x[:j]
-        gn = math.sqrt(np.vdot(g, g).real)
+        g, gn = _orthogonalized(g, x[:j])
         if gn < 1e-12 or j == m:  # no new direction: restart from the Ritz vector
             flush(j)
             u, j = z, 0
         else:
             u = g / gn
     flush(j + 1)
-    raise ConvergenceError(w_frame @ u, float(vu), nr, _MAX_SWEEPS, floor)
+    raise ConvergenceError(w_frame @ u, vu, nr, _MAX_SWEEPS, floor)
+
+
+def _span_pass(oracle: ValuationOracle, u: np.ndarray, draw):
+    """Lanczos pass over the whole space in frame I, on an exact oracle:
+    from the unit start u, d points x_j, each measured by ``_measure`` with
+    its couplings to the points before it inherited, d + k d(d-1)/2 queries.
+    The next point is rho x_j orthogonalized twice against X, which spans the
+    Krylov space the Ritz residual would, so no eigenpair is taken per point;
+    on breakdown (norm below 1e-12) it is ``draw(d)`` orthogonalized twice.
+    Returns the Ritz values theta_i of the filled T, non-increasing, the Ritz
+    vectors z_i = X^T y_i as rows, and eta = ||X X^H - I||_F (``_column_error``)."""
+    d = u.size
+    k = 3 if oracle.field == "complex" else 2
+    resid = np.empty((1 + k * (d - 1), d), u.dtype)
+    x, ax, t = xat = np.empty((3, d, d), u.dtype)
+    for j in range(d):
+        _measure(oracle, None, u, j, j, xat, resid)
+        if j < d - 1:
+            g, gn = _orthogonalized(ax[j], x[:j + 1])
+            if gn < 1e-12:
+                g, gn = _orthogonalized(draw(d), x[:j + 1])
+            u = g / gn
+    theta, y = np.linalg.eigh(t)
+    return theta[::-1], (y.T @ x)[::-1], float(np.linalg.norm(x @ x.conj().T - np.eye(d)))
 
 
 def implicit_reconstruct(
@@ -485,42 +516,28 @@ def implicit_reconstruct(
     Finds n_1 maximizing the valuation on the unit sphere, then n_2
     maximizing it on the sphere orthogonal to n_1, and so on; the
     valuations at the maximizers are the eigenvalues (non-increasing) and
-    the estimate is  sum_i v(n_i) |n_i><n_i|.  Each stage runs one Krylov
-    ascent.  On an exact oracle v(n_i) is the value the ascent returns (read
-    at n_i, or the Ritz value of the points it measured); a noisy oracle is
-    queried afresh at the maximizer, as that query is an unbiased sample and
-    the ascent's own value a selected one.
-    The last stage needs no ascent, as its sphere is one ray: it queries,
-    unless the run ended earlier as below.
+    the estimate is  sum_i v(n_i) |n_i><n_i|.
 
-    The first stage starts from a seeded random unit vector, and so does
-    every stage on a noisy oracle (warm starts raised their error medians).
-    On an exact oracle each later stage starts warm: the pairs (x, rho x) of
-    all earlier residual batches (exact up to the found eigenvectors'
-    residuals in later frames), which the ascents append as row blocks, give,
-    by Rayleigh-Ritz on their span, a model rho^ = Q T Q^H of rho, built in
-    the full space from an SVD of the stacked x (directions below a relative
-    singular value of 1e-10 dropped); the stage starts at the top eigenvector
-    of rho^ compressed to its frame, plus a random part of weight 1e-3 outside
-    the measured span.  That part keeps a start off a lower eigenvector when
-    the measured span is invariant (degenerate spectra).  Only the start
-    changes: each stage still stops on its own residual.
+    On an exact oracle with ``tol`` of ``None`` (1e-8) or at least the bound
+    2 sqrt(d) delta (``_column_error``), one Lanczos pass (``_span_pass``)
+    from a seeded random unit vector spans the space, and by Courant-Fischer
+    its Ritz pairs (theta_i, z_i) are those maximizers and values.  Once the
+    pass is certified, 2 sqrt(d) delta <= tol (1 - eta), the estimate is
+    sum_i theta_i |z_i><z_i| at exactly d + k d(d-1)/2 queries (k = 3
+    complex, 2 real): (3d^2 - d)/2, below the explicit route's 2d^2 - d for
+    d >= 2, or d^2 in the real field.
 
-    The second stage's model needs no ascent once it is certified: when the
-    first stage's n points x span the whole space (s_d of the stacked x above
-    the 1e-10 cut) and 2 sqrt(n) delta / s_d <= tol (``tol``, or 1e-8 when it
-    is ``None``), for delta = 8 (d+4) sqrt(d) eps the rounding bound of one
-    measured column rho x (doubled for the couplings an ascent reuses; see
-    ``_column_error``), the model's error is within tol, and so is every
-    Ritz pair's residual in the stage's frame.  The stage then adds
-    sum_i theta_i |F y_i><F y_i| over all m eigenpairs (theta_i, y_i) of the
-    compressed model and ends the run, with no further query.  A first stage
-    that measures d points without a restart costs d + k d(d-1)/2 queries
-    (k = 3 complex, 2 real; ``_ascend_sphere``), so a run certified at stage
-    2 costs (3d^2 - d)/2 in the complex field, below the explicit route's
-    2d^2 - d for d >= 3, and d^2 in the real field.  Noisy oracles, points
-    that do not span the space, and a ``tol`` below the bound run every stage
-    as above.
+    Other runs (an uncertified pass too) go stage by stage, each one Krylov
+    ascent (``_ascend_sphere``); the last stage's sphere is one ray, which
+    it queries.  A noisy oracle is queried afresh at each maximizer (an
+    unbiased sample, where the ascent's value is a selected one), and each
+    stage starts at a seeded random unit vector (warm starts raised its
+    error medians).  On an exact oracle v(n_i) is the ascent's value, and
+    each later stage starts warm: at the top eigenvector, compressed to its
+    frame, of the Rayleigh-Ritz model of the pairs (x, rho x) the ascents
+    append (an SVD of the stacked x, relative singular values below 1e-10
+    dropped), plus a random part of weight 1e-3 outside their span, which
+    keeps a start off a lower eigenvector when that span is invariant.
 
     Raises
     ------
@@ -540,11 +557,18 @@ def implicit_reconstruct(
         z = _ginibre((m,), rng, oracle.field)
         return z if complex_ else z.real
 
+    tol = _EXACT_TOL if cfg.tol is None else cfg.tol
+    bound = 2 * math.sqrt(d) * _column_error(d)
+    if oracle.noise_scale == 0 and bound <= tol:
+        u = draw(d)
+        theta, z, eta = _span_pass(oracle, u / np.linalg.norm(u), draw)
+        if bound <= tol * (1 - eta):
+            estimate = _hermitian_part((z.T * theta) @ z.conj())
+            return _finish("implicit", estimate, oracle.query_count - before)
     frame = np.eye(d, dtype=np.complex128 if complex_ else float)
     estimate = np.zeros((d, d), dtype=np.complex128)
     history: list[tuple[np.ndarray, np.ndarray]] = []  # row blocks (X, rho X) of the ascents
-    tol = _EXACT_TOL if cfg.tol is None else cfg.tol
-    for stage in range(d):
+    for _ in range(d):
         m = frame.shape[1]
         if m == 1:
             coeff, lam = np.ones(1, dtype=frame.dtype), None
@@ -556,16 +580,7 @@ def implicit_reconstruct(
                 k = np.count_nonzero(s > _SPAN_CUT * s[0])
                 t = q[:, :k].conj().T @ y @ (vh[:k].conj().T / s[:k])
                 g = frame.conj().T @ q[:, :k]
-                theta, ritz = np.linalg.eigh(g @ _hermitian_part(t) @ g.conj().T)
-                # Only stage 1's pairs are exact to rounding (later frames add the
-                # found eigenvectors' residuals).  With Y = rho X + E and k = d,
-                # ||T - Q^H rho Q|| <= ||E|| / s_d <= 2 sqrt(n) delta / s_d.
-                bound = 2 * math.sqrt(x.shape[1]) * _column_error(d)
-                if stage == 1 and k == d and bound <= tol * s[-1]:
-                    n_vecs = frame @ ritz
-                    estimate += (n_vecs * theta) @ n_vecs.conj().T
-                    break
-                u = ritz[:, -1]
+                u = np.linalg.eigh(g @ _hermitian_part(t) @ g.conj().T)[1][:, -1]
                 z = draw(m)
                 u += _EXPLORE * (z - g @ (g.conj().T @ z))
             else:

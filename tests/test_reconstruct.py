@@ -28,7 +28,7 @@ from gleason.reconstruct import (
     pauli_reconstruct_2d,
     transition_matrix,
 )
-from gleason.reconstruct import _ascend_sphere, _householder_complement
+from gleason.reconstruct import _ascend_sphere, _householder_complement, _span_pass
 from gleason.serialize import matrix_from_json
 from gleason.valuation import ExactOracle, NoisyOracle
 
@@ -339,15 +339,12 @@ class TestImplicit:
         report = implicit_reconstruct(ExactOracle(DensityMatrix([[1.0]])))
         assert report.estimate.tolist() == [[1.0]]
 
-    # Query counts recorded from the Krylov ascent (one residual batch per
-    # iteration, Rayleigh-Ritz over every point the stage measured; on exact
-    # oracles a batch skips the couplings to the points measured since the last
-    # restart, read off their stored columns) whose later stages start warm
-    # from the pairs earlier stages measured, and whose second stage takes
-    # every eigenpair left from that model once it is certified.  A change to
-    # the ascent may lower these counts, never raise them.  An exact oracle's
-    # stages take their value from the ascent or the model, so only an
-    # uncertified run's one-ray stage queries outside an ascent.
+    # Query counts recorded from the full-span Lanczos pass that every exact
+    # run with the default tol makes: one residual batch per point, which
+    # skips the couplings to the points before it (read off their stored
+    # columns), d + k d(d-1)/2 queries in all, with the estimate taken from
+    # the Ritz pairs of the whole space.  A change to the route may lower
+    # these counts, never raise them.
     PINNED_QUERIES = {(3, "complex"): 12, (3, "real"): 9, (6, "complex"): 51,
                       (6, "real"): 36, (8, "complex"): 92, (8, "real"): 64,
                       (12, "complex"): 210}
@@ -374,21 +371,43 @@ class TestImplicit:
         assert report.query_count == self.PINNED_NOISY_QUERIES[dim, field]
 
     @staticmethod
+    def count_draws(monkeypatch):
+        """Count the route's random draws: the start vectors, and a pass's
+        vectors drawn on breakdown."""
+        draws, ginibre = [], reconstruct._ginibre
+
+        def counting(*args):
+            draws.append(args[0])
+            return ginibre(*args)
+
+        monkeypatch.setattr(reconstruct, "_ginibre", counting)
+        return draws
+
+    @staticmethod
     def spy_ascents(monkeypatch, oracle):
         """Record each ascent as (frame width m, rows of each query it makes,
-        lengths of the history blocks it appends); queries made outside an
-        ascent go to the second list returned."""
-        ascents, outside = [], []
+        lengths of the history blocks it appends) and each full-span pass as
+        the rows of each query it makes; queries made outside both go to the
+        third list returned."""
+        ascents, passes, outside = [], [], []
         current = [outside]
         ascend, query = _ascend_sphere, oracle.query_batch
 
-        def in_stage(o, frame, u, tol, history):
+        def in_stage(o, frame, u, tol, history, **kw):
             start, current[0] = len(history), []
             try:
-                return ascend(o, frame, u, tol, history)
+                return ascend(o, frame, u, tol, history, **kw)
             finally:
                 blocks = [len(x) for x, _ in history[start:]]
                 ascents.append((frame.shape[1], current[0], blocks))
+                current[0] = outside
+
+        def in_pass(*args, **kw):
+            current[0] = []
+            try:
+                return _span_pass(*args, **kw)
+            finally:
+                passes.append(current[0])
                 current[0] = outside
 
         def spy(vectors):
@@ -396,31 +415,35 @@ class TestImplicit:
             return query(vectors)
 
         monkeypatch.setattr(reconstruct, "_ascend_sphere", in_stage)
+        monkeypatch.setattr(reconstruct, "_span_pass", in_pass)
         monkeypatch.setattr(oracle, "query_batch", spy)
-        return ascents, outside
+        return ascents, passes, outside
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_every_ascent_query_is_one_residual_batch(self, field, monkeypatch):
-        # An iteration queries u and the coupling probes of the directions not
-        # yet measured since the last restart: 1 + k(m-1), 1 + k(m-2), ...
-        # rows, back to 1 + k(m-1) only where a restart begins a new history
-        # block.  A full-rank state certifies at stage 2 after one ascent; a
-        # rank-1 state ascends at every stage and queries its one-ray last
-        # stage; tol = 0 is never met on an exact oracle, so its ascent
-        # restarts until the budget runs out.
+        # With the default tol an exact run, full rank or rank 1, is one
+        # full-span pass: its j-th point queries itself and the coupling probes
+        # of the d-1-j directions not yet measured, and nothing is queried
+        # outside it.  tol = 0 lies below the pass's bound and is never met on
+        # an exact oracle, so its first ascent restarts until the budget runs
+        # out: each iteration queries u and the directions not yet measured
+        # since the last restart, 1 + k(m-1), 1 + k(m-2), ... rows, back to
+        # 1 + k(m-1) only where a restart begins a new history block.
         d, k = 6, (3 if field == "complex" else 2)
         for rank, tol in ((d, None), (1, None), (d, 0.0)):
             oracle = ExactOracle(random_density_matrix(d, rank, seed=31, field=field), field)
-            ascents, outside = self.spy_ascents(monkeypatch, oracle)
+            ascents, passes, outside = self.spy_ascents(monkeypatch, oracle)
             config = ImplicitConfig(tol=tol, seed=32)
             if tol == 0.0:
                 with pytest.raises(ConvergenceError):
                     implicit_reconstruct(oracle, config)
                 assert len(ascents[0][2]) > 1 and sum(ascents[0][2]) == 300
+                assert passes == outside == []
+                assert [m for m, _, _ in ascents] == [d]
             else:
                 implicit_reconstruct(oracle, config)
-            assert outside == ([1] if rank == 1 else [])
-            assert [m for m, _, _ in ascents] == (list(range(d, 1, -1)) if rank == 1 else [d])
+                assert ascents == outside == []
+                assert passes == [[1 + k * (d - 1 - j) for j in range(d)]]
             for m, widths, blocks in ascents:
                 assert widths == [1 + k * (m - 1 - i) for n in blocks for i in range(n)], widths
 
@@ -431,27 +454,31 @@ class TestImplicit:
         d, k = 6, (3 if field == "complex" else 2)
         rho = random_density_matrix(d, d, seed=31, field=field)
         oracle = NoisyOracle(rho, shots=10_000, seed=33, field=field)
-        ascents, outside = self.spy_ascents(monkeypatch, oracle)
+        ascents, passes, outside = self.spy_ascents(monkeypatch, oracle)
         implicit_reconstruct(oracle, ImplicitConfig(seed=32))
         assert [m for m, _, _ in ascents] == list(range(d, 1, -1))
-        assert outside == [1] * d
+        assert passes == [] and outside == [1] * d
         for m, widths, _ in ascents:
             assert widths and all(n == 1 + k * (m - 1) for n in widths), widths
 
-    # The certified finish must leave these runs as they were.  A rank-1
-    # state's measured points span two dimensions, never the space.  The start
-    # is drawn from its own seed: with the state's seed it would be the
-    # eigenvector itself, and stage 1 would stop after one batch.
-    @pytest.mark.parametrize("field, queries", [("complex", 64), ("real", 45)])
-    def test_rank_one_states_ascend_every_stage(self, field, queries, monkeypatch):
+    # A rank-1 state's Lanczos vectors break down once rho maps the measured
+    # span into itself, after two points (or one, if the start is the
+    # eigenvector); the pass goes on from a random vector at each of the d-2
+    # later points, so the run still fills the space at the cost of any
+    # full-rank run.  The start is drawn from its own seed: with the state's
+    # seed it would be the eigenvector.
+    @pytest.mark.parametrize("field, queries", [("complex", 51), ("real", 36)])
+    def test_rank_one_states_fill_the_space_in_one_pass(self, field, queries, monkeypatch):
         for seed in range(5):
             rho = random_density_matrix(6, 1, seed=seed, field=field)
             oracle = ExactOracle(rho, field)
-            ascents, _ = self.spy_ascents(monkeypatch, oracle)
+            ascents, passes, outside = self.spy_ascents(monkeypatch, oracle)
+            draws = self.count_draws(monkeypatch)
             report = implicit_reconstruct(oracle, ImplicitConfig(seed=seed + 1000))
-            assert len(ascents[0][1]) >= 2
-            assert report.query_count == queries
-            assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
+            assert ascents == outside == [] and len(passes) == 1
+            assert len(draws) == 1 + (6 - 2)
+            assert report.query_count == sum(passes[0]) == queries
+            assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
 
     @pytest.mark.parametrize("field, queries", [("complex", 86), ("real", 61)])
     def test_tol_below_the_bound_ascends_every_stage(self, field, queries):
@@ -469,7 +496,9 @@ class TestImplicit:
     @pytest.mark.parametrize("ratio", [0.1, 0.6, 0.9])
     @pytest.mark.parametrize("d", [8, 16])
     def test_geometric_spectra_are_recovered(self, d, ratio, field):
-        # certified (d = 8, ratios 0.6 and 0.9) and uncertified runs alike
+        # every run is one certified full-span pass, exact to rounding even
+        # for the eigenvalues far below the default tol (ratio 0.1)
+        k = 3 if field == "complex" else 2
         spectrum = ratio ** np.arange(d)
         spectrum /= spectrum.sum()
         for seed in range(4):
@@ -477,27 +506,32 @@ class TestImplicit:
             m = (u * spectrum) @ u.conj().T
             rho = DensityMatrix((m + m.conj().T) / 2)
             report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
-            assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-7
+            assert report.query_count == d + k * d * (d - 1) // 2
+            assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
             got = np.linalg.eigvalsh(report.estimate)
-            assert np.max(np.abs(got - spectrum[::-1])) <= 1e-9
+            assert np.max(np.abs(got - spectrum[::-1])) <= 1e-13
 
     @pytest.mark.parametrize("field", ["complex", "real"])
-    @pytest.mark.parametrize("d", range(3, 9))
-    def test_first_stage_span_makes_the_model_exact(self, d, field):
-        # implicit-spectral's spectrum: stage 1 measures points spanning the
-        # whole space, so the run certifies at stage 2 with a model exact to
-        # rounding.  The i-th point (from 0) queries itself and k rows for each
-        # of the d-1-i directions still unmeasured: d + k d(d-1)/2 queries in
-        # all, (3d^2 - d)/2 in the complex field, below the explicit route's
-        # 2d^2 - d for d >= 3, and d^2 in the real field
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_first_stage_span_makes_the_model_exact(self, d, field, monkeypatch):
+        # implicit-spectral's spectrum: the pass measures points spanning the
+        # whole space and certifies a model exact to rounding.  The i-th point
+        # (from 0) queries itself and k rows for each of the d-1-i directions
+        # still unmeasured: d + k d(d-1)/2 queries in all, (3d^2 - d)/2 in the
+        # complex field, below the explicit route's 2d^2 - d for d >= 2, and
+        # d^2 in the real field.  On these simple spectra the Lanczos
+        # recurrence does not break down, so the start is the only random draw.
         k = 3 if field == "complex" else 2
+        draws = self.count_draws(monkeypatch)
         spectrum = 0.6 ** np.arange(d)
         spectrum /= spectrum.sum()
         for seed in range(4):
             u = haar_random_basis(d, 40 + seed, field).matrix
             m = (u * spectrum) @ u.conj().T
             rho = DensityMatrix((m + m.conj().T) / 2)
+            draws.clear()
             report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
+            assert len(draws) == 1
             assert report.query_count == d + k * d * (d - 1) // 2
             if field == "complex":
                 assert report.query_count < 2 * d * d - d
@@ -528,27 +562,61 @@ class TestImplicit:
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_warm_starts_keep_stage_values_non_increasing(self, field, monkeypatch):
-        # Degenerate levels make the measured span invariant, so a start taken
-        # from it alone sits on a lower eigenvector (stage 2 would stop at 0.2
-        # with 0.3 left).  Each stage must still reach the maximum.
+        # Degenerate levels make a measured span invariant, so a warm start
+        # taken from it alone, or the next Lanczos vector, lies in a lower
+        # eigenspace (a stage could stop at 0.2 with 0.3 left).  With the
+        # default tol the stage values are the full-span pass's Ritz values,
+        # which must still run down the whole spectrum.
+        spectrum = [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]
         stage_values = []
-        ascend = reconstruct._ascend_sphere
 
-        def recording(oracle, frame, *args):
-            coeff, value = ascend(oracle, frame, *args)
-            n = frame @ coeff
-            stage_values.append(np.vdot(n, rho.matrix @ n).real)
-            return coeff, value
+        def recording(*args):
+            theta, z, eta = _span_pass(*args)
+            stage_values.extend(theta)
+            return theta, z, eta
 
-        monkeypatch.setattr(reconstruct, "_ascend_sphere", recording)
+        monkeypatch.setattr(reconstruct, "_span_pass", recording)
         for seed in range(6):
             u = haar_random_basis(6, seed, field).matrix
-            m = (u * [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]) @ u.conj().T
+            m = (u * spectrum) @ u.conj().T
             rho = DensityMatrix((m + m.conj().T) / 2)
             stage_values.clear()
             report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
             assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
-            assert np.all(np.diff(stage_values) <= 1e-9), stage_values
+            assert len(stage_values) == 6, stage_values
+            assert np.all(np.diff(stage_values) <= 0), stage_values
+            assert np.max(np.abs(np.subtract(stage_values, spectrum))) <= 1e-12
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_default_tol_takes_no_svd_and_at_most_two_eigh(self, field, monkeypatch):
+        # the pass's one eigendecomposition of its Ritz matrix and the PSD
+        # repair's: no eigh per point, no SVD of a measured history
+        rho = random_density_matrix(8, 8, seed=108, field=field)
+        oracle = ExactOracle(rho, field)
+        calls = {"svd": 0, "eigh": 0}
+        for name in calls:
+            def counting(*args, _fn=getattr(np.linalg, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counting)
+        report = implicit_reconstruct(oracle, ImplicitConfig(seed=208))
+        assert calls["svd"] == 0 and 1 <= calls["eigh"] <= 2, calls
+        assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
+
+    @pytest.mark.parametrize("field, queries", [("complex", 137), ("real", 97)])
+    def test_pass_certifies_on_its_measured_orthonormality(self, field, queries):
+        # The pass certifies when 2 sqrt(d) delta <= tol (1 - eta).  Just
+        # above the bound it does (51 and 36 queries); at the bound itself its
+        # points' defect eta > 0 fails the check, so the staged path runs after
+        # it, at the cost of the pinned state's staged run (86 and 61) more.
+        d, k = 6, (3 if field == "complex" else 2)
+        bound = 2 * np.sqrt(d) * reconstruct._column_error(d)
+        rho = random_density_matrix(d, d, seed=106, field=field)
+        for tol, count in ((bound * (1 + 1e-9), d + k * d * (d - 1) // 2), (bound, queries)):
+            config = ImplicitConfig(tol=tol, seed=206)
+            report = implicit_reconstruct(ExactOracle(rho, field), config)
+            assert report.query_count == count
+            assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
