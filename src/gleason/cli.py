@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--num-bases", type=int, default=None,
                        help="sample count for method haar-average (default 1000)")
     p_rec.add_argument("--tol", type=float, default=None,
-                       help="residual-norm tolerance for method implicit "
-                       "(default: the oracle's noise floor, at least 1e-8)")
+                       help="tolerance method implicit must reach, or exit 5 "
+                       "(default: whatever its one pass gives)")
     p_rec.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run identity checks")

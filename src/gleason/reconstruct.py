@@ -49,10 +49,11 @@ _CHUNK = 2048
 
 
 class ConvergenceError(RuntimeError):
-    """Sphere maximization did not converge within the iteration budget; carries
-    the last point the ascent measured, the valuation and residual norm ||r||
-    read there, the iteration (residual batch) count ``sweeps`` and the noise
-    floor no tolerance can beat."""
+    """The implicit route's one pass cannot reach the requested tolerance;
+    carries the pass's top Ritz pair (``best_vector``, ``best_value``), the
+    least tolerance it accepts (``residual``), the points it measured
+    (``sweeps``, d) and the oracle's noise floor ``floor``, part of
+    ``residual`` and 0 on an exact oracle."""
 
     def __init__(self, best_vector: np.ndarray, best_value: float, residual: float,
                  sweeps: int, floor: float):
@@ -62,8 +63,8 @@ class ConvergenceError(RuntimeError):
         self.sweeps = sweeps
         self.floor = floor
         super().__init__(
-            f"no convergence after {sweeps} iterations (best value {best_value:.6g}, "
-            f"residual norm {residual:.3e}, noise floor {floor:.3e})"
+            f"tol not reached after {sweeps} points (best value {best_value:.6g}, "
+            f"least reachable tol {residual:.3e}, noise floor {floor:.3e})"
         )
 
 
@@ -279,20 +280,10 @@ def transition_matrix(
     return TransitionMatrix(np.abs(overlap) ** 2)
 
 
-# Iteration budget of one sphere ascent, and the residual norm at which a
-# stage stops on an exact oracle when the caller gives no tolerance.
-_MAX_SWEEPS = 300
-_EXACT_TOL = 1e-8
-# Relative singular value below which a direction of the measured history is
-# dropped, and the weight of the random part a warm start adds outside it.
-_SPAN_CUT = 1e-10
-_EXPLORE = 1e-3
-
-
 def _column_error(d: int) -> float:
     """Bound delta = 8 (d+4) sqrt(d) eps on the rounding error of the measured
-    part of one column rho x of the full-span pass (``_span_pass``), whose
-    frame is I, so that x = u exactly.
+    part of one column rho x of the Lanczos pass (``_span_pass``), whose points
+    x are the queried rows u themselves.
 
     Each value v(p) = Re p^H (rho p) is two length-d dots, off by at most
     2(d+2) eps |p|^T |rho| |p| <= 2(d+2) eps (|p|^T |rho| |p| <= ||rho||_F <= 1),
@@ -315,7 +306,8 @@ def _column_error(d: int) -> float:
 
     The model M^-H T M^-1 is within ||E|| / s_d^2 of rho, for s_d the least
     singular value of X, and eta = ||X X^H - I||_F >= 1 - s_d^2, so it is
-    within tol once 2 sqrt(d) delta <= tol (1 - eta).  The estimate M T M^H =
+    within 2 sqrt(d) delta / (1 - eta), the rounding part of the least ``tol``
+    that ``implicit_reconstruct`` accepts.  The estimate M T M^H =
     sum_i theta_i |M y_i><M y_i| differs from it by O(eta), rounding level."""
     return 8 * (d + 4) * math.sqrt(d) * np.finfo(float).eps
 
@@ -324,13 +316,12 @@ def _column_error(d: int) -> float:
 class ImplicitConfig:
     """Settings of the sphere-maximization route.
 
-    ``tol`` bounds the residual norm ||rho u - v(u) u|| at which a stage's
-    ascent stops, read at a measured point u or computed at a Ritz vector,
-    and the error a certified model may carry (see ``implicit_reconstruct``);
-    ``None`` stops at the oracle's noise floor (at least 1e-8), and a ``tol``
-    below that floor is never met.  A NaN or negative ``tol`` could never be
-    met on any oracle, so it is rejected with ``ValueError``.  ``seed`` draws
-    the random part of every stage's start vector (see ``implicit_reconstruct``).
+    ``tol`` is the error the run must reach (see ``implicit_reconstruct``):
+    ``None`` accepts whatever its one pass gives, and a ``tol`` below the
+    least it accepts raises ``ConvergenceError`` once the pass is paid for.  A NaN or negative
+    ``tol`` could never be met on any oracle, so it is rejected with
+    ``ValueError``.  ``seed`` draws the pass's start vector and any vector it
+    draws on breakdown.
     """
 
     tol: float | None = None
@@ -366,46 +357,43 @@ def _householder_complement(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _measure(oracle: ValuationOracle, frame_t: np.ndarray | None, u: np.ndarray, j: int,
-             inh: int, xat: np.ndarray, resid: np.ndarray) -> tuple[float, float]:
-    """One residual batch at the unit point u = x_j of frame coordinates:
-    writes u, rho u and the j-th row and column of T into ``xat`` = (X, AX, T)
-    and returns v(u) and ||rho u - v(u) u||.  The batch, built in ``resid``
-    and mapped to full space by ``frame_t`` (``None`` for frame I), is u and
-    (u+w_l)/sqrt2, (u+iw_l)/sqrt2 (real mode: k = 2, the first only; else 3)
-    over the w_l spanning the complement of {x_0 ... x_{inh-1}, u}, so
-    1 + k(m-1-inh) rows; the couplings to those x_i, conj(<u|rho x_i>), are
-    read off AX.  The w_l are a Householder chain: u's reflector in the
-    previous w_l's coordinates, mapped back by one rank-one update."""
+def _measure(oracle: ValuationOracle, u: np.ndarray, j: int, xat: np.ndarray,
+             resid: np.ndarray) -> None:
+    """One residual batch at the unit point u = x_j: writes u, rho u and the
+    j-th row and column of T into ``xat`` = (X, AX, T).  The batch, built in
+    ``resid``, is u and (u+w_l)/sqrt2, (u+iw_l)/sqrt2 (real mode: k = 2, the
+    first only; else 3) over the w_l spanning the complement of
+    {x_0 ... x_j}, so 1 + k(m-1-j) rows; the couplings to the earlier x_i,
+    conj(<u|rho x_i>), are read off AX, so each coupling is measured once and
+    T is Hermitian by construction.  The w_l are a Householder chain: u's
+    reflector in the previous w_l's coordinates, mapped back by one rank-one
+    update."""
     m = u.size
     k = 3 if oracle.field == "complex" else 2
     x, ax, t = xat
-    n = m - 1 - inh
-    w = resid[1 + inh:m]  # the complement basis, in place below the row of u
-    if inh:  # u's reflector in the previous basis's coordinates, mapped back
-        prev = resid[inh:m]
+    n = m - 1 - j
+    w = resid[1 + j:m]  # the complement basis, in place below the row of u
+    if j:  # u's reflector in the previous basis's coordinates, mapped back
+        prev = resid[j:m]
         coef, v = _reflector(prev.conj() @ u)
         w += coef[:, None] * (v @ prev)
     else:
         _householder_complement(u, w)
-    rows = resid[inh:m + (k - 1) * n]
+    rows = resid[j:m + (k - 1) * n]
     rows[0] = u
     coupling_probes(u, w, oracle.field, out=rows[1 + n:])
-    vals = oracle.query_batch(rows if frame_t is None else rows @ frame_t)
+    vals = oracle.query_batch(rows)
     vu = vals[0]
     c = known_diagonal_coupling(vu, vals[1:1 + n], vals[1 + n:], oracle.field)
     x[j] = u
     np.matmul(c.conj(), w, out=ax[j])
     ax[j] += vu * u
     t[j, j] = vu
-    nr2 = np.vdot(c, c).real
-    if inh:
-        h = ax[:inh].conj() @ u  # <x_i|rho|u> = conj(<u|rho x_i>)
-        ax[j] += h @ x[:inh]
-        t[:inh, j] = h
-        t[j, :inh] = h.conj()
-        nr2 += np.vdot(h, h).real
-    return float(vu), math.sqrt(nr2)
+    if j:
+        h = ax[:j].conj() @ u  # <x_i|rho|u> = conj(<u|rho x_i>)
+        ax[j] += h @ x[:j]
+        t[:j, j] = h
+        t[j, :j] = h.conj()
 
 
 def _orthogonalized(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -415,90 +403,21 @@ def _orthogonalized(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     return g, math.sqrt(np.vdot(g, g).real)
 
 
-def _ascend_sphere(oracle: ValuationOracle, w_frame: np.ndarray, u: np.ndarray,
-                   tol: float | None, history: list) -> np.ndarray:
-    """Maximize the valuation over unit vectors in the span of ``w_frame``,
-    starting from the unit vector ``u`` of frame coordinates.
-
-    Krylov ascent (Lanczos, or Davidson without a preconditioner), one
-    residual batch (``_measure``) per iteration at the j-th point x_j since
-    the last restart, the rows of X, and rho x_j, those of AX.  An exact
-    oracle inherits the couplings to x_0 ... x_{j-1}: 1 + k(m-1-j) rows; a
-    noisy one measures u's whole complement, 1 + k(m-1) rows.
-
-    The top eigenpair (theta, y) of the Ritz matrix T = X^* AX^T gives the
-    Ritz vector z = yX and its residual g = y AX - theta z, exact to rounding
-    on an exact oracle.  There T is filled one row and column per point, from
-    the same couplings, so it is Hermitian by construction; a noisy oracle
-    takes the Hermitian part of the product.  The next u is g orthogonalized
-    twice against X, or z itself, restarting X, when that leaves a norm below
-    1e-12 or X fills the frame.  Each run of points between restarts is
-    appended to ``history`` as one block (F X, F AX) of rows, for the frame F,
-    when it ends: the pairs (x, rho x) that ``implicit_reconstruct``
-    warm-starts from.
-
-    Stops when ||rho u - v(u) u|| <= tol, returning u and v(u), or when
-    ||g|| <= tol, returning z and theta (eigenvalue error at most
-    tol^2 / gap).  With ``tol=None`` that is max(1e-8, 3 sigma sqrt(k(m-1))),
-    for the oracle's ``noise_scale`` sigma; a ``tol`` below the noise floor is
-    never met.  Returns the maximizer's coordinates in ``w_frame`` and its
-    value; raises :class:`ConvergenceError` after ``_MAX_SWEEPS`` iterations.
-    """
-    m = w_frame.shape[1]
-    exact = oracle.noise_scale == 0
-    k = 3 if oracle.field == "complex" else 2  # rows per complement direction w_l
-    floor = 3 * oracle.noise_scale * np.sqrt(k * (m - 1))
-    tol = max(_EXACT_TOL, floor) if tol is None else (tol if tol >= floor else -np.inf)
-    resid = np.empty((1 + k * (m - 1), m), u.dtype)  # u, the w_l, their coupling probes
-    x, ax, t = xat = np.empty((3, m, m), u.dtype)  # points u, rho u as rows; Ritz matrix
-    frame_t = w_frame.T
-
-    def flush(n: int) -> None:  # the pairs measured since the last restart, as one block
-        history.append((x[:n] @ frame_t, ax[:n] @ frame_t))
-
-    j = 0
-    for sweep in range(_MAX_SWEEPS):
-        vu, nr = _measure(oracle, frame_t, u, j, j if exact else 0, xat, resid)
-        if nr <= tol:
-            flush(j + 1)
-            return u, vu
-        if sweep == _MAX_SWEEPS - 1:
-            break
-        j += 1
-        theta, y = np.linalg.eigh(t[:j, :j] if exact
-                                  else _hermitian_part(x[:j].conj() @ ax[:j].T))
-        theta, y = theta[-1], y[:, -1]
-        z = y @ x[:j]
-        z /= math.sqrt(np.vdot(z, z).real)
-        g = y @ ax[:j] - theta * z
-        if math.sqrt(np.vdot(g, g).real) <= tol:
-            flush(j)
-            return z, float(theta)
-        g, gn = _orthogonalized(g, x[:j])
-        if gn < 1e-12 or j == m:  # no new direction: restart from the Ritz vector
-            flush(j)
-            u, j = z, 0
-        else:
-            u = g / gn
-    flush(j + 1)
-    raise ConvergenceError(w_frame @ u, vu, nr, _MAX_SWEEPS, floor)
-
-
 def _span_pass(oracle: ValuationOracle, u: np.ndarray, draw):
-    """Lanczos pass over the whole space in frame I, on an exact oracle:
-    from the unit start u, d points x_j, each measured by ``_measure`` with
-    its couplings to the points before it inherited, d + k d(d-1)/2 queries.
-    The next point is rho x_j orthogonalized twice against X, which spans the
-    Krylov space the Ritz residual would, so no eigenpair is taken per point;
-    on breakdown (norm below 1e-12) it is ``draw(d)`` orthogonalized twice.
-    Returns the Ritz values theta_i of the filled T, non-increasing, the Ritz
-    vectors z_i = X^T y_i as rows, and eta = ||X X^H - I||_F (``_column_error``)."""
+    """Lanczos pass over the whole space: from the unit start u, d points x_j,
+    each measured by ``_measure`` with its couplings to the points before it
+    inherited, d + k d(d-1)/2 queries.  The next point is the measured rho x_j
+    orthogonalized twice against X, which spans the Krylov space the Ritz
+    residual would, so no eigenpair is taken per point; on breakdown (norm
+    below 1e-12) it is ``draw(d)`` orthogonalized twice.  Returns the Ritz
+    values theta_i of the filled T, non-increasing, the Ritz vectors
+    z_i = X^T y_i as rows, and eta = ||X X^H - I||_F (``_column_error``)."""
     d = u.size
     k = 3 if oracle.field == "complex" else 2
     resid = np.empty((1 + k * (d - 1), d), u.dtype)
     x, ax, t = xat = np.empty((3, d, d), u.dtype)
     for j in range(d):
-        _measure(oracle, None, u, j, j, xat, resid)
+        _measure(oracle, u, j, xat, resid)
         if j < d - 1:
             g, gn = _orthogonalized(ax[j], x[:j + 1])
             if gn < 1e-12:
@@ -518,32 +437,26 @@ def implicit_reconstruct(
     valuations at the maximizers are the eigenvalues (non-increasing) and
     the estimate is  sum_i v(n_i) |n_i><n_i|.
 
-    On an exact oracle with ``tol`` of ``None`` (1e-8) or at least the bound
-    2 sqrt(d) delta (``_column_error``), one Lanczos pass (``_span_pass``)
-    from a seeded random unit vector spans the space, and by Courant-Fischer
-    its Ritz pairs (theta_i, z_i) are those maximizers and values.  Once the
-    pass is certified, 2 sqrt(d) delta <= tol (1 - eta), the estimate is
-    sum_i theta_i |z_i><z_i| at exactly d + k d(d-1)/2 queries (k = 3
-    complex, 2 real): (3d^2 - d)/2, below the explicit route's 2d^2 - d for
-    d >= 2, or d^2 in the real field.
+    One Lanczos pass (``_span_pass``) from a seeded random unit vector
+    measures d orthonormal points spanning the space, and by Courant-Fischer
+    the Ritz pairs (theta_i, z_i) of that basis are those maximizers and
+    values, so the estimate is  sum_i theta_i |z_i><z_i|.  Every run, on any
+    oracle, costs exactly d + k d(d-1)/2 queries (k = 3 complex, 2 real):
+    (3d^2 - d)/2, below the explicit route's 2d^2 - d for d >= 2, or d^2 in
+    the real field.
 
-    Other runs (an uncertified pass too) go stage by stage, each one Krylov
-    ascent (``_ascend_sphere``); the last stage's sphere is one ray, which
-    it queries.  A noisy oracle is queried afresh at each maximizer (an
-    unbiased sample, where the ascent's value is a selected one), and each
-    stage starts at a seeded random unit vector (warm starts raised its
-    error medians).  On an exact oracle v(n_i) is the ascent's value, and
-    each later stage starts warm: at the top eigenvector, compressed to its
-    frame, of the Rayleigh-Ritz model of the pairs (x, rho x) the ascents
-    append (an SVD of the stacked x, relative singular values below 1e-10
-    dropped), plus a random part of weight 1e-3 outside their span, which
-    keeps a start off a lower eigenvector when that span is invariant.
+    The least ``tol`` a run accepts is
+    floor = 2 sqrt(d) delta / (1 - eta) + 3 sigma sqrt(k(d-1)).  Its first
+    term is the rounding bound the pass certifies (``_column_error``; eta is
+    the orthonormality defect of its points).  Its second is the noise floor,
+    for sigma the oracle's ``noise_scale``: three times the scale of the noise
+    in one measured column's k(d-1) values, a scale rather than a bound.
 
     Raises
     ------
     ConvergenceError
-        If the ascent of some stage does not meet its residual tolerance
-        within the iteration budget.
+        If ``config.tol`` is below floor.  The pass has been paid for; the
+        payload is its top Ritz pair, floor and its d points.
     """
     cfg = config or ImplicitConfig()
     d = oracle.dim
@@ -557,42 +470,11 @@ def implicit_reconstruct(
         z = _ginibre((m,), rng, oracle.field)
         return z if complex_ else z.real
 
-    tol = _EXACT_TOL if cfg.tol is None else cfg.tol
-    bound = 2 * math.sqrt(d) * _column_error(d)
-    if oracle.noise_scale == 0 and bound <= tol:
-        u = draw(d)
-        theta, z, eta = _span_pass(oracle, u / np.linalg.norm(u), draw)
-        if bound <= tol * (1 - eta):
-            estimate = _hermitian_part((z.T * theta) @ z.conj())
-            return _finish("implicit", estimate, oracle.query_count - before)
-    frame = np.eye(d, dtype=np.complex128 if complex_ else float)
-    estimate = np.zeros((d, d), dtype=np.complex128)
-    history: list[tuple[np.ndarray, np.ndarray]] = []  # row blocks (X, rho X) of the ascents
-    for _ in range(d):
-        m = frame.shape[1]
-        if m == 1:
-            coeff, lam = np.ones(1, dtype=frame.dtype), None
-        else:
-            if history and oracle.noise_scale == 0:
-                # Rayleigh-Ritz on span{x}: X = Q S V^H, rho Q = Y V S^-1
-                x, y = (np.concatenate(h).T for h in zip(*history))
-                q, s, vh = np.linalg.svd(x, full_matrices=False)
-                k = np.count_nonzero(s > _SPAN_CUT * s[0])
-                t = q[:, :k].conj().T @ y @ (vh[:k].conj().T / s[:k])
-                g = frame.conj().T @ q[:, :k]
-                u = np.linalg.eigh(g @ _hermitian_part(t) @ g.conj().T)[1][:, -1]
-                z = draw(m)
-                u += _EXPLORE * (z - g @ (g.conj().T @ z))
-            else:
-                u = draw(m)
-            u /= np.linalg.norm(u)
-            coeff, lam = _ascend_sphere(oracle, frame, u, cfg.tol, history)
-        n_vec = frame @ coeff
-        n_vec /= np.linalg.norm(n_vec)
-        if lam is None or oracle.noise_scale:
-            lam = float(oracle.query_batch(n_vec[None, :])[0])
-        estimate += lam * np.outer(n_vec, n_vec.conj())
-        if m > 1:
-            frame = frame @ _householder_complement(coeff, np.empty((m - 1, m), coeff.dtype)).T
-    estimate = _hermitian_part(estimate)
+    u = draw(d)
+    theta, z, eta = _span_pass(oracle, u / np.linalg.norm(u), draw)
+    noise = 3 * oracle.noise_scale * math.sqrt((3 if complex_ else 2) * (d - 1))
+    floor = 2 * math.sqrt(d) * _column_error(d) / (1 - eta) + noise
+    if cfg.tol is not None and cfg.tol < floor:
+        raise ConvergenceError(z[0], float(theta[0]), floor, d, noise)
+    estimate = _hermitian_part((z.T * theta) @ z.conj())
     return _finish("implicit", estimate, oracle.query_count - before)

@@ -65,3 +65,36 @@ def test_every_public_name_has_a_caller():
     unused = [name for name in [*gleason.__all__, *serialize.__all__] if name not in package
               and not any(re.search(rf"\b{name}\b", text) for text in texts)]
     assert unused == []
+
+
+def written_private_names() -> set[str]:
+    """Private names README writes as `_name` and the package's docstrings as
+    ``_name``."""
+    names = set(re.findall(r"(?<!`)`(_\w+)`(?!`)", README.read_text(encoding="utf-8")))
+    for path in (ROOT / "src" / "gleason").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                names.update(re.findall(r"``(_\w+)``", ast.get_docstring(node) or ""))
+    return names
+
+
+def defined_names() -> set[str]:
+    """Names the package defines: every def and class, and every module-level
+    assignment."""
+    names = set()
+    for path in (ROOT / "src" / "gleason").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names.update(node.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef)))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_private_name_in_the_docs_is_defined():
+    # a docstring or README line naming a deleted helper is stale
+    written = written_private_names()
+    assert {"_born", "_span_pass"} <= written
+    assert sorted(written - defined_names()) == []

@@ -28,7 +28,7 @@ from gleason.reconstruct import (
     pauli_reconstruct_2d,
     transition_matrix,
 )
-from gleason.reconstruct import _ascend_sphere, _householder_complement, _span_pass
+from gleason.reconstruct import _householder_complement, _span_pass
 from gleason.serialize import matrix_from_json
 from gleason.valuation import ExactOracle, NoisyOracle
 
@@ -303,23 +303,24 @@ class TestImplicit:
         assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
 
     def test_non_convergence_raises_with_payload(self):
-        # tol lies below the noise floor, so the first stage runs all 300
-        # iterations, each one residual batch of 3(m-1)+1 = 7 rows (m=3)
+        # tol lies below the noise floor, so the run raises after its one pass
+        # of 3 points, 3 + 3 * 3 = 12 queries, with the pass's top Ritz pair
         rho = random_density_matrix(3, 3, seed=22)
         oracle = NoisyOracle(rho, shots=100, seed=23)
         with pytest.raises(ConvergenceError) as err:
             implicit_reconstruct(oracle, ImplicitConfig(tol=1e-12, seed=24))
         assert err.value.best_vector.shape == (3,)
+        assert np.linalg.norm(err.value.best_vector) == pytest.approx(1)
         assert 0.0 <= err.value.best_value <= 1.0
-        assert err.value.residual > 0
-        assert err.value.sweeps == 300
+        assert err.value.residual >= err.value.floor > 0
+        assert err.value.sweeps == 3
         assert err.value.floor == pytest.approx(3 * 0.05 * np.sqrt(3 * 2))  # sigma = 0.5/sqrt(100)
         assert "noise floor 3.674e-01" in str(err.value)
-        assert oracle.query_count == 7 * 300
+        assert oracle.query_count == 12
 
     def test_noisy_runs_converge_and_scale_like_criterion_09(self):
-        # criterion 09's states, bases and oracle seeds; the default tol stops
-        # each stage at the noise floor
+        # criterion 09's states, bases and oracle seeds; the default tol takes
+        # whatever the one pass certifies
         errs = {10_000: ([], []), 40_000: ([], [])}  # shots: (implicit, explicit)
         for rep in range(20):
             state = random_density_matrix(3, 3, seed=90_000 + rep)
@@ -357,11 +358,11 @@ class TestImplicit:
         assert report.query_count == oracle.query_count == self.PINNED_QUERIES[dim, field]
         assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
 
-    # A noisy oracle keeps a seeded random start at every stage and queries
-    # each maximizer afresh; the ascent is the same Krylov loop, so these
-    # counts too may fall with a change to it, never rise.
-    PINNED_NOISY_QUERIES = {(3, "complex"): 32, (3, "real"): 24, (6, "complex"): 111,
-                            (6, "real"): 86}
+    # A noisy run is the same one pass, each coupling measured once, so it
+    # costs d + k d(d-1)/2 queries at any shot count; these counts too may
+    # fall with a change to the route, never rise.
+    PINNED_NOISY_QUERIES = {(3, "complex"): 12, (3, "real"): 9, (6, "complex"): 51,
+                            (6, "real"): 36}
 
     @pytest.mark.parametrize("dim, field", sorted(PINNED_NOISY_QUERIES))
     def test_noisy_query_count_is_pinned(self, dim, field):
@@ -385,22 +386,11 @@ class TestImplicit:
 
     @staticmethod
     def spy_ascents(monkeypatch, oracle):
-        """Record each ascent as (frame width m, rows of each query it makes,
-        lengths of the history blocks it appends) and each full-span pass as
-        the rows of each query it makes; queries made outside both go to the
-        third list returned."""
-        ascents, passes, outside = [], [], []
+        """Record each full-span pass as the rows of each query it makes;
+        queries made outside a pass go to the second list returned."""
+        passes, outside = [], []
         current = [outside]
-        ascend, query = _ascend_sphere, oracle.query_batch
-
-        def in_stage(o, frame, u, tol, history, **kw):
-            start, current[0] = len(history), []
-            try:
-                return ascend(o, frame, u, tol, history, **kw)
-            finally:
-                blocks = [len(x) for x, _ in history[start:]]
-                ascents.append((frame.shape[1], current[0], blocks))
-                current[0] = outside
+        query = oracle.query_batch
 
         def in_pass(*args, **kw):
             current[0] = []
@@ -414,52 +404,42 @@ class TestImplicit:
             current[0].append(len(vectors))
             return query(vectors)
 
-        monkeypatch.setattr(reconstruct, "_ascend_sphere", in_stage)
         monkeypatch.setattr(reconstruct, "_span_pass", in_pass)
         monkeypatch.setattr(oracle, "query_batch", spy)
-        return ascents, passes, outside
+        return passes, outside
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_every_ascent_query_is_one_residual_batch(self, field, monkeypatch):
-        # With the default tol an exact run, full rank or rank 1, is one
-        # full-span pass: its j-th point queries itself and the coupling probes
-        # of the d-1-j directions not yet measured, and nothing is queried
-        # outside it.  tol = 0 lies below the pass's bound and is never met on
-        # an exact oracle, so its first ascent restarts until the budget runs
-        # out: each iteration queries u and the directions not yet measured
-        # since the last restart, 1 + k(m-1), 1 + k(m-2), ... rows, back to
-        # 1 + k(m-1) only where a restart begins a new history block.
+        # Every exact run, at full rank or rank 1, or with tol = 0 (below the
+        # pass's bound, so it raises), is one full-span pass: its j-th point
+        # queries itself and the coupling probes of the d-1-j directions not
+        # yet measured, and nothing is queried outside it.
         d, k = 6, (3 if field == "complex" else 2)
         for rank, tol in ((d, None), (1, None), (d, 0.0)):
             oracle = ExactOracle(random_density_matrix(d, rank, seed=31, field=field), field)
-            ascents, passes, outside = self.spy_ascents(monkeypatch, oracle)
+            passes, outside = self.spy_ascents(monkeypatch, oracle)
             config = ImplicitConfig(tol=tol, seed=32)
             if tol == 0.0:
                 with pytest.raises(ConvergenceError):
                     implicit_reconstruct(oracle, config)
-                assert len(ascents[0][2]) > 1 and sum(ascents[0][2]) == 300
-                assert passes == outside == []
-                assert [m for m, _, _ in ascents] == [d]
             else:
                 implicit_reconstruct(oracle, config)
-                assert ascents == outside == []
-                assert passes == [[1 + k * (d - 1 - j) for j in range(d)]]
-            for m, widths, blocks in ascents:
-                assert widths == [1 + k * (m - 1 - i) for n in blocks for i in range(n)], widths
+            assert outside == []
+            assert passes == [[1 + k * (d - 1 - j) for j in range(d)]]
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_noisy_ascent_batches_stay_full(self, field, monkeypatch):
-        # a noisy oracle reuses no coupling: every iteration measures u's
-        # whole complement, and each maximizer is queried afresh
+        # a noisy run is the same one pass: every point's batch is full, itself
+        # and each of the d-1-j directions not yet measured, each coupling is
+        # measured once, and no maximizer is queried afresh outside the pass
         d, k = 6, (3 if field == "complex" else 2)
         rho = random_density_matrix(d, d, seed=31, field=field)
         oracle = NoisyOracle(rho, shots=10_000, seed=33, field=field)
-        ascents, passes, outside = self.spy_ascents(monkeypatch, oracle)
-        implicit_reconstruct(oracle, ImplicitConfig(seed=32))
-        assert [m for m, _, _ in ascents] == list(range(d, 1, -1))
-        assert passes == [] and outside == [1] * d
-        for m, widths, _ in ascents:
-            assert widths and all(n == 1 + k * (m - 1) for n in widths), widths
+        passes, outside = self.spy_ascents(monkeypatch, oracle)
+        report = implicit_reconstruct(oracle, ImplicitConfig(seed=32))
+        assert outside == []
+        assert passes == [[1 + k * (d - 1 - j) for j in range(d)]]
+        assert report.query_count == oracle.query_count == d + k * d * (d - 1) // 2
 
     # A rank-1 state's Lanczos vectors break down once rho maps the measured
     # span into itself, after two points (or one, if the start is the
@@ -472,25 +452,34 @@ class TestImplicit:
         for seed in range(5):
             rho = random_density_matrix(6, 1, seed=seed, field=field)
             oracle = ExactOracle(rho, field)
-            ascents, passes, outside = self.spy_ascents(monkeypatch, oracle)
+            passes, outside = self.spy_ascents(monkeypatch, oracle)
             draws = self.count_draws(monkeypatch)
             report = implicit_reconstruct(oracle, ImplicitConfig(seed=seed + 1000))
-            assert ascents == outside == [] and len(passes) == 1
+            assert outside == [] and len(passes) == 1
             assert len(draws) == 1 + (6 - 2)
             assert report.query_count == sum(passes[0]) == queries
             assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
 
-    @pytest.mark.parametrize("field, queries", [("complex", 86), ("real", 61)])
-    def test_tol_below_the_bound_ascends_every_stage(self, field, queries):
-        # n unit columns give s_d <= sqrt(n/d), so the model's bound
-        # 2 sqrt(n) delta / s_d is at least 2 sqrt(d) delta, above tol = 1e-13
-        # at d = 6: the pinned state keeps the count every stage's ascent costs
-        assert 2 * np.sqrt(6) * reconstruct._column_error(6) > 1e-13
-        rho = random_density_matrix(6, 6, seed=106, field=field)
-        oracle = ExactOracle(rho, field)
-        report = implicit_reconstruct(oracle, ImplicitConfig(tol=1e-13, seed=206))
-        assert report.query_count == queries
-        assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
+    @pytest.mark.parametrize("field, queries", [("complex", 51), ("real", 36)])
+    def test_tol_below_the_bound_raises_after_one_pass(self, field, queries):
+        # the pass certifies no tol below 2 sqrt(d) delta, above tol = 1e-13 at
+        # d = 6, so a random state and the degenerate [0.3, 0.3, 0.2, 0.2, 0, 0]
+        # each raise after the one pass, with its top Ritz value, and no more
+        bound = 2 * np.sqrt(6) * reconstruct._column_error(6)
+        assert bound > 1e-13
+        u = haar_random_basis(6, 1, field).matrix
+        m = (u * [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]) @ u.conj().T
+        states = [(random_density_matrix(6, 6, seed=106, field=field), 206),
+                  (DensityMatrix((m + m.conj().T) / 2), 1)]
+        for rho, seed in states:
+            oracle = ExactOracle(rho, field)
+            with pytest.raises(ConvergenceError) as err:
+                implicit_reconstruct(oracle, ImplicitConfig(tol=1e-13, seed=seed))
+            assert oracle.query_count == queries
+            assert err.value.sweeps == 6 and err.value.floor == 0
+            assert bound <= err.value.residual <= bound * (1 + 1e-12)
+            top = np.linalg.eigvalsh(rho.matrix)[-1]
+            assert err.value.best_value == pytest.approx(top, abs=1e-13)
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     @pytest.mark.parametrize("ratio", [0.1, 0.6, 0.9])
@@ -537,20 +526,22 @@ class TestImplicit:
                 assert report.query_count < 2 * d * d - d
             assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-12
 
-    def test_unreachable_tol_restarts_until_the_budget(self):
-        # Few shots make Ritz steps break down (no direction left outside the
-        # measured points) long before tol=1e-12 could be met; each breakdown
-        # restarts, and every run must end in ConvergenceError, never in a
-        # NaN probe row or a warning.
+    def test_tol_below_the_noise_floor_raises_after_one_pass(self):
+        # Few shots can make the Lanczos vectors of the pass break down (values of
+        # 0 and 1 leave no direction outside the measured points); every run
+        # must still measure its d points and end in ConvergenceError, never
+        # in a NaN probe row or a warning.
         for shots, d, field, seed in itertools.product((1, 50), (2, 4), ("complex", "real"),
                                                        range(4)):
+            k = 3 if field == "complex" else 2
             rho = random_density_matrix(d, d, seed=seed, field=field)
             oracle = NoisyOracle(rho, shots=shots, seed=seed, field=field)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ConvergenceError) as err:
                     implicit_reconstruct(oracle, ImplicitConfig(tol=1e-12, seed=seed))
-            assert err.value.sweeps == 300
+            assert err.value.sweeps == d
+            assert oracle.query_count == d + k * d * (d - 1) // 2
 
     @pytest.mark.parametrize("tol", [np.nan, -1e-3, -np.inf])
     def test_unreachable_tol_is_rejected(self, tol):
@@ -562,11 +553,10 @@ class TestImplicit:
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_warm_starts_keep_stage_values_non_increasing(self, field, monkeypatch):
-        # Degenerate levels make a measured span invariant, so a warm start
-        # taken from it alone, or the next Lanczos vector, lies in a lower
-        # eigenspace (a stage could stop at 0.2 with 0.3 left).  With the
-        # default tol the stage values are the full-span pass's Ritz values,
-        # which must still run down the whole spectrum.
+        # Degenerate levels make a measured span invariant, so the next
+        # Lanczos vector can lie in a lower eigenspace with 0.3 left unseen.
+        # The stage values are the full-span pass's Ritz values, which must
+        # still run down the whole spectrum.
         spectrum = [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]
         stage_values = []
 
@@ -603,20 +593,23 @@ class TestImplicit:
         assert calls["svd"] == 0 and 1 <= calls["eigh"] <= 2, calls
         assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
 
-    @pytest.mark.parametrize("field, queries", [("complex", 137), ("real", 97)])
+    @pytest.mark.parametrize("field, queries", [("complex", 51), ("real", 36)])
     def test_pass_certifies_on_its_measured_orthonormality(self, field, queries):
-        # The pass certifies when 2 sqrt(d) delta <= tol (1 - eta).  Just
-        # above the bound it does (51 and 36 queries); at the bound itself its
-        # points' defect eta > 0 fails the check, so the staged path runs after
-        # it, at the cost of the pinned state's staged run (86 and 61) more.
-        d, k = 6, (3 if field == "complex" else 2)
+        # The pass certifies tol >= 2 sqrt(d) delta / (1 - eta).  Just above
+        # the bound it does; at the bound itself its points' defect eta > 0
+        # fails the check, and the run raises after the same one pass.
+        d = 6
         bound = 2 * np.sqrt(d) * reconstruct._column_error(d)
         rho = random_density_matrix(d, d, seed=106, field=field)
-        for tol, count in ((bound * (1 + 1e-9), d + k * d * (d - 1) // 2), (bound, queries)):
-            config = ImplicitConfig(tol=tol, seed=206)
-            report = implicit_reconstruct(ExactOracle(rho, field), config)
-            assert report.query_count == count
-            assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
+        oracle = ExactOracle(rho, field)
+        report = implicit_reconstruct(oracle, ImplicitConfig(tol=bound * (1 + 1e-9), seed=206))
+        assert report.query_count == queries
+        assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
+        oracle = ExactOracle(rho, field)
+        with pytest.raises(ConvergenceError) as err:
+            implicit_reconstruct(oracle, ImplicitConfig(tol=bound, seed=206))
+        assert oracle.query_count == queries
+        assert bound < err.value.residual <= bound * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
