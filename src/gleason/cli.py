@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample count for method haar-average (default 1000)")
     p_rec.add_argument("--tol", type=float, default=None,
                        help="tolerance method implicit must reach, or exit 5 "
-                       "(default: whatever its one pass gives)")
+                       "(default: whatever its one batch gives)")
     p_rec.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run identity checks")

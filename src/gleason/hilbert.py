@@ -235,8 +235,9 @@ def haar_basis_matrices(
     m-block's first column is u = x_m/|x_m| and its others are the
     (m-1)-block B times the complement of u: the trailing columns of the
     reflector H = I - tau w w^H with H e_0 = -c u, c the sign of Re u_0, in
-    the LAPACK convention of ``reconstruct._householder_complement``.  As
-    tau w = c (u_0 + c, u_1, ...), that is the rank-one update
+    LAPACK's convention (zlarfg): w = (1, u_1, ...)/(u_0 + c), leading entry 1,
+    and tau = c (u_0 + c).  As tau w = c (u_0 + c, u_1, ...), that is the
+    rank-one update
     [0; B] - (u_0 + c, u_1, ...)^T g with g = c (u_1, ...)^H B / conj(u_0 + c).
     Each u is uniform on the sphere and B, Haar and independent of u,
     absorbs the rotation of u's complement, so Q is exactly Haar, though

@@ -18,7 +18,6 @@ from .hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     _at_least,
-    _ginibre,
     _hermitian_part,
     _row_norms,
     _square,
@@ -49,9 +48,9 @@ _CHUNK = 2048
 
 
 class ConvergenceError(RuntimeError):
-    """The implicit route's one pass cannot reach the requested tolerance;
-    carries the pass's top Ritz pair (``best_vector``, ``best_value``), the
-    least tolerance it accepts (``residual``), the points it measured
+    """The implicit route's one batch cannot reach the requested tolerance;
+    carries the top Ritz pair of its basis (``best_vector``, ``best_value``),
+    the least tolerance it accepts (``residual``), the points it measured
     (``sweeps``, d) and the oracle's noise floor ``floor``, part of
     ``residual`` and 0 on an exact oracle."""
 
@@ -137,6 +136,17 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, 1)
 
 
+def _hermitian_fill(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix with diagonal ``diag`` and, at the pairs j < k of
+    ``_pairs``, the entries ``upper`` above the diagonal and their conjugates
+    below it: the matrix of a basis's measured couplings <n_j|rho|n_k>."""
+    j, k = _pairs(diag.size)
+    m = np.diag(diag.astype(upper.dtype))
+    m[j, k] = upper
+    m[k, j] = np.conj(upper)
+    return m
+
+
 def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> np.ndarray:
     """The unit vectors the explicit route queries, as stacked rows.
 
@@ -170,11 +180,7 @@ def _polarization_estimate(oracle: ValuationOracle, basis: OrthonormalBasis) -> 
     if d == 1:
         return np.ones((1, 1), dtype=np.complex128)
     vals = oracle.query_batch(explicit_query_vectors(basis, oracle.field))
-    w = polarize(2 * vals[d:], oracle.field)
-    j, k = _pairs(d)
-    m = np.diag(vals[:d].astype(np.complex128))
-    m[j, k] = w
-    m[k, j] = np.conj(w)
+    m = _hermitian_fill(vals[:d], polarize(2 * vals[d:], oracle.field))
     b = basis.matrix
     return b @ m @ b.conj().T
 
@@ -281,28 +287,20 @@ def transition_matrix(
 
 
 def _column_error(d: int) -> float:
-    """Bound delta = 8 (d+4) sqrt(d) eps on the rounding error of the measured
-    part of one column rho x of the Lanczos pass (``_span_pass``), whose points
-    x are the queried rows u themselves.
+    """Bound delta = 8 (d+4) sqrt(d) eps on the rounding error of one column of
+    the matrix T_jk = <x_j|rho|x_k> that ``implicit_reconstruct`` measures on
+    the rows x_j of its basis X, in one batch.
 
     Each value v(p) = Re p^H (rho p) is two length-d dots, off by at most
     2(d+2) eps |p|^T |rho| |p| <= 2(d+2) eps (|p|^T |rho| |p| <= ||rho||_F <= 1),
-    and by 4 eps more from the rounding of the probe row p.  Each part of
-    c_l = <u|rho|w_l> is formed from three values (``known_diagonal_coupling``,
-    whose identity expands the quadratic form, so w_l need not be exactly
-    orthonormal), so |dc_l| <= 4 sqrt2 (d+4) eps.  r = sum_l conj(c_l) w_l over
-    at most d - 1 directions is off by sqrt(d-1) max|dc_l|, and the frame
-    [x_0 ... x_{j-1}, u, W] of the Householder chain is unitary to O(d eps).
-    In sum at most (d+4) eps (2 + 4 sqrt2 sqrt(d-1)) + O(d eps) <= delta for
-    d >= 2.
-
-    The rest of column j, along x_i (i < j), is inherited: conj(<x_j|AX_i>)
-    = <x_i|rho|x_j> + conj(<x_j|e_i>), for e_i the error of column i's
-    measured part, whose inherited part is orthogonal to x_j.  By Bessel's
-    inequality these projections of e_i onto the orthonormal x_{i+1}, ... have
-    squares summing to at most ||e_i||^2, so the Ritz matrix is T = M^H rho M
-    + E for M = X^T, ||E||_F <= 2 sqrt(d) delta (sqrt2 for the two orthogonal
-    parts of a column, with room for the chain's O(d eps) loss of orthogonality).
+    and by 4 eps more from the rounding of the probe row p.  A diagonal entry
+    is one value.  Each part of an entry off the diagonal is formed from three
+    values, a probe's less the mean of the two diagonals
+    (``known_diagonal_coupling``, whose identity expands the quadratic form, so
+    the x_j need not be exactly orthonormal), so |dT_jk| <= 4 sqrt2 (d+4) eps.
+    No entry is formed from another, so a column's d entries are off by at
+    most 4 sqrt2 (d+4) sqrt(d) eps < delta, and T = M^H rho M + E for M = X^T,
+    ||E||_F <= sqrt(d) delta / sqrt2 <= 2 sqrt(d) delta.
 
     The model M^-H T M^-1 is within ||E|| / s_d^2 of rho, for s_d the least
     singular value of X, and eta = ||X X^H - I||_F >= 1 - s_d^2, so it is
@@ -317,11 +315,11 @@ class ImplicitConfig:
     """Settings of the sphere-maximization route.
 
     ``tol`` is the error the run must reach (see ``implicit_reconstruct``):
-    ``None`` accepts whatever its one pass gives, and a ``tol`` below the
-    least it accepts raises ``ConvergenceError`` once the pass is paid for.  A NaN or negative
-    ``tol`` could never be met on any oracle, so it is rejected with
-    ``ValueError``.  ``seed`` draws the pass's start vector and any vector it
-    draws on breakdown.
+    ``None`` accepts whatever its one batch gives, and a ``tol`` below the
+    least it accepts raises ``ConvergenceError`` once the batch is paid for.
+    A NaN or negative ``tol`` could never be met on any oracle, so it is
+    rejected with ``ValueError``.  ``seed`` draws the Haar basis the run
+    measures.
     """
 
     tol: float | None = None
@@ -330,101 +328,6 @@ class ImplicitConfig:
     def __post_init__(self):
         if self.tol is not None:
             _at_least(self.tol, 0, "tol")
-
-
-def _reflector(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Householder vector v (v_0 = 1) of the reflector H = I - tau v v^H
-    that maps e_0 onto a multiple of u, in LAPACK's convention, and the
-    coefficients -tau conj(v_l), l >= 1, so that H's trailing columns are
-    e_l - tau conj(v_l) v."""
-    alpha = u[0].item()
-    beta = -math.copysign(math.sqrt(np.vdot(u, u).real), alpha.real)
-    v = u / (alpha - beta)
-    v[0] = 1.0
-    return (alpha - beta) / beta * v[1:].conj(), v
-
-
-def _householder_complement(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rows w_l spanning the orthogonal complement of the unit vector u,
-    written into ``out`` of shape (m-1, m).
-
-    The w_l are the trailing columns of the reflector (``_reflector``), so
-    they agree with ``np.linalg.qr(u[:, None], mode="complete")[0][:, 1:].T``
-    to rounding: one outer product."""
-    coef, v = _reflector(u)
-    np.multiply(coef[:, None], v, out=out)
-    out.reshape(-1)[1::u.size + 1] += 1.0
-    return out
-
-
-def _measure(oracle: ValuationOracle, u: np.ndarray, j: int, xat: np.ndarray,
-             resid: np.ndarray) -> None:
-    """One residual batch at the unit point u = x_j: writes u, rho u and the
-    j-th row and column of T into ``xat`` = (X, AX, T).  The batch, built in
-    ``resid``, is u and (u+w_l)/sqrt2, (u+iw_l)/sqrt2 (real mode: k = 2, the
-    first only; else 3) over the w_l spanning the complement of
-    {x_0 ... x_j}, so 1 + k(m-1-j) rows; the couplings to the earlier x_i,
-    conj(<u|rho x_i>), are read off AX, so each coupling is measured once and
-    T is Hermitian by construction.  The w_l are a Householder chain: u's
-    reflector in the previous w_l's coordinates, mapped back by one rank-one
-    update."""
-    m = u.size
-    k = 3 if oracle.field == "complex" else 2
-    x, ax, t = xat
-    n = m - 1 - j
-    w = resid[1 + j:m]  # the complement basis, in place below the row of u
-    if j:  # u's reflector in the previous basis's coordinates, mapped back
-        prev = resid[j:m]
-        coef, v = _reflector(prev.conj() @ u)
-        w += coef[:, None] * (v @ prev)
-    else:
-        _householder_complement(u, w)
-    rows = resid[j:m + (k - 1) * n]
-    rows[0] = u
-    coupling_probes(u, w, oracle.field, out=rows[1 + n:])
-    vals = oracle.query_batch(rows)
-    vu = vals[0]
-    c = known_diagonal_coupling(vu, vals[1:1 + n], vals[1 + n:], oracle.field)
-    x[j] = u
-    np.matmul(c.conj(), w, out=ax[j])
-    ax[j] += vu * u
-    t[j, j] = vu
-    if j:
-        h = ax[:j].conj() @ u  # <x_i|rho|u> = conj(<u|rho x_i>)
-        ax[j] += h @ x[:j]
-        t[:j, j] = h
-        t[j, :j] = h.conj()
-
-
-def _orthogonalized(g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """g orthogonalized twice against the orthonormal rows of x, and its norm."""
-    for _ in range(2):
-        g = g - (x.conj() @ g) @ x
-    return g, math.sqrt(np.vdot(g, g).real)
-
-
-def _span_pass(oracle: ValuationOracle, u: np.ndarray, draw):
-    """Lanczos pass over the whole space: from the unit start u, d points x_j,
-    each measured by ``_measure`` with its couplings to the points before it
-    inherited, d + k d(d-1)/2 queries.  The next point is the measured rho x_j
-    orthogonalized twice against X, which spans the Krylov space the Ritz
-    residual would, so no eigenpair is taken per point; on breakdown (norm
-    below 1e-12) it is ``draw(d)`` orthogonalized twice.  Returns the Ritz
-    values theta_i of the filled T, non-increasing, the Ritz vectors
-    z_i = X^T y_i as rows, and eta = ||X X^H - I||_F (``_column_error``)."""
-    d = u.size
-    k = 3 if oracle.field == "complex" else 2
-    resid = np.empty((1 + k * (d - 1), d), u.dtype)
-    x, ax, t = xat = np.empty((3, d, d), u.dtype)
-    for j in range(d):
-        _measure(oracle, u, j, xat, resid)
-        if j < d - 1:
-            g, gn = _orthogonalized(ax[j], x[:j + 1])
-            if gn < 1e-12:
-                g, gn = _orthogonalized(draw(d), x[:j + 1])
-            u = g / gn
-    theta, y = np.linalg.eigh(t)
-    return theta[::-1], (y.T @ x)[::-1], float(np.linalg.norm(x @ x.conj().T - np.eye(d)))
 
 
 def implicit_reconstruct(
@@ -437,25 +340,28 @@ def implicit_reconstruct(
     valuations at the maximizers are the eigenvalues (non-increasing) and
     the estimate is  sum_i v(n_i) |n_i><n_i|.
 
-    One Lanczos pass (``_span_pass``) from a seeded random unit vector
-    measures d orthonormal points spanning the space, and by Courant-Fischer
-    the Ritz pairs (theta_i, z_i) of that basis are those maximizers and
-    values, so the estimate is  sum_i theta_i |z_i><z_i|.  Every run, on any
-    oracle, costs exactly d + k d(d-1)/2 queries (k = 3 complex, 2 real):
-    (3d^2 - d)/2, below the explicit route's 2d^2 - d for d >= 2, or d^2 in
-    the real field.
+    The run draws one Haar basis X of the oracle's field from ``config.seed``
+    (``haar_basis_matrices``) and measures it in one ``query_batch``: the d
+    rows x_j, then the ``coupling_probes`` of each pair j < k, from which
+    ``known_diagonal_coupling`` gives T_jk = <x_j|rho|x_k>.  By
+    Courant-Fischer the Ritz pairs (theta_i, z_i = X^T y_i) of T are those
+    maximizers and values, so the estimate is  sum_i theta_i |z_i><z_i|.
+    Every run, on any oracle, costs exactly d + (k-1) d(d-1)/2 queries
+    (k = 3 complex, 2 real): d^2, below the explicit route's 2d^2 - d for
+    d >= 2, or d(d+1)/2 in the real field, below its d^2.
 
     The least ``tol`` a run accepts is
     floor = 2 sqrt(d) delta / (1 - eta) + 3 sigma sqrt(k(d-1)).  Its first
-    term is the rounding bound the pass certifies (``_column_error``; eta is
-    the orthonormality defect of its points).  Its second is the noise floor,
-    for sigma the oracle's ``noise_scale``: three times the scale of the noise
-    in one measured column's k(d-1) values, a scale rather than a bound.
+    term is the rounding bound the batch certifies (``_column_error``; eta is
+    the orthonormality defect of X).  Its second is the noise floor, for
+    sigma the oracle's ``noise_scale``: three times the scale of the noise in
+    k(d-1) values, about as many as one column's couplings are formed from, a
+    scale rather than a bound.
 
     Raises
     ------
     ConvergenceError
-        If ``config.tol`` is below floor.  The pass has been paid for; the
+        If ``config.tol`` is below floor.  The batch has been paid for; the
         payload is its top Ritz pair, floor and its d points.
     """
     cfg = config or ImplicitConfig()
@@ -463,16 +369,20 @@ def implicit_reconstruct(
     if d == 1:
         return _trivial_report("implicit")
     before = oracle.query_count
-    rng = np.random.default_rng(cfg.seed)
     complex_ = oracle.field == "complex"
-
-    def draw(m: int) -> np.ndarray:  # a Gaussian vector of the oracle's field
-        z = _ginibre((m,), rng, oracle.field)
-        return z if complex_ else z.real
-
-    u = draw(d)
-    theta, z, eta = _span_pass(oracle, u / np.linalg.norm(u), draw)
-    noise = 3 * oracle.noise_scale * math.sqrt((3 if complex_ else 2) * (d - 1))
+    k = 3 if complex_ else 2
+    x = haar_basis_matrices(d, 1, np.random.default_rng(cfg.seed), oracle.field)[0].T
+    x = x if complex_ else x.real
+    j, l = _pairs(d)
+    rows = np.empty((d + (k - 1) * len(j), d), x.dtype)
+    rows[:d] = x
+    coupling_probes(x[j], x[l], oracle.field, out=rows[d:])
+    vals = oracle.query_batch(rows)
+    c = known_diagonal_coupling(vals[j], vals[l], vals[d:], oracle.field)
+    theta, y = np.linalg.eigh(_hermitian_fill(vals[:d], c))
+    theta, z = theta[::-1], (y.T @ x)[::-1]
+    eta = float(np.linalg.norm(x @ x.conj().T - np.eye(d)))
+    noise = 3 * oracle.noise_scale * math.sqrt(k * (d - 1))
     floor = 2 * math.sqrt(d) * _column_error(d) / (1 - eta) + noise
     if cfg.tol is not None and cfg.tol < floor:
         raise ConvergenceError(z[0], float(theta[0]), floor, d, noise)

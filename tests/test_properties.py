@@ -1,7 +1,7 @@
 """Property tests: ray semantics of the oracles, basis independence of the
-explicit estimate, the implicit estimate on hard spectra, non-finite
-rejection at every boundary that takes an array from a caller, and one check
-of every scalar bound."""
+explicit estimate, the implicit estimate on hard spectra and against the
+explicit one, non-finite rejection at every boundary that takes an array from
+a caller, and one check of every scalar bound."""
 
 import inspect
 import re
@@ -22,6 +22,7 @@ from gleason.hilbert import (
     haar_random_basis,
     nearest_density_matrix,
     random_density_matrix,
+    standard_basis,
 )
 from gleason.reconstruct import (
     ImplicitConfig,
@@ -99,7 +100,7 @@ def test_explicit_estimate_is_basis_independent(seed, seed_a, seed_b, dim, field
        cluster=st.integers(2, 3), data=st.data())
 def test_implicit_estimate_on_hard_spectra(seed, dim, field, log_gap, cluster, data):
     # the top `cluster` eigenvalues are a relative 10**log_gap apart, and the
-    # lowest `zeros` vanish; every run is the certified pass, exact to rounding
+    # lowest `zeros` vanish; every run is the certified batch, exact to rounding
     zeros = data.draw(st.integers(0, dim - 1), label="zeros")
     lam = np.sort(np.random.default_rng(seed).random(dim))[::-1]
     for i in range(1, min(cluster, dim)):
@@ -110,6 +111,20 @@ def test_implicit_estimate_on_hard_spectra(seed, dim, field, log_gap, cluster, d
     rho = DensityMatrix((m + m.conj().T) / 2)
     report = implicit_reconstruct(ExactOracle(rho, field=field), ImplicitConfig(seed=seed))
     assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, dim=st.integers(2, 8), field=FIELDS)
+def test_implicit_estimate_matches_explicit_at_fewer_queries(seed, dim, field):
+    # one measured Haar basis gives the explicit route's estimate in the
+    # standard basis, for d^2 queries against 2d^2 - d (d(d+1)/2 against d^2
+    # in the real field)
+    rho = random_density_matrix(dim, dim, seed=seed, field=field)
+    route = explicit_reconstruct if field == "complex" else explicit_reconstruct_real
+    explicit = route(ExactOracle(rho, field=field), standard_basis(dim))
+    implicit = implicit_reconstruct(ExactOracle(rho, field=field), ImplicitConfig(seed=seed))
+    assert np.linalg.norm(implicit.estimate - explicit.estimate) <= 1e-13
+    assert implicit.query_count < explicit.query_count
 
 
 def _query_uncharged(m):

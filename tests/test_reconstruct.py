@@ -28,7 +28,6 @@ from gleason.reconstruct import (
     pauli_reconstruct_2d,
     transition_matrix,
 )
-from gleason.reconstruct import _householder_complement, _span_pass
 from gleason.serialize import matrix_from_json
 from gleason.valuation import ExactOracle, NoisyOracle
 
@@ -303,8 +302,8 @@ class TestImplicit:
         assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
 
     def test_non_convergence_raises_with_payload(self):
-        # tol lies below the noise floor, so the run raises after its one pass
-        # of 3 points, 3 + 3 * 3 = 12 queries, with the pass's top Ritz pair
+        # tol lies below the noise floor, so the run raises after its one batch
+        # of 3 points, 3 + 2 * 3 = 9 queries, with its basis's top Ritz pair
         rho = random_density_matrix(3, 3, seed=22)
         oracle = NoisyOracle(rho, shots=100, seed=23)
         with pytest.raises(ConvergenceError) as err:
@@ -316,11 +315,11 @@ class TestImplicit:
         assert err.value.sweeps == 3
         assert err.value.floor == pytest.approx(3 * 0.05 * np.sqrt(3 * 2))  # sigma = 0.5/sqrt(100)
         assert "noise floor 3.674e-01" in str(err.value)
-        assert oracle.query_count == 12
+        assert oracle.query_count == 9
 
     def test_noisy_runs_converge_and_scale_like_criterion_09(self):
         # criterion 09's states, bases and oracle seeds; the default tol takes
-        # whatever the one pass certifies
+        # whatever the one batch certifies
         errs = {10_000: ([], []), 40_000: ([], [])}  # shots: (implicit, explicit)
         for rep in range(20):
             state = random_density_matrix(3, 3, seed=90_000 + rep)
@@ -340,15 +339,14 @@ class TestImplicit:
         report = implicit_reconstruct(ExactOracle(DensityMatrix([[1.0]])))
         assert report.estimate.tolist() == [[1.0]]
 
-    # Query counts recorded from the full-span Lanczos pass that every exact
-    # run with the default tol makes: one residual batch per point, which
-    # skips the couplings to the points before it (read off their stored
-    # columns), d + k d(d-1)/2 queries in all, with the estimate taken from
-    # the Ritz pairs of the whole space.  A change to the route may lower
-    # these counts, never raise them.
-    PINNED_QUERIES = {(3, "complex"): 12, (3, "real"): 9, (6, "complex"): 51,
-                      (6, "real"): 36, (8, "complex"): 92, (8, "real"): 64,
-                      (12, "complex"): 210}
+    # Query counts recorded from the one batch every run measures: the d rows
+    # of its seeded Haar basis and the k - 1 coupling probes of each pair,
+    # d + (k-1) d(d-1)/2 queries in all, d^2 in the complex field and
+    # d(d+1)/2 in the real field.  A change to the route may lower these
+    # counts, never raise them.
+    PINNED_QUERIES = {(3, "complex"): 9, (3, "real"): 6, (6, "complex"): 36,
+                      (6, "real"): 21, (8, "complex"): 64, (8, "real"): 36,
+                      (12, "complex"): 144}
 
     @pytest.mark.parametrize("dim, field", sorted(PINNED_QUERIES))
     def test_query_count_is_pinned(self, dim, field):
@@ -358,11 +356,11 @@ class TestImplicit:
         assert report.query_count == oracle.query_count == self.PINNED_QUERIES[dim, field]
         assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
 
-    # A noisy run is the same one pass, each coupling measured once, so it
-    # costs d + k d(d-1)/2 queries at any shot count; these counts too may
-    # fall with a change to the route, never rise.
-    PINNED_NOISY_QUERIES = {(3, "complex"): 12, (3, "real"): 9, (6, "complex"): 51,
-                            (6, "real"): 36}
+    # A noisy run is the same one batch, each coupling measured once, so it
+    # costs d + (k-1) d(d-1)/2 queries at any shot count; these counts too
+    # may fall with a change to the route, never rise.
+    PINNED_NOISY_QUERIES = {(3, "complex"): 9, (3, "real"): 6, (6, "complex"): 36,
+                            (6, "real"): 21}
 
     @pytest.mark.parametrize("dim, field", sorted(PINNED_NOISY_QUERIES))
     def test_noisy_query_count_is_pinned(self, dim, field):
@@ -373,98 +371,77 @@ class TestImplicit:
 
     @staticmethod
     def count_draws(monkeypatch):
-        """Count the route's random draws: the start vectors, and a pass's
-        vectors drawn on breakdown."""
-        draws, ginibre = [], reconstruct._ginibre
+        """Count the route's random draws: the shape of each Haar stack it
+        draws its basis from."""
+        draws, haar = [], reconstruct.haar_basis_matrices
 
         def counting(*args):
-            draws.append(args[0])
-            return ginibre(*args)
+            draws.append(args[:2])
+            return haar(*args)
 
-        monkeypatch.setattr(reconstruct, "_ginibre", counting)
+        monkeypatch.setattr(reconstruct, "haar_basis_matrices", counting)
         return draws
 
     @staticmethod
-    def spy_ascents(monkeypatch, oracle):
-        """Record each full-span pass as the rows of each query it makes;
-        queries made outside a pass go to the second list returned."""
-        passes, outside = [], []
-        current = [outside]
-        query = oracle.query_batch
-
-        def in_pass(*args, **kw):
-            current[0] = []
-            try:
-                return _span_pass(*args, **kw)
-            finally:
-                passes.append(current[0])
-                current[0] = outside
+    def spy_batches(monkeypatch, oracle):
+        """Record the rows of each query the run makes."""
+        batches, query = [], oracle.query_batch
 
         def spy(vectors):
-            current[0].append(len(vectors))
+            batches.append(len(vectors))
             return query(vectors)
 
-        monkeypatch.setattr(reconstruct, "_span_pass", in_pass)
         monkeypatch.setattr(oracle, "query_batch", spy)
-        return passes, outside
+        return batches
+
+    @staticmethod
+    def one_batch(d, field):
+        """The rows of the one batch: d points and k - 1 probes per pair."""
+        return [d + (2 if field == "complex" else 1) * d * (d - 1) // 2]
 
     @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_every_ascent_query_is_one_residual_batch(self, field, monkeypatch):
-        # Every exact run, at full rank or rank 1, or with tol = 0 (below the
-        # pass's bound, so it raises), is one full-span pass: its j-th point
-        # queries itself and the coupling probes of the d-1-j directions not
-        # yet measured, and nothing is queried outside it.
-        d, k = 6, (3 if field == "complex" else 2)
-        for rank, tol in ((d, None), (1, None), (d, 0.0)):
-            oracle = ExactOracle(random_density_matrix(d, rank, seed=31, field=field), field)
-            passes, outside = self.spy_ascents(monkeypatch, oracle)
+    def test_every_run_is_one_batch_of_one_basis(self, field, monkeypatch):
+        # Every run, exact at full rank or rank 1, noisy, or with tol = 0 or
+        # 1e-13 (below its bound, so it raises), draws one Haar basis and
+        # makes one query_batch call: its d points and the probes of each pair.
+        d = 6
+        rho, rank_one = (random_density_matrix(d, r, seed=31, field=field) for r in (d, 1))
+        runs = [(ExactOracle(rho, field), None), (ExactOracle(rank_one, field), None),
+                (NoisyOracle(rho, shots=10_000, seed=33, field=field), None),
+                (ExactOracle(rho, field), 0.0), (ExactOracle(rho, field), 1e-13)]
+        for oracle, tol in runs:
+            batches = self.spy_batches(monkeypatch, oracle)
+            draws = self.count_draws(monkeypatch)
             config = ImplicitConfig(tol=tol, seed=32)
-            if tol == 0.0:
+            if tol is None:
+                report = implicit_reconstruct(oracle, config)
+                assert report.query_count == sum(self.one_batch(d, field))
+            else:
                 with pytest.raises(ConvergenceError):
                     implicit_reconstruct(oracle, config)
-            else:
-                implicit_reconstruct(oracle, config)
-            assert outside == []
-            assert passes == [[1 + k * (d - 1 - j) for j in range(d)]]
+            assert batches == self.one_batch(d, field)
+            assert draws == [(d, 1)]
 
-    @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_noisy_ascent_batches_stay_full(self, field, monkeypatch):
-        # a noisy run is the same one pass: every point's batch is full, itself
-        # and each of the d-1-j directions not yet measured, each coupling is
-        # measured once, and no maximizer is queried afresh outside the pass
-        d, k = 6, (3 if field == "complex" else 2)
-        rho = random_density_matrix(d, d, seed=31, field=field)
-        oracle = NoisyOracle(rho, shots=10_000, seed=33, field=field)
-        passes, outside = self.spy_ascents(monkeypatch, oracle)
-        report = implicit_reconstruct(oracle, ImplicitConfig(seed=32))
-        assert outside == []
-        assert passes == [[1 + k * (d - 1 - j) for j in range(d)]]
-        assert report.query_count == oracle.query_count == d + k * d * (d - 1) // 2
-
-    # A rank-1 state's Lanczos vectors break down once rho maps the measured
-    # span into itself, after two points (or one, if the start is the
-    # eigenvector); the pass goes on from a random vector at each of the d-2
-    # later points, so the run still fills the space at the cost of any
-    # full-rank run.  The start is drawn from its own seed: with the state's
-    # seed it would be the eigenvector.
-    @pytest.mark.parametrize("field, queries", [("complex", 51), ("real", 36)])
-    def test_rank_one_states_fill_the_space_in_one_pass(self, field, queries, monkeypatch):
+    # A rank-1 state needs no special case: the basis is drawn before the
+    # first query, so the run measures the whole space at the cost of any
+    # full-rank run.
+    @pytest.mark.parametrize("field, queries", [("complex", 36), ("real", 21)])
+    def test_rank_one_states_fill_the_space_in_one_batch(self, field, queries, monkeypatch):
         for seed in range(5):
             rho = random_density_matrix(6, 1, seed=seed, field=field)
             oracle = ExactOracle(rho, field)
-            passes, outside = self.spy_ascents(monkeypatch, oracle)
+            batches = self.spy_batches(monkeypatch, oracle)
             draws = self.count_draws(monkeypatch)
             report = implicit_reconstruct(oracle, ImplicitConfig(seed=seed + 1000))
-            assert outside == [] and len(passes) == 1
-            assert len(draws) == 1 + (6 - 2)
-            assert report.query_count == sum(passes[0]) == queries
+            assert batches == [queries] and len(draws) == 1
+            assert report.query_count == queries
             assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
 
-    @pytest.mark.parametrize("field, queries", [("complex", 51), ("real", 36)])
-    def test_tol_below_the_bound_raises_after_one_pass(self, field, queries):
-        # the pass certifies no tol below 2 sqrt(d) delta, above tol = 1e-13 at
+    @pytest.mark.parametrize("field, queries", [("complex", 36), ("real", 21)])
+    def test_tol_below_the_bound_raises_after_one_batch(self, field, queries):
+        # the batch certifies no tol below 2 sqrt(d) delta, above tol = 1e-13 at
         # d = 6, so a random state and the degenerate [0.3, 0.3, 0.2, 0.2, 0, 0]
-        # each raise after the one pass, with its top Ritz value, and no more
+        # each raise after the one batch, with its top Ritz value, and no more
         bound = 2 * np.sqrt(6) * reconstruct._column_error(6)
         assert bound > 1e-13
         u = haar_random_basis(6, 1, field).matrix
@@ -485,9 +462,8 @@ class TestImplicit:
     @pytest.mark.parametrize("ratio", [0.1, 0.6, 0.9])
     @pytest.mark.parametrize("d", [8, 16])
     def test_geometric_spectra_are_recovered(self, d, ratio, field):
-        # every run is one certified full-span pass, exact to rounding even
-        # for the eigenvalues far below the default tol (ratio 0.1)
-        k = 3 if field == "complex" else 2
+        # every run is one certified batch, exact to rounding even for the
+        # eigenvalues far below the default tol (ratio 0.1)
         spectrum = ratio ** np.arange(d)
         spectrum /= spectrum.sum()
         for seed in range(4):
@@ -495,22 +471,19 @@ class TestImplicit:
             m = (u * spectrum) @ u.conj().T
             rho = DensityMatrix((m + m.conj().T) / 2)
             report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
-            assert report.query_count == d + k * d * (d - 1) // 2
+            assert [report.query_count] == self.one_batch(d, field)
             assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
             got = np.linalg.eigvalsh(report.estimate)
             assert np.max(np.abs(got - spectrum[::-1])) <= 1e-13
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_first_stage_span_makes_the_model_exact(self, d, field, monkeypatch):
-        # implicit-spectral's spectrum: the pass measures points spanning the
-        # whole space and certifies a model exact to rounding.  The i-th point
-        # (from 0) queries itself and k rows for each of the d-1-i directions
-        # still unmeasured: d + k d(d-1)/2 queries in all, (3d^2 - d)/2 in the
-        # complex field, below the explicit route's 2d^2 - d for d >= 2, and
-        # d^2 in the real field.  On these simple spectra the Lanczos
-        # recurrence does not break down, so the start is the only random draw.
-        k = 3 if field == "complex" else 2
+    def test_one_basis_makes_the_model_exact(self, d, field, monkeypatch):
+        # implicit-spectral's spectrum: the batch measures a basis of the
+        # whole space and certifies a model exact to rounding, at d^2 queries
+        # in the complex field, below the explicit route's 2d^2 - d for
+        # d >= 2, and d(d+1)/2 in the real field, below its d^2.  The basis is
+        # the only random draw.
         draws = self.count_draws(monkeypatch)
         spectrum = 0.6 ** np.arange(d)
         spectrum /= spectrum.sum()
@@ -521,19 +494,16 @@ class TestImplicit:
             draws.clear()
             report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
             assert len(draws) == 1
-            assert report.query_count == d + k * d * (d - 1) // 2
-            if field == "complex":
-                assert report.query_count < 2 * d * d - d
+            assert report.query_count == (d * d if field == "complex" else d * (d + 1) // 2)
+            assert report.query_count < (2 * d * d - d if field == "complex" else d * d)
             assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-12
 
-    def test_tol_below_the_noise_floor_raises_after_one_pass(self):
-        # Few shots can make the Lanczos vectors of the pass break down (values of
-        # 0 and 1 leave no direction outside the measured points); every run
-        # must still measure its d points and end in ConvergenceError, never
-        # in a NaN probe row or a warning.
+    def test_tol_below_the_noise_floor_raises_after_one_batch(self):
+        # Few shots give values of 0 and 1 and Ritz values outside [0, 1];
+        # every run must still measure its d points and end in
+        # ConvergenceError, never in a NaN or a warning.
         for shots, d, field, seed in itertools.product((1, 50), (2, 4), ("complex", "real"),
                                                        range(4)):
-            k = 3 if field == "complex" else 2
             rho = random_density_matrix(d, d, seed=seed, field=field)
             oracle = NoisyOracle(rho, shots=shots, seed=seed, field=field)
             with warnings.catch_warnings():
@@ -541,7 +511,7 @@ class TestImplicit:
                 with pytest.raises(ConvergenceError) as err:
                     implicit_reconstruct(oracle, ImplicitConfig(tol=1e-12, seed=seed))
             assert err.value.sweeps == d
-            assert oracle.query_count == d + k * d * (d - 1) // 2
+            assert [oracle.query_count] == self.one_batch(d, field)
 
     @pytest.mark.parametrize("tol", [np.nan, -1e-3, -np.inf])
     def test_unreachable_tol_is_rejected(self, tol):
@@ -552,35 +522,24 @@ class TestImplicit:
         assert ImplicitConfig(tol=0.0).tol == 0.0
 
     @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_warm_starts_keep_stage_values_non_increasing(self, field, monkeypatch):
-        # Degenerate levels make a measured span invariant, so the next
-        # Lanczos vector can lie in a lower eigenspace with 0.3 left unseen.
-        # The stage values are the full-span pass's Ritz values, which must
-        # still run down the whole spectrum.
+    def test_degenerate_spectra_are_recovered(self, field):
+        # Degenerate levels leave each eigenspace's basis free; the Ritz values
+        # of the measured basis, the estimate's eigenvalues, must still run
+        # down the whole spectrum.
         spectrum = [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]
-        stage_values = []
-
-        def recording(*args):
-            theta, z, eta = _span_pass(*args)
-            stage_values.extend(theta)
-            return theta, z, eta
-
-        monkeypatch.setattr(reconstruct, "_span_pass", recording)
         for seed in range(6):
             u = haar_random_basis(6, seed, field).matrix
             m = (u * spectrum) @ u.conj().T
             rho = DensityMatrix((m + m.conj().T) / 2)
-            stage_values.clear()
             report = implicit_reconstruct(ExactOracle(rho, field), ImplicitConfig(seed=seed))
             assert np.linalg.norm(report.estimate - rho.matrix) < 1e-7
-            assert len(stage_values) == 6, stage_values
-            assert np.all(np.diff(stage_values) <= 0), stage_values
-            assert np.max(np.abs(np.subtract(stage_values, spectrum))) <= 1e-12
+            values = np.linalg.eigvalsh(report.estimate)[::-1]
+            assert np.max(np.abs(values - spectrum)) <= 1e-12, values
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_default_tol_takes_no_svd_and_at_most_two_eigh(self, field, monkeypatch):
-        # the pass's one eigendecomposition of its Ritz matrix and the PSD
-        # repair's: no eigh per point, no SVD of a measured history
+        # the one eigendecomposition of the Ritz matrix and the PSD repair's:
+        # no eigh per point, no SVD
         rho = random_density_matrix(8, 8, seed=108, field=field)
         oracle = ExactOracle(rho, field)
         calls = {"svd": 0, "eigh": 0}
@@ -593,11 +552,11 @@ class TestImplicit:
         assert calls["svd"] == 0 and 1 <= calls["eigh"] <= 2, calls
         assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
 
-    @pytest.mark.parametrize("field, queries", [("complex", 51), ("real", 36)])
-    def test_pass_certifies_on_its_measured_orthonormality(self, field, queries):
-        # The pass certifies tol >= 2 sqrt(d) delta / (1 - eta).  Just above
-        # the bound it does; at the bound itself its points' defect eta > 0
-        # fails the check, and the run raises after the same one pass.
+    @pytest.mark.parametrize("field, queries", [("complex", 36), ("real", 21)])
+    def test_batch_certifies_on_its_measured_orthonormality(self, field, queries):
+        # The batch certifies tol >= 2 sqrt(d) delta / (1 - eta).  Just above
+        # the bound it does; at the bound itself its basis's defect eta > 0
+        # fails the check, and the run raises after the same one batch.
         d = 6
         bound = 2 * np.sqrt(d) * reconstruct._column_error(d)
         rho = random_density_matrix(d, d, seed=106, field=field)
@@ -610,23 +569,6 @@ class TestImplicit:
             implicit_reconstruct(oracle, ImplicitConfig(tol=bound, seed=206))
         assert oracle.query_count == queries
         assert bound < err.value.residual <= bound * (1 + 1e-9)
-
-
-@pytest.mark.parametrize("field", ["complex", "real"])
-@pytest.mark.parametrize("m", [2, 3, 5, 8])
-def test_householder_complement_matches_complete_qr(m, field):
-    rng = np.random.default_rng(m)
-    units = [e(0, m), -e(0, m), e(m - 1, m)] + ([1j * e(0, m)] if field == "complex" else [])
-    for _ in range(20):
-        u = rng.standard_normal(m) + (1j * rng.standard_normal(m) if field == "complex" else 0)
-        units.append(u / np.linalg.norm(u))
-    for u in units:
-        u = u if field == "complex" else u.real
-        w = _householder_complement(u, np.empty((m - 1, m), u.dtype))
-        ref = np.linalg.qr(u[:, None], mode="complete")[0][:, 1:].T
-        np.testing.assert_allclose(w, ref, rtol=0, atol=1e-14)
-        full = np.vstack([u, w])
-        np.testing.assert_allclose(full.conj() @ full.T, np.eye(m), rtol=0, atol=1e-14)
 
 
 class TestHaarAverage:

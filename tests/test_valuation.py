@@ -329,8 +329,7 @@ def test_probe_builders_match_stack_reference_bitwise(dim, field):
     got = pair_probes(x, y, field, out=out)
     assert got is out and np.isnan(block[:2]).all()
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-    # one row x against a stack, as the implicit route pairs u with each w_l,
-    # and against an empty stack
+    # one row x broadcast against a stack, and against an empty stack
     x0 = b[:, :1].T
     for ys in (b.T[1:], b.T[:0]):
         ref = stacked_pair_probes(np.broadcast_to(x0, ys.shape), ys, field)
@@ -410,7 +409,7 @@ class TestPolarize:
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_one_row_against_a_stack(self, field):
-        # the shape the implicit route pairs u with each w_l in
+        # one row broadcast against a stack, as the probe builders allow
         rho = random_density_matrix(5, 5, seed=24, field=field)
         oracle = ExactOracle(rho, field=field)
         b = haar_random_basis(5, seed=25, field=field).matrix.T
