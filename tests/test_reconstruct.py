@@ -570,6 +570,63 @@ class TestImplicit:
         assert oracle.query_count == queries
         assert bound < err.value.residual <= bound * (1 + 1e-9)
 
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_every_seed_gives_the_same_estimate(self, field, monkeypatch):
+        # Courant-Fischer: the Ritz pairs of any orthonormal basis of the
+        # space are the same maximizers and values, so each seed measures a
+        # different basis and every estimate is rho to rounding.
+        d = 5
+        rho = random_density_matrix(d, d, seed=41, field=field)
+        bases, estimates = [], []
+        for seed in range(3):
+            oracle = ExactOracle(rho, field)
+            query = oracle.query_batch
+
+            def spy(vectors, _query=query):
+                bases.append(np.array(vectors[:d]))
+                return _query(vectors)
+
+            monkeypatch.setattr(oracle, "query_batch", spy)
+            estimates.append(implicit_reconstruct(oracle, ImplicitConfig(seed=seed)).estimate)
+        assert len(bases) == 3
+        for a, b in itertools.combinations(bases, 2):
+            assert np.max(np.abs(a - b)) > 1e-3
+        for est in estimates:
+            assert np.linalg.norm(est - rho.matrix) <= 1e-13
+            assert np.linalg.norm(est - estimates[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_batch_measures_the_couplings_of_its_basis(m, field, monkeypatch):
+    # The batch opens with the rows x_j of its orthonormal basis, every row is
+    # a unit vector, and the matrix the route diagonalizes is
+    # T_jk = <x_j|rho|x_k> to within one column's rounding bound.
+    rho = random_density_matrix(m, m, seed=m, field=field)
+    oracle = ExactOracle(rho, field)
+    rows, matrices = [], []
+    query, eigh = oracle.query_batch, np.linalg.eigh
+
+    def spy_query(vectors):
+        rows.append(np.array(vectors))
+        return query(vectors)
+
+    def spy_eigh(a, *args, **kw):
+        matrices.append(np.array(a))
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(oracle, "query_batch", spy_query)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    implicit_reconstruct(oracle, ImplicitConfig(seed=m))
+    assert len(rows) == 1
+    x = rows[0][:m]
+    np.testing.assert_allclose(x.conj() @ x.T, np.eye(m), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(rows[0], axis=1), 1, rtol=0, atol=1e-14)
+    t = matrices[0]
+    np.testing.assert_array_equal(t, t.conj().T)
+    np.testing.assert_allclose(t, x.conj() @ rho.matrix @ x.T, rtol=0,
+                               atol=reconstruct._column_error(m))
+
 
 class TestHaarAverage:
     def test_maximally_mixed_is_exact(self):
