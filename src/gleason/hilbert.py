@@ -309,14 +309,22 @@ def nearest_density_matrix(m: np.ndarray) -> DensityMatrix:
 
     Takes the Hermitian part, eigendecomposes it (one ``eigh``, on the real
     array when the part is exactly real), and projects the eigenvalues onto the
-    probability simplex: the exact metric projection onto the density-matrix
-    set (Smolin, Gambetta & Smith, PRL 108, 070502, 2012), hence idempotent and
-    non-expansive.  The output's PSD and unit-trace checks read the projected
-    eigenvalues in place of ``DensityMatrix``'s own.  A spectrum that overflows
-    float64 raises ``ValueError``.
+    probability simplex (``_density_from_spectrum``): the exact metric
+    projection onto the density-matrix set (Smolin, Gambetta & Smith, PRL 108,
+    070502, 2012), hence idempotent and non-expansive.  A spectrum that
+    overflows float64 raises ``ValueError``.
     """
     h = _hermitian_part(_square(m, "input"))
-    w, v = np.linalg.eigh(h if h.imag.any() else h.real)
+    return _density_from_spectrum(*np.linalg.eigh(h if h.imag.any() else h.real))
+
+
+def _density_from_spectrum(w: np.ndarray, v: np.ndarray) -> DensityMatrix:
+    """The density matrix sum_i p_i |v_i><v_i| for p the simplex projection of
+    the ascending spectrum ``w`` and v_i the columns of ``v``: the repair of
+    the Hermitian matrix with those eigenpairs, which ``nearest_density_matrix``
+    gets from its ``eigh`` and the implicit route from its Ritz pairs.  The
+    output's PSD and unit-trace checks read p in place of ``DensityMatrix``'s
+    own."""
     if not np.isfinite(w).all():
         raise ValueError("the input's spectrum cannot be represented in float64")
     w = _project_to_simplex(w)

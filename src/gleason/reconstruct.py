@@ -18,6 +18,7 @@ from .hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     _at_least,
+    _density_from_spectrum,
     _hermitian_part,
     _row_norms,
     _square,
@@ -118,8 +119,12 @@ class ReconstructionReport:
         }
 
 
-def _finish(method: str, estimate: np.ndarray, query_count: int) -> ReconstructionReport:
-    repaired = nearest_density_matrix(estimate)
+def _finish(method: str, estimate: np.ndarray, query_count: int,
+            repaired: DensityMatrix | None = None) -> ReconstructionReport:
+    """The report of a run; ``repaired`` is ``nearest_density_matrix(estimate)``
+    unless the route passes it in."""
+    if repaired is None:
+        repaired = nearest_density_matrix(estimate)
     residual = float(np.linalg.norm(estimate - repaired.matrix))
     return ReconstructionReport(method, estimate, repaired, query_count, residual)
 
@@ -319,7 +324,8 @@ class ImplicitConfig:
     least it accepts raises ``ConvergenceError`` once the batch is paid for.
     A NaN or negative ``tol`` could never be met on any oracle, so it is
     rejected with ``ValueError``.  ``seed`` draws the Haar basis the run
-    measures.
+    measures; numpy takes no negative seed, so one is rejected with
+    ``ValueError`` here, before the run queries anything.
     """
 
     tol: float | None = None
@@ -328,6 +334,7 @@ class ImplicitConfig:
     def __post_init__(self):
         if self.tol is not None:
             _at_least(self.tol, 0, "tol")
+        _at_least(self.seed, 0, "seed")
 
 
 def implicit_reconstruct(
@@ -346,6 +353,9 @@ def implicit_reconstruct(
     ``known_diagonal_coupling`` gives T_jk = <x_j|rho|x_k>.  By
     Courant-Fischer the Ritz pairs (theta_i, z_i = X^T y_i) of T are those
     maximizers and values, so the estimate is  sum_i theta_i |z_i><z_i|.
+    Those pairs are its eigenpairs, so ``repaired`` is their simplex
+    projection (``_density_from_spectrum``), ``nearest_density_matrix`` of the
+    estimate to rounding: the run's one ``eigh`` is T's.
     Every run, on any oracle, costs exactly d + (k-1) d(d-1)/2 queries
     (k = 3 complex, 2 real): d^2, below the explicit route's 2d^2 - d for
     d >= 2, or d(d+1)/2 in the real field, below its d^2.
@@ -379,12 +389,13 @@ def implicit_reconstruct(
     coupling_probes(x[j], x[l], oracle.field, out=rows[d:])
     vals = oracle.query_batch(rows)
     c = known_diagonal_coupling(vals[j], vals[l], vals[d:], oracle.field)
-    theta, y = np.linalg.eigh(_hermitian_fill(vals[:d], c))
-    theta, z = theta[::-1], (y.T @ x)[::-1]
+    w, y = np.linalg.eigh(_hermitian_fill(vals[:d], c))
+    theta, z = w[::-1], (y.T @ x)[::-1]
     eta = float(np.linalg.norm(x @ x.conj().T - np.eye(d)))
     noise = 3 * oracle.noise_scale * math.sqrt(k * (d - 1))
     floor = 2 * math.sqrt(d) * _column_error(d) / (1 - eta) + noise
     if cfg.tol is not None and cfg.tol < floor:
         raise ConvergenceError(z[0], float(theta[0]), floor, d, noise)
     estimate = _hermitian_part((z.T * theta) @ z.conj())
-    return _finish("implicit", estimate, oracle.query_count - before)
+    repaired = _density_from_spectrum(w, z[::-1].T)
+    return _finish("implicit", estimate, oracle.query_count - before, repaired)

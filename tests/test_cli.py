@@ -561,6 +561,16 @@ class TestBoundsBeforeQueries:
         assert result.stdout == ""
         assert "error:" in result.stderr and "shots" in result.stderr
 
+    def test_negative_implicit_seed_is_usage_error_without_queries(self, tmp_path, monkeypatch):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 28, "--out", state)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run("reconstruct", "--method", "implicit", "--in", state, "--seed", -1)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "error: seed must be >= 0, got -1" in result.stderr
+
     @pytest.mark.parametrize("count", [0, 1, 2, 99])
     def test_suite_all_refuses_a_count_below_the_moment_floor(self, tmp_path, monkeypatch,
                                                               count):

@@ -210,6 +210,7 @@ BOUNDS = {
     "NoisyOracle": ("shots", lambda v, o: NoisyOracle(RHO, shots=v), 0),
     "haar_average_reconstruct": ("num_bases", lambda v, o: haar_average_reconstruct(o, v, 0), 0),
     "ImplicitConfig": ("tol", lambda v, o: ImplicitConfig(tol=v), BELOW_ZERO),
+    "ImplicitConfig-seed": ("seed", lambda v, o: ImplicitConfig(seed=v), -1),
     "check_density": ("tol", lambda v, o: check_density(RHO.matrix, v), BELOW_ZERO),
     "check_additivity-trials": ("trials", lambda v, o: check_additivity(o, v, 0), 0),
     "check_additivity-tol": ("tol", lambda v, o: check_additivity(o, 10, 0, v), BELOW_ZERO),

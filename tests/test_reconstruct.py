@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from gleason import reconstruct
+from gleason import hilbert, reconstruct
 from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
     haar_basis_matrices,
     haar_random_basis,
+    nearest_density_matrix,
     random_density_matrix,
     spectral_decomposition,
     standard_basis,
@@ -402,14 +403,18 @@ class TestImplicit:
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_every_run_is_one_batch_of_one_basis(self, field, monkeypatch):
         # Every run, exact at full rank or rank 1, noisy, or with tol = 0 or
-        # 1e-13 (below its bound, so it raises), draws one Haar basis and
-        # makes one query_batch call: its d points and the probes of each pair.
+        # 1e-13 (below its bound, so it raises), draws one Haar basis, makes
+        # one query_batch call (its d points and the probes of each pair) and
+        # takes one eigh, the Ritz matrix's, whose pairs the PSD repair reuses.
         d = 6
         rho, rank_one = (random_density_matrix(d, r, seed=31, field=field) for r in (d, 1))
         runs = [(ExactOracle(rho, field), None), (ExactOracle(rank_one, field), None),
                 (NoisyOracle(rho, shots=10_000, seed=33, field=field), None),
                 (ExactOracle(rho, field), 0.0), (ExactOracle(rho, field), 1e-13)]
+        eighs, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or eigh(m))
         for oracle, tol in runs:
+            eighs.clear()
             batches = self.spy_batches(monkeypatch, oracle)
             draws = self.count_draws(monkeypatch)
             config = ImplicitConfig(tol=tol, seed=32)
@@ -421,6 +426,7 @@ class TestImplicit:
                     implicit_reconstruct(oracle, config)
             assert batches == self.one_batch(d, field)
             assert draws == [(d, 1)]
+            assert eighs == [(d, d)]
 
     # A rank-1 state needs no special case: the basis is drawn before the
     # first query, so the run measures the whole space at the cost of any
@@ -537,9 +543,37 @@ class TestImplicit:
             assert np.max(np.abs(values - spectrum)) <= 1e-12, values
 
     @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_repair_from_ritz_pairs_is_the_nearest_density_matrix(self, d, field):
+        # exact runs at full rank and rank 1, and noisy ones at 30 shots, whose
+        # estimates leave the PSD cone (residuals up to ~1)
+        for s in range(10):
+            oracles = [ExactOracle(random_density_matrix(d, d, s, field), field),
+                       ExactOracle(random_density_matrix(d, 1, s, field), field),
+                       NoisyOracle(random_density_matrix(d, d, 900 + s, field), shots=30,
+                                   seed=s, field=field)]
+            for oracle in oracles:
+                report = implicit_reconstruct(oracle, ImplicitConfig(seed=s))
+                nearest = nearest_density_matrix(report.estimate).matrix
+                gap = np.linalg.norm(report.repaired.matrix - nearest)
+                assert gap <= 1e-14, (s, gap)
+                distance = np.linalg.norm(report.estimate - nearest)
+                assert abs(report.residual - distance) <= 1e-14, (s, report.residual)
+
+    def test_both_repairs_check_the_projected_spectrum(self, monkeypatch):
+        # nearest_density_matrix and the implicit route share the simplex
+        # projection's postcondition
+        monkeypatch.setattr(hilbert, "_project_to_simplex", lambda w: np.ones_like(w))
+        rho = random_density_matrix(3, 3, seed=42)
+        with pytest.raises(ValueError, match="is not a probability vector"):
+            nearest_density_matrix(rho.matrix)
+        with pytest.raises(ValueError, match="is not a probability vector"):
+            implicit_reconstruct(ExactOracle(rho), ImplicitConfig(seed=43))
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
     def test_default_tol_takes_no_svd_and_at_most_two_eigh(self, field, monkeypatch):
-        # the one eigendecomposition of the Ritz matrix and the PSD repair's:
-        # no eigh per point, no SVD
+        # the one eigendecomposition of the Ritz matrix, whose pairs the PSD
+        # repair reuses: no eigh per point, no SVD
         rho = random_density_matrix(8, 8, seed=108, field=field)
         oracle = ExactOracle(rho, field)
         calls = {"svd": 0, "eigh": 0}
@@ -549,7 +583,7 @@ class TestImplicit:
                 return _fn(*args, **kw)
             monkeypatch.setattr(np.linalg, name, counting)
         report = implicit_reconstruct(oracle, ImplicitConfig(seed=208))
-        assert calls["svd"] == 0 and 1 <= calls["eigh"] <= 2, calls
+        assert calls["svd"] == 0 and calls["eigh"] == 1, calls
         assert np.linalg.norm(report.estimate - rho.matrix) <= 1e-13
 
     @pytest.mark.parametrize("field, queries", [("complex", 36), ("real", 21)])
