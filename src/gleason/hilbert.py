@@ -267,6 +267,7 @@ def haar_basis_matrices(
 def haar_random_basis(dim: int, seed: int, field: str = "complex") -> OrthonormalBasis:
     """Draw a Haar-uniform orthonormal basis, deterministic in the seed."""
     _at_least(dim, 1, "dim")
+    _at_least(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     return OrthonormalBasis(haar_basis_matrices(dim, 1, rng, field)[0])
 
@@ -282,6 +283,7 @@ def random_density_matrix(
     _at_least(dim, 1, "dim")
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
+    _at_least(seed, 0, "seed")
     g = _ginibre((dim, rank), np.random.default_rng(seed), field)
     m = g @ g.conj().T
     m /= np.trace(m).real

@@ -2,8 +2,9 @@
 
 The five routes consume nothing but valuations of unit vectors; README's
 route table lists them, and each route's docstring states its construction.
-The explicit family shares one assembly step, and ``transition_matrix``
-links the valuations of two bases.
+Every basis route reads its couplings off one ``_probe_batch``
+(``_coupling_matrix``), the explicit family shares one assembly step, and
+``transition_matrix`` links the valuations of two bases.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .hilbert import (
     nearest_density_matrix,
 )
 from .serialize import matrix_to_json
-from .valuation import ValuationOracle, coupling_probes, known_diagonal_coupling
-from .valuation import pair_probes, polarize
+from .valuation import ValuationOracle, _phases, pair_probes, polarize
 
 __all__ = [
     "TransitionMatrix",
@@ -141,12 +141,30 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, 1)
 
 
-def _hermitian_fill(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix with diagonal ``diag`` and, at the pairs j < k of
-    ``_pairs``, the entries ``upper`` above the diagonal and their conjugates
-    below it: the matrix of a basis's measured couplings <n_j|rho|n_k>."""
-    j, k = _pairs(diag.size)
-    m = np.diag(diag.astype(upper.dtype))
+def _probe_batch(x: np.ndarray, phases: tuple) -> np.ndarray:
+    """The query block of the basis with rows x_j: those d rows, copied
+    exactly, then ``pair_probes`` with ``phases`` of the rows x_j/sqrt(2) and
+    x_k/sqrt(2) of each pair j < k (``_pairs``)."""
+    d = len(x)
+    j, k = _pairs(d)
+    rows = np.empty((d + len(phases) * len(j), d), x.dtype)
+    rows[:d] = x
+    half = rows[:d] / math.sqrt(2)
+    pair_probes(half[j], half[k], phases, out=rows[d:])
+    return rows
+
+
+def _coupling_matrix(vals: np.ndarray, d: int, phases: tuple) -> np.ndarray:
+    """The Hermitian matrix <x_j|rho|x_k> of a basis from v on its
+    ``_probe_batch`` with ``phases``: the d values of its rows on the
+    diagonal, and above it the ``polarize`` of each pair's probes, whose -w
+    values are measured or, for the +w half, v(x_j) + v(x_k) - v(w)."""
+    j, k = _pairs(d)
+    v = vals[d:].reshape(len(j), len(phases))
+    plus, minus = (v[:, 0::2], v[:, 1::2]) if -1 in phases else (
+        v, (vals[j] + vals[k])[:, None] - v)
+    upper = polarize(plus, minus)
+    m = np.diag(vals[:d].astype(upper.dtype))
     m[j, k] = upper
     m[k, j] = np.conj(upper)
     return m
@@ -158,17 +176,13 @@ def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> n
     Order: the d basis vectors, then for each pair j < k the probes
     (n_j + n_k)/sqrt(2), (n_j - n_k)/sqrt(2) and, in complex mode, also
     (n_j + i n_k)/sqrt(2), (n_j - i n_k)/sqrt(2).  Total 2d^2 - d rows
-    in complex mode, d^2 in real mode.  The first d rows are copied exactly
-    from the basis; ``pair_probes`` forms the rest from the contiguous rows
-    n_j/sqrt(2), and each is then scaled to unit norm on its float64 view,
-    as the basis is orthonormal only within ATOL.
+    in complex mode, d^2 in real mode; a field other than these two is
+    rejected.  The rows are the basis's ``_probe_batch``, each probe then
+    scaled to unit norm on its float64 view, as the basis is orthonormal only
+    within ATOL.
     """
-    d = basis.dim
-    j, k = _pairs(d)
-    rows = np.empty(((4 if field == "complex" else 2) * len(j) + d, d), np.complex128)
-    rows[:d] = basis.matrix.T
-    half = rows[:d] / math.sqrt(2)
-    probes = pair_probes(half[j], half[k], field, out=rows[d:])
+    rows = _probe_batch(basis.matrix.T, _phases(field))
+    probes = rows[basis.dim:]
     flat = probes.view(np.float64)
     flat *= (1 / _row_norms(probes))[:, None]
     return rows
@@ -176,16 +190,14 @@ def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> n
 
 def _polarization_estimate(oracle: ValuationOracle, basis: OrthonormalBasis) -> np.ndarray:
     """The raw estimate of the explicit construction shared by every
-    explicit-family route; 1, with no query, in one dimension.
-
-    A pair's probes have squared norm 2 before normalization, so f = 2 v."""
+    explicit-family route; 1, with no query, in one dimension."""
     d = basis.dim
     if d != oracle.dim:
         raise ValueError(f"basis dim {d} != oracle dim {oracle.dim}")
     if d == 1:
         return np.ones((1, 1), dtype=np.complex128)
     vals = oracle.query_batch(explicit_query_vectors(basis, oracle.field))
-    m = _hermitian_fill(vals[:d], polarize(2 * vals[d:], oracle.field))
+    m = _coupling_matrix(vals, d, _phases(oracle.field))
     b = basis.matrix
     return b @ m @ b.conj().T
 
@@ -254,6 +266,7 @@ def haar_average_reconstruct(
     one real Gram matrix of the rows sqrt(v_r) n_r, (Re, Im) interleaved.
     """
     _at_least(num_bases, 1, "num_bases")
+    _at_least(seed, 0, "seed")
     if oracle.field != "complex":
         raise ValueError("the uniform-average identity is implemented for "
                          "complex Hilbert spaces only")
@@ -297,12 +310,16 @@ def _column_error(d: int) -> float:
     the rows x_j of its basis X, in one batch.
 
     Each value v(p) = Re p^H (rho p) is two length-d dots, off by at most
-    2(d+2) eps |p|^T |rho| |p| <= 2(d+2) eps (|p|^T |rho| |p| <= ||rho||_F <= 1),
-    and by 4 eps more from the rounding of the probe row p.  A diagonal entry
-    is one value.  Each part of an entry off the diagonal is formed from three
-    values, a probe's less the mean of the two diagonals
-    (``known_diagonal_coupling``, whose identity expands the quadratic form, so
-    the x_j need not be exactly orthonormal), so |dT_jk| <= 4 sqrt2 (d+4) eps.
+    2(d+2) eps |p|^T |rho| |p| <= 2(d+2) eps (|p|^T |rho| |p| <= ||rho||_F <= 1).
+    A diagonal entry is one value of a row x_j as drawn.  A probe row
+    p = x_j/sqrt2 + w x_k/sqrt2 (``_probe_batch``, w = 1 or i) is off by
+    three roundings of eps/2 (sqrt2's, the division's and the sum's), so
+    |dp| <= 1.5 eps q for q = (|x_j| + |x_k|)/sqrt2, and moves v(p) by at most
+    3 eps q^T |rho| q <= 6 eps (||q||^2 <= 2): 2(d+5) eps in all.  Each part
+    of an entry off the diagonal is [v(w) - v(-w)]/2 with
+    v(-w) = v(x_j) + v(x_k) - v(w) (``polarize``; that identity expands the
+    quadratic form, so the x_j need not be exactly orthonormal), off by at
+    most 2(d+5) eps + 2(d+2) eps < 4(d+4) eps, so |dT_jk| <= 4 sqrt2 (d+4) eps.
     No entry is formed from another, so a column's d entries are off by at
     most 4 sqrt2 (d+4) sqrt(d) eps < delta, and T = M^H rho M + E for M = X^T,
     ||E||_F <= sqrt(d) delta / sqrt2 <= 2 sqrt(d) delta.
@@ -349,8 +366,9 @@ def implicit_reconstruct(
 
     The run draws one Haar basis X of the oracle's field from ``config.seed``
     (``haar_basis_matrices``) and measures it in one ``query_batch``: the d
-    rows x_j, then the ``coupling_probes`` of each pair j < k, from which
-    ``known_diagonal_coupling`` gives T_jk = <x_j|rho|x_k>.  By
+    rows x_j, then the +w half of the explicit probes of each pair j < k
+    (``_probe_batch``), from which ``_coupling_matrix`` gives
+    T_jk = <x_j|rho|x_k>, reading each -w value off the diagonals.  By
     Courant-Fischer the Ritz pairs (theta_i, z_i = X^T y_i) of T are those
     maximizers and values, so the estimate is  sum_i theta_i |z_i><z_i|.
     Those pairs are its eigenpairs, so ``repaired`` is their simplex
@@ -379,20 +397,14 @@ def implicit_reconstruct(
     if d == 1:
         return _trivial_report("implicit")
     before = oracle.query_count
-    complex_ = oracle.field == "complex"
-    k = 3 if complex_ else 2
+    phases = _phases(oracle.field)[0::2]
     x = haar_basis_matrices(d, 1, np.random.default_rng(cfg.seed), oracle.field)[0].T
-    x = x if complex_ else x.real
-    j, l = _pairs(d)
-    rows = np.empty((d + (k - 1) * len(j), d), x.dtype)
-    rows[:d] = x
-    coupling_probes(x[j], x[l], oracle.field, out=rows[d:])
-    vals = oracle.query_batch(rows)
-    c = known_diagonal_coupling(vals[j], vals[l], vals[d:], oracle.field)
-    w, y = np.linalg.eigh(_hermitian_fill(vals[:d], c))
+    x = x if oracle.field == "complex" else x.real
+    vals = oracle.query_batch(_probe_batch(x, phases))
+    w, y = np.linalg.eigh(_coupling_matrix(vals, d, phases))
     theta, z = w[::-1], (y.T @ x)[::-1]
     eta = float(np.linalg.norm(x @ x.conj().T - np.eye(d)))
-    noise = 3 * oracle.noise_scale * math.sqrt(k * (d - 1))
+    noise = 3 * oracle.noise_scale * math.sqrt((len(phases) + 1) * (d - 1))
     floor = 2 * math.sqrt(d) * _column_error(d) / (1 - eta) + noise
     if cfg.tol is not None and cfg.tol < floor:
         raise ConvergenceError(z[0], float(theta[0]), floor, d, noise)

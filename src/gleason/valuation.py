@@ -4,18 +4,18 @@ A valuation assigns a probability to every ray of the Hilbert space,
 additively over orthogonal decompositions and normalized so any full
 orthonormal basis sums to 1.  Oracles expose only ray queries; subspace
 values are obtained by additivity.  With f(x) = ||x||^2 v(x/||x||) on
-non-unit vectors, polarization recovers the matrix elements of rho, which is
-what the explicit reconstruction routes consume:
+non-unit vectors, polarization recovers the matrix elements of rho:
 
     <x|rho|y>  = [f(x+y) - f(x-y)]/4 - i [f(x+iy) - f(x-iy)]/4
 
-with the imaginary bracket dropped on real Hilbert spaces.  ``pair_probes``
-and ``polarize`` implement this identity once, for every explicit route;
-``coupling_probes`` and ``known_diagonal_coupling`` are its two-probe form
-for orthonormal pairs whose diagonals are already known, which the implicit
-route uses.  The two probe builders are the only place probe rows are
-formed, always into a block the caller owns.  ``_born`` is the one
-Born-rule kernel, a BLAS product.
+with the imaginary bracket dropped on real Hilbert spaces.  On the unit
+probes (x + w y)/sqrt2 of an orthonormal pair f = 2v, and
+v(w) + v(-w) = v(x) + v(y), so a route may measure the -w probes or read
+their values off the pair's diagonals.  ``pair_probes`` and ``polarize``
+implement this identity once, for every basis route: the first is the only
+place probe rows are formed, always into a block the caller owns, and the
+second combines the +w and -w values.  ``_born`` is the one Born-rule
+kernel, a BLAS product.
 
 Every oracle kernel runs over row blocks of its batch (``_by_blocks``) whose
 product holds at most ``_BLOCK_ENTRIES`` entries, so no kernel forms a
@@ -30,7 +30,6 @@ import numpy as np
 
 from .hilbert import ATOL, DensityMatrix, _at_least, _is_real, _row_norms
 
-_SQRT2 = np.sqrt(2.0)
 TABLE_MATCH_TOL = 1e-9
 # Entries (rows x width) of the product an oracle kernel forms per row block.
 # 2**14 complex entries are 256 kB, which the allocator serves from heap the
@@ -61,8 +60,7 @@ class ValuationOracle:
 
     def __init__(self, dim: int, field: str = "complex"):
         _at_least(dim, 1, "dim")
-        if field not in ("complex", "real"):
-            raise ValueError(f"unknown field {field!r}")
+        _phases(field)
         self.dim = dim
         self.field = field
         self._count = 0
@@ -160,6 +158,7 @@ class NoisyOracle(ExactOracle):
     ):
         super().__init__(state, field)
         _at_least(shots, 1, "shots")
+        _at_least(seed, 0, "seed")
         self.shots = int(shots)
         self._rng = np.random.default_rng(seed)
         self._rng_lock = threading.Lock()
@@ -227,50 +226,32 @@ class TabulatedOracle(ValuationOracle):
         return self._vals[idx]
 
 
-def pair_probes(x: np.ndarray, y: np.ndarray, field: str, out: np.ndarray) -> np.ndarray:
-    """Probe rows x+y, x-y (and x+iy, x-iy in complex mode) of each stacked
-    row pair (x_p, y_p) in turn: shape (4p, d), or (2p, d) in real mode.
+def _phases(field: str) -> tuple:
+    """The phases w of the probes x + w y in ``field``: 1, -1, i, -i, or 1, -1
+    in the real field; any other field is rejected."""
+    if field not in ("complex", "real"):
+        raise ValueError(f"unknown field {field!r}")
+    return (1, -1, 1j, -1j) if field == "complex" else (1, -1)
 
-    ``y`` is a (p, d) stack, possibly empty, and ``x`` one row or p rows.
-    The rows are written into ``out``, a block of exactly that shape, which
-    is returned."""
-    per_pair = 4 if field == "complex" else 2
-    np.add(x, y, out=out[0::per_pair])
-    np.subtract(x, y, out=out[1::per_pair])
-    if per_pair == 4:
-        iy = np.multiply(y, 1j, out=out[3::4])
-        np.add(x, iy, out=out[2::4])
-        np.subtract(x, iy, out=out[3::4])
+
+def pair_probes(x: np.ndarray, y: np.ndarray, phases: tuple, out: np.ndarray) -> np.ndarray:
+    """Probe rows x_p + w y_p of each stacked row pair (x_p, y_p), for each
+    phase w of ``phases`` in turn: shape (n p, d) for n phases.
+
+    The phases are drawn from 1, -1, i, -i, the imaginary ones last: all of
+    ``_phases(field)``, or its +w half ``_phases(field)[0::2]``.  ``y`` is a
+    (p, d) stack, possibly empty, and ``x`` one row or p rows.  The rows are
+    written into ``out``, a block of exactly that shape, which is returned."""
+    n = len(phases)
+    iy = np.multiply(y, 1j, out=out[n - 1::n]) if 1j in phases or -1j in phases else None
+    for i, w in enumerate(phases):
+        (np.add if w in (1, 1j) else np.subtract)(x, y if w in (1, -1) else iy, out=out[i::n])
     return out
 
 
-def coupling_probes(x: np.ndarray, y: np.ndarray, field: str, out: np.ndarray) -> np.ndarray:
-    """Unit probe rows (x_p+y_p)/sqrt2 and, in complex mode, (x_p+iy_p)/sqrt2
-    of each orthonormal row pair in turn, which ``known_diagonal_coupling``
-    consumes: shape (2p, d), or (p, d) in real mode.  Broadcasting and
-    ``out`` work as in ``pair_probes``."""
-    per_pair = 2 if field == "complex" else 1
-    np.add(x, y, out=out[0::per_pair])
-    if per_pair == 2:
-        np.add(x, np.multiply(y, 1j, out=out[1::2]), out=out[1::2])
-    out /= _SQRT2
-    return out
-
-
-def polarize(f: np.ndarray, field: str) -> np.ndarray:
-    """Combine f on the rows of ``pair_probes`` into <x_p|rho|y_p>, shape (p,)."""
-    f = f.reshape(-1, 4 if field == "complex" else 2)
-    re = (f[:, 0] - f[:, 1]) / 4
-    return re - 0.25j * (f[:, 2] - f[:, 3]) if field == "complex" else re
-
-
-def known_diagonal_coupling(vx, vy, v: np.ndarray, field: str) -> np.ndarray:
-    """<x_p|rho|y_p> from v(x_p), v(y_p) and v on the rows of
-    ``coupling_probes(x, y)``.
-
-    For orthonormal x, y: v((x+y)/sqrt2) = avg + Re<x|rho|y> and
-    v((x+iy)/sqrt2) = avg - Im<x|rho|y>, with avg = (v(x) + v(y))/2."""
-    v = v.reshape(-1, 2 if field == "complex" else 1)
-    avg = (vx + vy) / 2
-    re = v[:, 0] - avg
-    return re + 1j * (avg - v[:, 1]) if field == "complex" else re
+def polarize(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """<x_p|rho|y_p> of each orthonormal row pair from v on its unit probes
+    (x_p + w y_p)/sqrt2 (``plus``) and (x_p - w y_p)/sqrt2 (``minus``), one
+    column per phase w = 1, i (w = 1 in the real field): shape (p,)."""
+    re = (plus[:, 0] - minus[:, 0]) / 2
+    return re - 0.5j * (plus[:, 1] - minus[:, 1]) if plus.shape[1] == 2 else re

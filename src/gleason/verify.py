@@ -111,6 +111,7 @@ def check_additivity(
     """
     _at_least(trials, 1, "trials")
     _at_least(tol, 0, "tol")
+    _at_least(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for first in range(0, trials, _ADDITIVITY_CHUNK):
@@ -193,6 +194,7 @@ def check_haar_moment(dim: int, num_samples: int, seed: int) -> CheckReport:
     """
     _at_least(dim, 1, "dim")
     _at_least(num_samples, _MIN_SAMPLES, "num_samples")
+    _at_least(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     a, e = np.triu_indices(dim)
     total = np.zeros(a.size**2, dtype=np.complex128)
@@ -241,6 +243,7 @@ def check_basis_independence(
     """
     _at_least(num_bases, 2, "num_bases")
     _at_least(tol, 0, "tol")
+    _at_least(seed, 0, "seed")
     if oracle.field != "complex":
         raise ValueError("check_basis_independence needs a complex-mode oracle")
     d = oracle.dim

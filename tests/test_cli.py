@@ -571,6 +571,27 @@ class TestBoundsBeforeQueries:
         assert result.stdout == ""
         assert "error: seed must be >= 0, got -1" in result.stderr
 
+    @pytest.mark.parametrize("command", [
+        ("gen", "--dim", 2),
+        ("reconstruct", "--method", "haar-average"),
+        ("reconstruct", "--method", "explicit", "--shots", 10),
+        ("verify", "--suite", "additivity"),
+        ("verify", "--suite", "unistochastic"),
+        ("verify", "--suite", "haar-moment"),
+    ], ids=["gen", "haar-average", "noisy-explicit", "additivity", "unistochastic",
+            "haar-moment"])
+    def test_negative_seed_is_usage_error_without_queries(self, tmp_path, monkeypatch, command):
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 28, "--out", state)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        where = ("--out", tmp_path / "t.json") if command[0] == "gen" else ("--in", state)
+        result = run(*command, *where, "--seed", -1)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "error: seed must be >= 0, got -1" in result.stderr
+        assert not (tmp_path / "t.json").exists()
+
     @pytest.mark.parametrize("count", [0, 1, 2, 99])
     def test_suite_all_refuses_a_count_below_the_moment_floor(self, tmp_path, monkeypatch,
                                                               count):

@@ -205,23 +205,32 @@ def _verify_all(count):
 BOUNDS = {
     "UnitVector": ("dim", lambda v, o: UnitVector(np.ones(v)), 0),
     "haar_random_basis": ("dim", lambda v, o: haar_random_basis(v, 0), 0),
+    "haar_random_basis-seed": ("seed", lambda v, o: haar_random_basis(2, v), -1),
     "random_density_matrix": ("dim", lambda v, o: random_density_matrix(v, 1, 0), 0),
+    "random_density_matrix-seed": ("seed", lambda v, o: random_density_matrix(2, 1, v), -1),
     "ValuationOracle": ("dim", lambda v, o: ValuationOracle(v), 0),
     "NoisyOracle": ("shots", lambda v, o: NoisyOracle(RHO, shots=v), 0),
+    "NoisyOracle-seed": ("seed", lambda v, o: NoisyOracle(RHO, seed=v), -1),
     "haar_average_reconstruct": ("num_bases", lambda v, o: haar_average_reconstruct(o, v, 0), 0),
+    "haar_average_reconstruct-seed": (
+        "seed", lambda v, o: haar_average_reconstruct(o, 10, v), -1),
     "ImplicitConfig": ("tol", lambda v, o: ImplicitConfig(tol=v), BELOW_ZERO),
     "ImplicitConfig-seed": ("seed", lambda v, o: ImplicitConfig(seed=v), -1),
     "check_density": ("tol", lambda v, o: check_density(RHO.matrix, v), BELOW_ZERO),
     "check_additivity-trials": ("trials", lambda v, o: check_additivity(o, v, 0), 0),
     "check_additivity-tol": ("tol", lambda v, o: check_additivity(o, 10, 0, v), BELOW_ZERO),
+    "check_additivity-seed": ("seed", lambda v, o: check_additivity(o, 10, v), -1),
     "check_unistochastic": ("tol", lambda v, o: check_unistochastic(np.eye(2), v), BELOW_ZERO),
     "check_haar_moment-dim": ("dim", lambda v, o: check_haar_moment(v, 100, 0), 0),
     "check_haar_moment-num_samples": (
         "num_samples", lambda v, o: check_haar_moment(4, v, 0), 99),
+    "check_haar_moment-seed": ("seed", lambda v, o: check_haar_moment(4, 100, v), -1),
     "check_basis_independence-num_bases": (
         "num_bases", lambda v, o: check_basis_independence(o, v, 0), 1),
     "check_basis_independence-tol": (
         "tol", lambda v, o: check_basis_independence(o, 3, 0, v), BELOW_ZERO),
+    "check_basis_independence-seed": (
+        "seed", lambda v, o: check_basis_independence(o, 3, v), -1),
     "cli.cmd_compare": ("tol", lambda v, o: cli.cmd_compare(
         SimpleNamespace(tol=v, path_a="a.json", path_b="b.json")), BELOW_ZERO),
     "cli.cmd_verify": ("num_samples", lambda v, o: _verify_all(v), 99),

@@ -30,7 +30,8 @@ from gleason.reconstruct import (
     transition_matrix,
 )
 from gleason.serialize import matrix_from_json
-from gleason.valuation import ExactOracle, NoisyOracle
+from gleason.valuation import ExactOracle, NoisyOracle, ValuationOracle
+from gleason.verify import check_basis_independence
 
 
 def e(i, d):
@@ -121,11 +122,48 @@ class TestExplicit:
         assert rows.shape == (2 * 16 - 4, 4)
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("field", ["Complex", "quaternion"])
+    def test_query_vectors_reject_an_unknown_field(self, field):
+        # as the oracle does, not the real field's rows or a KeyError
+        basis = haar_random_basis(3, seed=11)
+        with pytest.raises(ValueError, match=f"^unknown field '{field}'$"):
+            explicit_query_vectors(basis, field)
+        with pytest.raises(ValueError, match=f"^unknown field '{field}'$"):
+            ValuationOracle(3, field)
+
     def test_dim_one_trivial(self):
         oracle = ExactOracle(DensityMatrix([[1.0]]))
         report = explicit_reconstruct(oracle, standard_basis(1))
         assert report.estimate.tolist() == [[1.0]]
         assert report.query_count == 0
+
+
+@pytest.mark.parametrize("route, field, num_bases", [
+    (explicit_reconstruct, "complex", 1),
+    (explicit_reconstruct_real, "real", 1),
+    (pauli_reconstruct_2d, "complex", 1),
+    (pauli_reconstruct_2d, "real", 1),
+    (check_basis_independence, "complex", 3),
+], ids=["explicit", "explicit-real", "pauli2d", "pauli2d-real", "basis-independence"])
+def test_every_basis_gets_its_rows_from_explicit_query_vectors(route, field, num_bases,
+                                                               monkeypatch):
+    # the explicit routes look explicit_query_vectors up at call time, once per
+    # basis, so a wrapper on the module attribute (a tracer's span) sees each call
+    oracle = ExactOracle(random_density_matrix(2, 2, seed=12, field=field), field)
+    calls = []
+    rows = reconstruct.explicit_query_vectors
+
+    def spy(basis, field="complex"):
+        calls.append(basis.dim)
+        return rows(basis, field)
+
+    monkeypatch.setattr(reconstruct, "explicit_query_vectors", spy)
+    if route is check_basis_independence:
+        assert route(oracle, num_bases, seed=13).passed
+    else:
+        assert route(oracle, haar_random_basis(2, seed=13, field=field)).residual <= 1e-12
+    assert calls == [2] * num_bases
+    assert oracle.query_count == num_bases * len(rows(standard_basis(2), field))
 
 
 def pairwise_query_vectors(basis, field):

@@ -25,8 +25,7 @@ from gleason.valuation import (
     TabulatedOracle,
     ValuationOracle,
     _born,
-    coupling_probes,
-    known_diagonal_coupling,
+    _phases,
     pair_probes,
     polarize,
 )
@@ -311,75 +310,67 @@ def test_table_lookup_peak_is_bounded_on_a_496_row_table():
     assert traced_peak(lambda: oracle.query_batch(queries)) <= 1e6
 
 
-def stacked_pair_probes(x, y, field):
+# each phase's probe rows as whole-array numpy expressions
+PROBE = {1: lambda x, y: x + y, -1: lambda x, y: x - y,
+         1j: lambda x, y: x + 1j * y, -1j: lambda x, y: x - 1j * y}
+
+
+def stacked_pair_probes(x, y, phases):
     """Reference: the probe rows as ``np.stack`` of whole arrays built them."""
-    probes = [x + y, x - y] + ([x + 1j * y, x - 1j * y] if field == "complex" else [])
+    probes = [PROBE[w](x, y) for w in phases]
     return np.stack(probes, axis=1).reshape(-1, x.shape[1])
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_probe_builders_match_stack_reference_bitwise(dim, field):
+    # the full phase list of the explicit routes and the +w half of the implicit one
     b = haar_random_basis(dim, seed=dim + 40, field=field).matrix
     j, k = np.triu_indices(dim, 1)  # no pairs at dim 1
     x, y = b[:, j].T, b[:, k].T
-    ref = stacked_pair_probes(x, y, field)
-    block = np.full((ref.shape[0] + 2, dim), np.nan, dtype=np.complex128)
-    out = block[2:]
-    got = pair_probes(x, y, field, out=out)
-    assert got is out and np.isnan(block[:2]).all()
-    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-    # one row x broadcast against a stack, and against an empty stack
-    x0 = b[:, :1].T
-    for ys in (b.T[1:], b.T[:0]):
-        ref = stacked_pair_probes(np.broadcast_to(x0, ys.shape), ys, field)
-        got = pair_probes(x0, ys, field, out=np.empty_like(ref))
+    for phases in (_phases(field), _phases(field)[0::2]):
+        ref = stacked_pair_probes(x, y, phases)
+        block = np.full((ref.shape[0] + 2, dim), np.nan, dtype=np.complex128)
+        out = block[2:]
+        got = pair_probes(x, y, phases, out=out)
+        assert got is out and np.isnan(block[:2]).all()
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-        half = ref[::2] / np.sqrt(2)
-        block = np.empty_like(half)
-        got = coupling_probes(x0, ys, field, out=block)
-        assert got is block and got.shape == half.shape and got.tobytes() == half.tobytes()
-
-
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_known_diagonal_coupling_matches_matrix_elements(field):
-    rho = random_density_matrix(5, 5, seed=18, field=field)
-    oracle = ExactOracle(rho, field=field)
-    b = haar_random_basis(5, seed=19, field=field).matrix.T  # orthonormal rows
-    x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
-    half = coupling_probes(x, y, field, out=np.empty((4 if field == "complex" else 2, 5), b.dtype))
-    got = known_diagonal_coupling(
-        oracle.query_batch(x), oracle.query_batch(y), oracle.query_batch(half), field
-    )
-    direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
-    np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
+        # one row x broadcast against a stack, and against an empty stack
+        x0 = b[:, :1].T
+        for ys in (b.T[1:], b.T[:0]):
+            ref = stacked_pair_probes(np.broadcast_to(x0, ys.shape), ys, phases)
+            block = np.empty_like(ref)
+            got = pair_probes(x0, ys, phases, out=block)
+            assert got is block and got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def polarized(oracle, x, y):
     """<x_p|rho|y_p> of each row pair by ``pair_probes`` and ``polarize``, with
-    f(p) = ||p||^2 v(p/||p||) read from the oracle and f(0) = 0 unqueried."""
+    f(p) = ||p||^2 v(p/||p||) read from the oracle and f(0) = 0 unqueried;
+    f/2 is v on the unit probes of an orthonormal pair."""
     x, y = np.atleast_2d(x), np.atleast_2d(y)
-    per_pair = 4 if oracle.field == "complex" else 2
-    probes = pair_probes(x, y, oracle.field, out=np.empty((per_pair * len(y), oracle.dim), complex))
+    phases = _phases(oracle.field)
+    probes = pair_probes(x, y, phases, out=np.empty((len(phases) * len(y), oracle.dim), complex))
     sq = np.einsum("pi,pi->p", probes.conj(), probes).real
     f = np.zeros(len(probes))
     live = sq > 0
     if live.any():
         f[live] = sq[live] * oracle.query_batch(probes[live] / np.sqrt(sq[live])[:, None])
-    return polarize(f, oracle.field)
+    g = f.reshape(len(y), len(phases)) / 2
+    return polarize(g[:, 0::2], g[:, 1::2])
 
 
 class TestPolarize:
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_combines_probe_values_by_the_identity(self, field):
-        # [f(x+y) - f(x-y)]/4 - i [f(x+iy) - f(x-iy)]/4, pair by pair
+        # [v(x+y) - v(x-y)]/2 - i [v(x+iy) - v(x-iy)]/2, pair by pair
         if field == "complex":
-            f = np.array([8.0, 4.0, 2.0, 6.0, 0.0, 4.0, 12.0, 0.0])
+            plus, minus = np.array([[4.0, 1.0], [0.0, 6.0]]), np.array([[2.0, 3.0], [2.0, 0.0]])
             want = np.array([1 + 1j, -1 - 3j])
         else:
-            f = np.array([8.0, 4.0, 0.0, 4.0])
+            plus, minus = np.array([[4.0], [0.0]]), np.array([[2.0], [2.0]])
             want = np.array([1.0, -1.0])
-        got = polarize(f, field)
+        got = polarize(plus, minus)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("field", ["complex", "real"])
@@ -440,18 +431,28 @@ class TestPolarize:
         assert abs(val[0] - float(x @ rho.matrix.real @ y)) < 1e-12
 
     @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_agrees_with_known_diagonal_coupling(self, field):
-        # the four-probe and the two-probe form read the same element on an
-        # orthonormal pair
+    def test_half_form_agrees_with_full_form(self, field):
+        # on the unit probes of an orthonormal pair, v(w) + v(-w) = v(x) + v(y):
+        # the +w half with its -w values read off the diagonals reads the same
+        # element as the measured +-w probes
         rho = random_density_matrix(5, 5, seed=26, field=field)
         oracle = ExactOracle(rho, field=field)
-        b = haar_random_basis(5, seed=27, field=field).matrix.T
-        x, y = b[:2], b[2:4]
-        half = coupling_probes(x, y, field, out=np.empty((4 if field == "complex" else 2, 5), b.dtype))
-        two = known_diagonal_coupling(
-            oracle.query_batch(x), oracle.query_batch(y), oracle.query_batch(half), field
-        )
-        np.testing.assert_allclose(polarized(oracle, x, y), two, rtol=0, atol=1e-14)
+        b = haar_random_basis(5, seed=27, field=field).matrix.T  # orthonormal rows
+        x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
+        full, half = _phases(field), _phases(field)[0::2]
+        v = oracle.query_batch(pair_probes(x / np.sqrt(2), y / np.sqrt(2), full,
+                                           out=np.empty((2 * len(full), 5), b.dtype)))
+        v = v.reshape(2, len(full))
+        measured = polarize(v[:, 0::2], v[:, 1::2])
+        v = oracle.query_batch(pair_probes(x / np.sqrt(2), y / np.sqrt(2), half,
+                                           out=np.empty((2 * len(half), 5), b.dtype)))
+        plus = v.reshape(2, len(half))
+        diagonals = oracle.query_batch(x) + oracle.query_batch(y)
+        read_off = polarize(plus, diagonals[:, None] - plus)
+        direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
+        np.testing.assert_allclose(measured, direct, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(read_off, direct, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(read_off, measured, rtol=0, atol=1e-14)
 
 
 class TestSubspaceMeasure:
