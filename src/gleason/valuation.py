@@ -243,9 +243,9 @@ def pair_probes(x: np.ndarray, y: np.ndarray, phases: tuple, out: np.ndarray) ->
     (p, d) stack, possibly empty, and ``x`` one row or p rows.  The rows are
     written into ``out``, a block of exactly that shape, which is returned."""
     n = len(phases)
-    iy = np.multiply(y, 1j, out=out[n - 1::n]) if 1j in phases or -1j in phases else None
+    iy = np.multiply(y, 1j, out=out[n - 1::n]) if phases[-1].imag else None
     for i, w in enumerate(phases):
-        (np.add if w in (1, 1j) else np.subtract)(x, y if w in (1, -1) else iy, out=out[i::n])
+        (np.add if w in (1, 1j) else np.subtract)(x, iy if w.imag else y, out=out[i::n])
     return out
 
 
@@ -253,5 +253,6 @@ def polarize(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     """<x_p|rho|y_p> of each orthonormal row pair from v on its unit probes
     (x_p + w y_p)/sqrt2 (``plus``) and (x_p - w y_p)/sqrt2 (``minus``), one
     column per phase w = 1, i (w = 1 in the real field): shape (p,)."""
-    re = (plus[:, 0] - minus[:, 0]) / 2
-    return re - 0.5j * (plus[:, 1] - minus[:, 1]) if plus.shape[1] == 2 else re
+    diff = plus - minus
+    re = diff[:, 0] / 2
+    return re - 0.5j * diff[:, 1] if diff.shape[1] == 2 else re
