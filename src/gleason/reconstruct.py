@@ -176,11 +176,9 @@ def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> n
     Order: the d basis vectors, then for each pair j < k the probes
     (n_j + n_k)/sqrt(2), (n_j - n_k)/sqrt(2) and, in complex mode, also
     (n_j + i n_k)/sqrt(2), (n_j - i n_k)/sqrt(2).  Total 2d^2 - d rows
-    in complex mode, d^2 in real mode; a field other than these two is
-    rejected.  The rows are the basis's ``_probe_batch``, each probe then
-    scaled to unit norm on its float64 view, as the basis is orthonormal only
-    within ATOL.
-    """
+    in complex mode, d^2 in real mode; any other field is rejected.  The rows
+    are the basis's ``_probe_batch``, each probe then scaled to unit norm on
+    its float64 view, as the basis is orthonormal only within ATOL."""
     rows = _probe_batch(basis.matrix.T, _phases(field))
     probes = rows[basis.dim:]
     flat = probes.view(np.float64)

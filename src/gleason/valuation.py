@@ -238,10 +238,11 @@ def pair_probes(x: np.ndarray, y: np.ndarray, phases: tuple, out: np.ndarray) ->
     """Probe rows x_p + w y_p of each stacked row pair (x_p, y_p), for each
     phase w of ``phases`` in turn: shape (n p, d) for n phases.
 
-    The phases are drawn from 1, -1, i, -i, the imaginary ones last: all of
-    ``_phases(field)``, or its +w half ``_phases(field)[0::2]``.  ``y`` is a
-    (p, d) stack, possibly empty, and ``x`` one row or p rows.  The rows are
-    written into ``out``, a block of exactly that shape, which is returned."""
+    The phases are drawn from 1, -1, i, -i, the imaginary ones last, as i y is
+    formed once in the last phase's rows: all of ``_phases(field)``, or its +w
+    half ``_phases(field)[0::2]``.  ``y`` is a (p, d) stack, possibly empty,
+    and ``x`` one row or p rows.  The rows are written into ``out``, a block
+    of exactly that shape, which is returned."""
     n = len(phases)
     iy = np.multiply(y, 1j, out=out[n - 1::n]) if phases[-1].imag else None
     for i, w in enumerate(phases):

@@ -439,11 +439,8 @@ class TestPolarize:
         oracle = ExactOracle(rho, field=field)
         b = haar_random_basis(5, seed=27, field=field).matrix.T  # orthonormal rows
         x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
-        full, half = _phases(field), _phases(field)[0::2]
-        v = oracle.query_batch(pair_probes(x / np.sqrt(2), y / np.sqrt(2), full,
-                                           out=np.empty((2 * len(full), 5), b.dtype)))
-        v = v.reshape(2, len(full))
-        measured = polarize(v[:, 0::2], v[:, 1::2])
+        measured = polarized(oracle, x, y)
+        half = _phases(field)[0::2]
         v = oracle.query_batch(pair_probes(x / np.sqrt(2), y / np.sqrt(2), half,
                                            out=np.empty((2 * len(half), 5), b.dtype)))
         plus = v.reshape(2, len(half))
