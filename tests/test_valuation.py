@@ -344,6 +344,28 @@ def test_probe_builders_match_stack_reference_bitwise(dim, field):
             assert got is block and got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+def half_form(oracle, x, y, field):
+    """<x_p|rho|y_p> of orthonormal row pairs from their +w unit probes alone:
+    on such a pair v(w) + v(-w) = v(x) + v(y), so ``polarize`` gets the -w
+    values read off the known diagonals."""
+    half = _phases(field)[0::2]
+    out = np.empty((len(x) * len(half), x.shape[1]), np.result_type(x, y))
+    plus = oracle.query_batch(pair_probes(x / np.sqrt(2), y / np.sqrt(2), half, out=out))
+    plus = plus.reshape(len(x), len(half))
+    diagonals = oracle.query_batch(x) + oracle.query_batch(y)
+    return polarize(plus, diagonals[:, None] - plus)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_known_diagonal_coupling_matches_matrix_elements(field):
+    rho = random_density_matrix(5, 5, seed=18, field=field)
+    oracle = ExactOracle(rho, field=field)
+    b = haar_random_basis(5, seed=19, field=field).matrix.T  # orthonormal rows
+    x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
+    direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
+    np.testing.assert_allclose(half_form(oracle, x, y, field), direct, rtol=0, atol=1e-14)
+
+
 def polarized(oracle, x, y):
     """<x_p|rho|y_p> of each row pair by ``pair_probes`` and ``polarize``, with
     f(p) = ||p||^2 v(p/||p||) read from the oracle and f(0) = 0 unqueried;
@@ -431,25 +453,15 @@ class TestPolarize:
         assert abs(val[0] - float(x @ rho.matrix.real @ y)) < 1e-12
 
     @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_half_form_agrees_with_full_form(self, field):
-        # on the unit probes of an orthonormal pair, v(w) + v(-w) = v(x) + v(y):
-        # the +w half with its -w values read off the diagonals reads the same
-        # element as the measured +-w probes
+    def test_agrees_with_known_diagonal_coupling(self, field):
+        # the four-probe form and the +w half with known diagonals read the
+        # same element on an orthonormal pair
         rho = random_density_matrix(5, 5, seed=26, field=field)
         oracle = ExactOracle(rho, field=field)
         b = haar_random_basis(5, seed=27, field=field).matrix.T  # orthonormal rows
         x, y = b[:2], b[2:4]  # the pairs (b0, b2) and (b1, b3)
-        measured = polarized(oracle, x, y)
-        half = _phases(field)[0::2]
-        v = oracle.query_batch(pair_probes(x / np.sqrt(2), y / np.sqrt(2), half,
-                                           out=np.empty((2 * len(half), 5), b.dtype)))
-        plus = v.reshape(2, len(half))
-        diagonals = oracle.query_batch(x) + oracle.query_batch(y)
-        read_off = polarize(plus, diagonals[:, None] - plus)
-        direct = np.einsum("pi,ij,pj->p", x.conj(), rho.matrix, y)
-        np.testing.assert_allclose(measured, direct, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(read_off, direct, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(read_off, measured, rtol=0, atol=1e-14)
+        half = half_form(oracle, x, y, field)
+        np.testing.assert_allclose(half, polarized(oracle, x, y), rtol=0, atol=1e-14)
 
 
 class TestSubspaceMeasure:
