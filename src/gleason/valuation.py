@@ -17,9 +17,12 @@ place probe rows are formed, always into a block the caller owns, and the
 second combines the +w and -w values.  ``_born`` is the one Born-rule
 kernel, a BLAS product.
 
-Every oracle kernel runs over row blocks of its batch (``_by_blocks``) whose
+Every oracle kernel (``_born``, and the tabulated oracle's index and
+similarity kernels) runs over row blocks of its batch (``_by_blocks``) whose
 product holds at most ``_BLOCK_ENTRIES`` entries, so no kernel forms a
-product in proportion to the batch; a small batch is one block.
+product in proportion to the batch; a small batch is one block.  The
+similarity kernel, the only one whose width is the table's row count, sees
+only the rows the table's ray index cannot answer.
 """
 
 from __future__ import annotations
@@ -36,6 +39,16 @@ TABLE_MATCH_TOL = 1e-9
 # process already holds; a product as large as the batch (1 MB for d=32's
 # explicit block) is returned to the system and first-touched again per call.
 _BLOCK_ENTRIES = 2**14
+# Steps per unit of the table index's key grid.  Coarse, so few rows sit near
+# a step edge, and fine, so distinct rays of a table get distinct keys.
+_KEY_GRID = 2.0**10
+# A key is the dot product of a row's grid steps with the weights
+# _KEY_MIX**j mod 2**64, cut to their top 32 bits.  A unit row's steps sum in
+# magnitude to at most sqrt(2d) _KEY_GRID, so below d ~ 10**5 every key is an
+# integer below 2**53, exact in float64 whatever order BLAS sums it in.  Rows
+# that only hash alike share a key, which costs them their index entries and
+# nothing else.
+_KEY_MIX = 0x9E3779B97F4A7C15
 
 __all__ = [
     "ValuationOracle",
@@ -179,14 +192,24 @@ class NoisyOracle(ExactOracle):
 class TabulatedOracle(ValuationOracle):
     """Oracle backed by a finite table of (vector, value) records.
 
-    Lookups match rays: a query q hits the row t of largest |<t|q>| when
-    min over phases of ||q - e^{i phi} t|| is within ``TABLE_MATCH_TOL``,
-    so every phase multiple of a tabulated vector returns its value.  The
-    k x T similarity matrix is formed per row block (``_by_blocks``, width
-    T, the table's row count) to pick each query's nearest row; the distance
-    check then runs once over the whole batch, and a miss raises
-    :class:`OracleLookupError` for the first missed row.  Rows must be
-    finite and of unit norm within ``TABLE_MATCH_TOL``.
+    Lookups match rays: a query q is answered by the nearest row t, in the
+    ray distance min over phases of ||q - e^{i phi} t||, when that distance
+    is within ``TABLE_MATCH_TOL``, so every phase multiple of a tabulated
+    vector returns its value.  Rows must be a stack of finite rows of unit
+    norm within ``TABLE_MATCH_TOL``.
+
+    The table is indexed once, in O(T d) work for T rows, by a key per ray:
+    its phase-fixed coordinates (``_ray_coordinates``) rounded to a grid.  A
+    query is answered from the index, in O(d) work, when its key holds a row
+    whose phase-fixed coordinates lie within ``TABLE_MATCH_TOL`` of its own,
+    a distance that bounds the ray distance from above.  Rows that may key
+    apart from a row within 2 ``TABLE_MATCH_TOL`` of them (those near a grid
+    edge or the 1/(2d) reference threshold) and keys shared by several rows
+    are left out of the index, so an index hit is the only row within
+    tolerance.  Only the queries the index leaves reach the similarity
+    kernel (``_nearest``, per row block of ``_by_blocks`` of width T), which
+    compares the rows nearest in |<t|q>| by exact distance.  A miss raises
+    :class:`OracleLookupError` for the batch's first missed row.
     """
 
     def __init__(
@@ -195,35 +218,108 @@ class TabulatedOracle(ValuationOracle):
         values: np.ndarray,
         field: str = "complex",
     ):
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
+        vectors = np.atleast_2d(np.ascontiguousarray(vectors, dtype=np.complex128))
         values = np.asarray(values, dtype=float).reshape(-1)
+        if vectors.ndim != 2:
+            raise ValueError(f"table vectors of shape {vectors.shape}: need a stack of rows")
         if vectors.shape[0] != values.size:
             raise ValueError("one value per vector required")
         if values.size == 0:
             raise ValueError("empty table")
         if not np.all((values >= -1e-9) & (values <= 1 + 1e-9)):
             raise ValueError("tabulated values must lie in [0, 1]")
-        if not np.max(np.abs(_row_norms(vectors) - 1.0)) <= TABLE_MATCH_TOL:
+        norms = _row_norms(vectors)
+        if not np.max(np.abs(norms - 1.0)) <= TABLE_MATCH_TOL:
             raise ValueError("tabulated vectors must be finite and unit norm")
         super().__init__(vectors.shape[1], field)
         self._table = vectors
         self._vals = np.clip(values, 0.0, 1.0)
+        self._sq_norms = norms * norms
+        d = self.dim
+        mix = np.cumprod(np.full(2 * d, _KEY_MIX, dtype=np.uint64))
+        self._weights = (mix >> 32).astype(float)
+        self._coords, power = _ray_coordinates(vectors)
+        steps = np.rint(self._coords)
+        keys = steps @ self._weights
+        # Two rows within 2 TABLE_MATCH_TOL of each other have phase-fixed
+        # coordinates within 2 TABLE_MATCH_TOL (1 + sqrt(8d)) and each |x_j|^2
+        # within 4 TABLE_MATCH_TOL of the other's.  With a factor 2 to spare,
+        # they share a key unless both sit within `margin` of a grid edge or
+        # within 8 TABLE_MATCH_TOL of the 1/(2d) threshold, so such rows and
+        # shared keys are left out of the index.
+        margin = 4 * TABLE_MATCH_TOL * (1 + np.sqrt(8 * d)) * _KEY_GRID
+        off_step = np.subtract(self._coords, steps, out=steps)
+        off_ref = np.subtract(power, 0.5 / d, out=power)
+        edge = (np.abs(off_step, out=off_step) > 0.5 - margin).any(axis=1)
+        edge |= (np.abs(off_ref, out=off_ref) < 8 * TABLE_MATCH_TOL).any(axis=1)
+        order = np.argsort(keys)
+        keys, keep = keys[order], ~edge[order]
+        shared = np.flatnonzero(keys[1:] == keys[:-1])
+        keep[shared] = keep[shared + 1] = False
+        # a last key that no query passes keeps every search position in range
+        self._keys = np.append(keys[keep], np.inf)
+        self._rows = np.append(order[keep], -1)
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
-        table_h = self._table.conj().T
-        idx = _by_blocks(lambda rows: np.argmax(np.abs(rows @ table_h), axis=1),
-                         vecs, len(self._table)).astype(np.intp)
-        t = self._table[idx]
-        inner = np.einsum("ki,ki->k", t.conj(), vecs)
-        dists = np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * t, axis=1)
-        misses = ~(dists <= TABLE_MATCH_TOL)
-        if np.any(misses):
-            bad = int(np.flatnonzero(misses)[0])
-            raise OracleLookupError(
-                f"no tabulated ray within {TABLE_MATCH_TOL} of query "
-                f"(nearest at distance {dists[bad]:.3e})"
-            )
+        idx = _by_blocks(self._indexed, vecs, self.dim).astype(np.intp)
+        rest = np.flatnonzero(idx < 0)
+        if rest.size:
+            far = vecs[rest]
+            near = _by_blocks(self._nearest, far, len(self._table)).astype(np.intp)
+            dists = _ray_distances(far, self._table[near])
+            misses = ~(dists <= TABLE_MATCH_TOL)
+            if np.any(misses):
+                bad = int(np.flatnonzero(misses)[0])
+                raise OracleLookupError(
+                    f"no tabulated ray within {TABLE_MATCH_TOL} of query "
+                    f"(nearest at distance {dists[bad]:.3e})"
+                )
+            idx[rest] = near
         return self._vals[idx]
+
+    def _indexed(self, rows: np.ndarray) -> np.ndarray:
+        """The index kernel: each row's table row if its key holds one within
+        tolerance, else -1.  The distance of the phase-fixed rows bounds their
+        ray distance above, so a row it rejects is left to the similarity
+        kernel's exact test."""
+        coords = _ray_coordinates(rows)[0]
+        keys = np.rint(coords) @ self._weights
+        pos = np.searchsorted(self._keys, keys)
+        idx = np.where(self._keys[pos] == keys, self._rows[pos], -1)
+        coords -= self._coords[idx]  # a -1 reads the last row and stays -1
+        idx[~(np.einsum("ij,ij->i", coords, coords) <= (TABLE_MATCH_TOL * _KEY_GRID) ** 2)] = -1
+        return idx
+
+    def _nearest(self, rows: np.ndarray) -> np.ndarray:
+        """The similarity kernel: each row's nearest table row.  Its squared
+        distance to a row t is |q|^2 + |t|^2 - 2|<t|q>|, so the candidates are
+        the rows whose score 2|<t|q>| - |t|^2 is within rounding of the best;
+        their exact distances pick the nearest, the lowest index on a tie."""
+        score = np.abs(rows @ self._table.conj().T)
+        score *= 2
+        score -= self._sq_norms
+        slack = 16 * self.dim * np.finfo(float).eps  # bounds the score's rounding
+        q, t = np.nonzero(score >= score.max(axis=1, keepdims=True) - slack)
+        order = np.lexsort((_ray_distances(rows[q], self._table[t]), q))
+        return t[order][np.flatnonzero(np.diff(q, prepend=-1))]
+
+
+def _ray_coordinates(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's phase-fixed coordinates in units of the key grid, as a
+    (n, 2d) float64 view, and |x_j|^2 of its entries, shape (n, d).  The phase
+    makes the row's first entry with |x_j|^2 > 1/(2d), which a unit row
+    always has, real and positive."""
+    power = np.square(rows.real)
+    power += np.square(rows.imag)
+    ref = rows[np.arange(len(rows)), np.argmax(power > 0.5 / rows.shape[1], axis=1)]
+    return (rows * (ref.conj() * (_KEY_GRID / np.abs(ref)))[:, None]).view(np.float64), power
+
+
+def _ray_distances(vecs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """min over phi of ||q - e^{i phi} t|| for each row pair (q, t) of two
+    (k, d) stacks."""
+    inner = np.einsum("ki,ki->k", rows.conj(), vecs)
+    return np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * rows, axis=1)
 
 
 def _phases(field: str) -> tuple:

@@ -18,6 +18,7 @@ from gleason.reconstruct import explicit_query_vectors
 from gleason.serialize import dump_json, load_json, oracle_table_from_json, oracle_table_to_json
 from gleason.valuation import (
     _BLOCK_ENTRIES,
+    _KEY_GRID,
     TABLE_MATCH_TOL,
     ExactOracle,
     NoisyOracle,
@@ -26,6 +27,7 @@ from gleason.valuation import (
     ValuationOracle,
     _born,
     _phases,
+    _ray_coordinates,
     pair_probes,
     polarize,
 )
@@ -283,6 +285,185 @@ class TestBlockedKernels:
             oracle.query_batch(vecs)
         assert str(got.value) == str(ref.value)
         assert oracle.query_count == 0
+
+
+def nearest_lookup(table, values, vecs):
+    """Reference: each query's nearest row by the exact ray distance of every
+    (query, row) pair, the lowest row on a tie, with the lookup's miss."""
+    phases = np.exp(1j * np.angle(vecs @ table.conj().T))
+    dists = np.linalg.norm(vecs[:, None, :] - phases[:, :, None] * table[None], axis=2)
+    idx = dists.argmin(axis=1)
+    nearest = dists[np.arange(len(vecs)), idx]
+    misses = ~(nearest <= TABLE_MATCH_TOL)
+    if np.any(misses):
+        bad = int(np.flatnonzero(misses)[0])
+        raise OracleLookupError(f"no tabulated ray within {TABLE_MATCH_TOL} of query "
+                                f"(nearest at distance {nearest[bad]:.3e})")
+    return values[idx]
+
+
+def in_chunks(lookup, table, values, vecs, rows=256):
+    """``lookup`` run on consecutive chunks of ``vecs``: each row's answer is
+    its own, so a reference can bound its k x T product."""
+    return np.concatenate([lookup(table, values, vecs[i : i + rows])
+                           for i in range(0, len(vecs), rows)])
+
+
+def spy_on_similarity_kernel(monkeypatch) -> list:
+    """The row count of every block the similarity kernel is given."""
+    seen, kernel = [], TabulatedOracle._nearest
+    monkeypatch.setattr(TabulatedOracle, "_nearest",
+                        lambda self, rows: seen.append(len(rows)) or kernel(self, rows))
+    return seen
+
+
+def rotated(rng, rows, field):
+    """Each row times its own random phase (sign in the real field)."""
+    if field == "real":
+        return rows * rng.choice([-1.0, 1.0], len(rows))[:, None]
+    return rows * np.exp(1j * rng.uniform(0, 2 * np.pi, len(rows)))[:, None]
+
+
+def ray_keys(rows):
+    """Each row's grid steps and reference entry, as the table index keys it."""
+    coords, power = _ray_coordinates(np.ascontiguousarray(rows, dtype=np.complex128))
+    return np.rint(coords), np.argmax(power > 0.5 / rows.shape[1], axis=1)
+
+
+class TestRayIndex:
+    """Queries that match a table row are answered from the table's ray index;
+    only the rows it cannot answer reach the similarity kernel, and every
+    answer is the nearest row's."""
+
+    def explicit_table(self, basis, field="complex"):
+        rows = explicit_query_vectors(basis, field)
+        return rows, np.random.default_rng(70).random(len(rows))
+
+    def test_own_rows_form_no_similarity_product(self, monkeypatch):
+        rows, values = self.explicit_table(standard_basis(16))
+        assert len(rows) == 496
+        oracle = TabulatedOracle(rows, values)
+        seen = spy_on_similarity_kernel(monkeypatch)
+        pick = np.random.default_rng(71).permutation(len(rows))
+        queries = rotated(np.random.default_rng(72), rows[pick], "complex")
+        assert np.array_equal(oracle.query_batch(queries), values[pick])
+        assert np.array_equal(oracle.query_batch(rows), values)
+        assert seen == []
+
+    def test_haar_table_sends_few_rows_to_the_similarity_kernel(self, monkeypatch):
+        rows, values = self.explicit_table(haar_random_basis(16, 69))
+        oracle = TabulatedOracle(rows, values)
+        seen = spy_on_similarity_kernel(monkeypatch)
+        queries = rotated(np.random.default_rng(73), rows, "complex")
+        assert np.array_equal(oracle.query_batch(queries), values)
+        assert sum(seen) < len(rows) // 50
+
+    def test_d32_explicit_table_matches_one_shot_lookup(self, monkeypatch):
+        rows, values = self.explicit_table(haar_random_basis(32, 74))
+        assert len(rows) == 2016
+        oracle = TabulatedOracle(rows, values)
+        seen = spy_on_similarity_kernel(monkeypatch)
+        pick = np.random.default_rng(75).permutation(len(rows))
+        queries = rotated(np.random.default_rng(76), rows[pick], "complex")
+        got = oracle.query_batch(queries)
+        assert np.array_equal(got, in_chunks(one_shot_lookup, rows, values, queries))
+        assert np.array_equal(got, values[pick])
+        assert 0 < sum(seen) < len(rows) // 20  # both kernels answered rows
+
+    @staticmethod
+    def crafted_rows(field):
+        """Two unit rows at d = 4, each with a query within tolerance keyed
+        apart from it: row 0's coordinate 1 sits 1e-10 below a grid edge and
+        its query 3e-10 above it; row 1's entry 0 has |x_0|^2 1e-10 above the
+        1/(2d) reference threshold and its query's 1e-10 below, so the two
+        fix their phase on different entries."""
+        cplx = field == "complex"
+        x = (300.5 / _KEY_GRID) - 1e-10
+        rest = np.array([0.3 * np.exp(0.4j), 0.2 * np.exp(-1.1j)] if cplx else [-0.3, 0.2])
+        edge_row = np.array([np.sqrt(1 - x * x - np.sum(np.abs(rest) ** 2)), x, *rest])
+        edge_query = edge_row + 3e-10 * e(1, 4)
+        low = np.sqrt(0.125 + 1e-10)
+        tail = np.array([-0.6 * np.exp(0.9j) if cplx else -0.6, 0.3])
+        ref_row = np.array([low, *tail, 0.0])
+        ref_row[3] = np.sqrt(1 - np.sum(np.abs(ref_row) ** 2))
+        ref_query = ref_row.copy()
+        ref_query[0] = np.sqrt(0.125 - 1e-10)
+        rows = np.array([edge_row, ref_row], dtype=complex)
+        queries = np.array([edge_query, ref_query], dtype=complex)
+        return rows, queries / np.linalg.norm(queries, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_queries_keyed_apart_from_their_row_match_one_shot_lookup(self, field):
+        crafted, near = self.crafted_rows(field)
+        (row_steps, row_ref), (query_steps, query_ref) = ray_keys(crafted), ray_keys(near)
+        assert row_steps[0, 2] != query_steps[0, 2]  # coordinate 1, real part
+        assert row_ref[1] == 0 and query_ref[1] == 1
+        assert np.all(rotated_distances(near, crafted) <= TABLE_MATCH_TOL)
+        basis_rows = explicit_query_vectors(haar_random_basis(4, 77, field), field)
+        table = np.concatenate([basis_rows, crafted])
+        values = np.random.default_rng(78).random(len(table))
+        oracle = TabulatedOracle(table, values, field=field)
+        rng = np.random.default_rng(79)
+        queries = rotated(rng, np.concatenate([near, basis_rows[::3], crafted]), field)
+        got = oracle.query_batch(queries)
+        assert np.array_equal(got, one_shot_lookup(table, values, queries))
+        assert np.array_equal(got[:2], values[-2:])
+
+    @pytest.mark.parametrize("eps", [3e-9, 1e-8])
+    def test_near_duplicate_rows_answer_the_nearest(self, eps):
+        e0 = e(0, 4)
+        t1 = e0 + eps * e(1, 4)
+        t1 /= np.linalg.norm(t1)
+        for table, values in [([t1, e0], [0.3, 0.7]), ([e0, t1], [0.7, 0.3])]:
+            oracle = TabulatedOracle(table, values)
+            assert np.array_equal(oracle.query_batch(e0 * np.exp(0.5j)), [0.7])
+            assert np.array_equal(oracle.query_batch(t1), [0.3])
+            queries = np.array([e0, t1, -t1, 1j * e0])
+            assert np.array_equal(oracle.query_batch(queries),
+                                  nearest_lookup(np.array(table), np.array(values), queries))
+
+    def test_miss_reports_the_nearest_distance(self):
+        e0 = e(0, 4)
+        far, near = e0 + 5e-9 * e(1, 4), e0 + 2e-9 * e(2, 4)
+        table = np.array([far / np.linalg.norm(far), near / np.linalg.norm(near)])
+        with pytest.raises(OracleLookupError, match=r"nearest at distance 2\.000e-09"):
+            TabulatedOracle(table, [0.3, 0.7]).query_batch(e0)
+
+    def test_near_rows_match_one_shot_lookup_at_block_edges(self, monkeypatch):
+        # Each query is a table row t moved 0.9 TABLE_MATCH_TOL along
+        # i (t_j e_j - |t_j|^2 t), orthogonal to t, for t's reference entry j.
+        # That turns the phase the index fixes on entry j, so the phase-fixed
+        # rows lie farther apart than TABLE_MATCH_TOL, the index leaves every
+        # query to the similarity kernel, and it takes them in blocks of
+        # _BLOCK_ENTRIES // T rows.
+        T, d = 200, 8
+        rng = np.random.default_rng(80)
+        table = unit_rows(rng, T, d, "complex")
+        values = rng.random(T)
+        oracle = TabulatedOracle(table, values)
+        seen = spy_on_similarity_kernel(monkeypatch)
+        step = _BLOCK_ENTRIES // T
+        for k in [step - 1, step, step + 1, 3 * step + 5]:
+            pick = rng.integers(0, T, k)
+            rows = table[pick]
+            ref = ray_keys(rows)[1]
+            nudge = -np.abs(rows[np.arange(k), ref, None]) ** 2 * rows
+            nudge[np.arange(k), ref] += rows[np.arange(k), ref]
+            nudge *= 0.9j * TABLE_MATCH_TOL / np.linalg.norm(nudge, axis=1, keepdims=True)
+            queries = rotated(rng, rows + nudge, "complex")
+            queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+            seen.clear()
+            got = oracle.query_batch(queries)
+            assert np.array_equal(got, one_shot_lookup(table, values, queries))
+            assert np.array_equal(got, values[pick])
+            assert sum(seen) == k and len(seen) == -(-k // step)
+
+
+def rotated_distances(vecs, rows):
+    """min over phi of ||q - e^{i phi} t|| of each row pair, from the inner
+    product's phase."""
+    inner = np.einsum("ki,ki->k", rows.conj(), vecs)
+    return np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * rows, axis=1)
 
 
 def traced_peak(call) -> int:
@@ -603,6 +784,10 @@ class TestTabulatedOracle:
         vectors, values = self.make_table()
         with pytest.raises(ValueError, match="one value per vector"):
             TabulatedOracle(vectors, values[:-1])
+
+    def test_rejects_a_stack_of_matrices_before_any_query(self):
+        with pytest.raises(ValueError, match=r"table vectors of shape \(2, 2, 2\)"):
+            TabulatedOracle(np.ones((2, 2, 2)) / 2, [0.5, 0.5])
 
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError, match="empty table"):
