@@ -335,8 +335,8 @@ class TestRayIndex:
     only the rows it cannot answer reach the similarity kernel, and every
     answer is the nearest row's."""
 
-    def explicit_table(self, basis, field="complex"):
-        rows = explicit_query_vectors(basis, field)
+    def explicit_table(self, basis):
+        rows = explicit_query_vectors(basis)
         return rows, np.random.default_rng(70).random(len(rows))
 
     def test_own_rows_form_no_similarity_product(self, monkeypatch):
@@ -374,7 +374,7 @@ class TestRayIndex:
     def crafted_rows(field):
         """Two unit rows at d = 4, each with a query within tolerance keyed
         apart from it: row 0's coordinate 1 sits 1e-10 below a grid edge and
-        its query 3e-10 above it; row 1's entry 0 has |x_0|^2 1e-10 above the
+        its query's about 2e-10 above it; row 1's entry 0 has |x_0|^2 1e-10 above the
         1/(2d) reference threshold and its query's 1e-10 below, so the two
         fix their phase on different entries."""
         cplx = field == "complex"
@@ -398,7 +398,8 @@ class TestRayIndex:
         (row_steps, row_ref), (query_steps, query_ref) = ray_keys(crafted), ray_keys(near)
         assert row_steps[0, 2] != query_steps[0, 2]  # coordinate 1, real part
         assert row_ref[1] == 0 and query_ref[1] == 1
-        assert np.all(rotated_distances(near, crafted) <= TABLE_MATCH_TOL)
+        # ||q - t|| bounds the ray distance from above
+        assert np.all(np.linalg.norm(near - crafted, axis=1) <= TABLE_MATCH_TOL)
         basis_rows = explicit_query_vectors(haar_random_basis(4, 77, field), field)
         table = np.concatenate([basis_rows, crafted])
         values = np.random.default_rng(78).random(len(table))
@@ -409,7 +410,7 @@ class TestRayIndex:
         assert np.array_equal(got, one_shot_lookup(table, values, queries))
         assert np.array_equal(got[:2], values[-2:])
 
-    @pytest.mark.parametrize("eps", [3e-9, 1e-8])
+    @pytest.mark.parametrize("eps", [4e-10, 3e-9, 1e-8])
     def test_near_duplicate_rows_answer_the_nearest(self, eps):
         e0 = e(0, 4)
         t1 = e0 + eps * e(1, 4)
@@ -421,6 +422,25 @@ class TestRayIndex:
             queries = np.array([e0, t1, -t1, 1j * e0])
             assert np.array_equal(oracle.query_batch(queries),
                                   nearest_lookup(np.array(table), np.array(values), queries))
+
+    def test_near_duplicates_across_a_grid_edge_answer_the_nearest(self):
+        # two rows 1e-9 apart, on either side of a grid edge, get different
+        # keys; the query keys with the farther one (0.6e-9 away), not with
+        # the nearer one (0.4e-9 away)
+        edge = 300.5 / _KEY_GRID
+        rest = np.array([0.3 * np.exp(0.4j), 0.2 * np.exp(-1.1j)])
+
+        def row(x):
+            return np.array([np.sqrt(1 - x * x - np.sum(np.abs(rest) ** 2)), x, *rest])
+
+        below, above, query = row(edge - 0.7e-9), row(edge + 0.3e-9), row(edge - 0.1e-9)
+        steps = ray_keys(np.array([below, above, query]))[0][:, 2]
+        assert steps[0] == steps[2] != steps[1]
+        for table, values in [([below, above], [0.3, 0.7]), ([above, below], [0.7, 0.3])]:
+            queries = np.array([query * np.exp(2.0j), below, above])
+            got = TabulatedOracle(table, values).query_batch(queries)
+            assert np.array_equal(got, [0.7, 0.3, 0.7])
+            assert np.array_equal(got, nearest_lookup(np.array(table), np.array(values), queries))
 
     def test_miss_reports_the_nearest_distance(self):
         e0 = e(0, 4)
@@ -457,13 +477,6 @@ class TestRayIndex:
             assert np.array_equal(got, one_shot_lookup(table, values, queries))
             assert np.array_equal(got, values[pick])
             assert sum(seen) == k and len(seen) == -(-k // step)
-
-
-def rotated_distances(vecs, rows):
-    """min over phi of ||q - e^{i phi} t|| of each row pair, from the inner
-    product's phase."""
-    inner = np.einsum("ki,ki->k", rows.conj(), vecs)
-    return np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * rows, axis=1)
 
 
 def traced_peak(call) -> int:
