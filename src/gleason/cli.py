@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _at_least(args.tol, 0, "tol")
+    _at_least(args.tol, 0, "tol", real=True)
     a = _load_matrix(args.path_a)
     b = _load_matrix(args.path_b)
     if a.shape != b.shape:

@@ -21,13 +21,14 @@ from .hilbert import (
     _at_least,
     _density_from_spectrum,
     _hermitian_part,
+    _phases,
     _row_norms,
     _square,
     haar_basis_matrices,
     nearest_density_matrix,
 )
 from .serialize import matrix_to_json
-from .valuation import ValuationOracle, _phases, pair_probes, polarize
+from .valuation import ValuationOracle, pair_probes, polarize
 
 __all__ = [
     "TransitionMatrix",
@@ -348,7 +349,7 @@ class ImplicitConfig:
 
     def __post_init__(self):
         if self.tol is not None:
-            _at_least(self.tol, 0, "tol")
+            _at_least(self.tol, 0, "tol", real=True)
         _at_least(self.seed, 0, "seed")
 
 

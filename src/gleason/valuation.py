@@ -15,7 +15,13 @@ their values off the pair's diagonals.  ``pair_probes`` and ``polarize``
 implement this identity once, for every basis route: the first is the only
 place probe rows are formed, always into a block the caller owns, and the
 second combines the +w and -w values.  ``_born`` is the one Born-rule
-kernel, a BLAS product.
+kernel, in real arithmetic in both fields: per row block a GEMM and a
+row-wise dot of float64 arrays.  In the complex field they are the float64
+views of the rows and of rows @ rho^T, so no imaginary half is computed only
+to be discarded.  In the real field the oracle keeps Re rho alone, and the
+GEMM is real, d x d on the rows' real parts: Im rho of a Hermitian rho is
+antisymmetric, so x^T (Im rho) x = 0 on a real row x and dropping it is
+exact.
 
 Every oracle kernel (``_born``, and the tabulated oracle's index and
 similarity kernels) runs over row blocks of its batch (``_by_blocks``) whose
@@ -31,7 +37,7 @@ import threading
 
 import numpy as np
 
-from .hilbert import ATOL, DensityMatrix, _at_least, _is_real, _row_norms
+from .hilbert import ATOL, DensityMatrix, _at_least, _is_real, _phases, _row_norms
 
 TABLE_MATCH_TOL = 1e-9
 # Entries (rows x width) of the product an oracle kernel forms per row block.
@@ -49,6 +55,8 @@ _KEY_GRID = 2.0**10
 # that only hash alike share a key, which costs them their index entries and
 # nothing else.
 _KEY_MIX = 0x9E3779B97F4A7C15
+# A view to a dtype object skips converting the scalar type on every call.
+_FLOAT64 = np.dtype(np.float64)
 
 __all__ = [
     "ValuationOracle",
@@ -119,13 +127,16 @@ class ValuationOracle:
 
 def _by_blocks(kernel, vecs: np.ndarray, width: int) -> np.ndarray:
     """``kernel`` run on consecutive row blocks of ``vecs`` (k >= 1 rows), its
-    float results written into one output of length k.  The blocks are the
-    fewest of at most ``_BLOCK_ENTRIES // width`` rows (at least one), of
-    near-equal size, so no lone row is left for a last block: numpy takes a
-    one-row product through gemv, whose rounding differs from gemm's, and
-    each row's value stays bitwise the unblocked kernel's."""
+    results written into one float output of length k; a batch of one block
+    is returned as the kernel gives it.  The blocks are the fewest of at most
+    ``_BLOCK_ENTRIES // width`` rows (at least one), of near-equal size, so no
+    lone row is left for a last block: numpy takes a one-row product through
+    gemv, whose rounding differs from gemm's, and each row's value stays
+    bitwise the unblocked kernel's."""
     k = len(vecs)
     blocks = -(-k // max(1, _BLOCK_ENTRIES // width))
+    if blocks == 1:
+        return kernel(vecs)
     step = -(-k // blocks)
     out = np.empty(k)
     for first in range(0, k, step):
@@ -134,20 +145,40 @@ def _by_blocks(kernel, vecs: np.ndarray, width: int) -> np.ndarray:
 
 
 def _born(vecs: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Born rule <n_k|rho|n_k> of each row n_k: one GEMM and a row-wise dot per
-    row block of ``_by_blocks`` (width d)."""
+    """Born rule Re <n_k|rho|n_k> of each row n_k, in real arithmetic: per row
+    block of ``_by_blocks`` (width d), one GEMM and a row-wise dot of two
+    float64 arrays.  For a complex ``state`` rho they are the float64 views
+    (Re, Im interleaved) of the rows and of rows @ rho^T, whose dot is the
+    real part alone.  For a real ``state`` Re rho they are the rows' real
+    parts and their real GEMM with it, a quarter of the flops: Im rho of a
+    Hermitian rho is antisymmetric, so x^T (Im rho) x = 0 on a real row x
+    and dropping it is exact.  Dropping a real-field row's imaginary parts,
+    at most ``ATOL`` each, moves its value by O(d ATOL^2)."""
     state_t = state.T
-    return _by_blocks(lambda rows: np.vecdot(rows, rows @ state_t).real, vecs, len(state))
+    real = state.dtype.kind == "f"
+
+    def kernel(rows):
+        if real:
+            rows = rows.real.copy()
+            return np.vecdot(rows, rows @ state_t)
+        return np.vecdot(rows.view(_FLOAT64), (rows @ state_t).view(_FLOAT64))
+
+    return _by_blocks(kernel, np.ascontiguousarray(vecs), len(state))
 
 
 class ExactOracle(ValuationOracle):
-    """Noise-free oracle: v(n) = <n|rho|n> to machine precision."""
+    """Noise-free oracle: v(n) = <n|rho|n> to machine precision.
+
+    The hidden state is kept as ``_born`` takes it: rho in the complex field,
+    and Re rho, as float64, in the real field, where the antisymmetric Im rho
+    adds exactly 0 on real rows.  No query pays for complex arithmetic whose
+    imaginary half it would discard."""
 
     def __init__(self, state: DensityMatrix, field: str = "complex"):
         super().__init__(state.dim, field)
         if field == "real" and not state.is_real():
             raise ValueError("real-mode oracle needs a real symmetric hidden state")
-        self._state = state.matrix
+        self._state = np.ascontiguousarray(state.matrix.real) if field == "real" else state.matrix
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
         return _born(vecs, self._state)
@@ -201,8 +232,11 @@ class TabulatedOracle(ValuationOracle):
     The table is indexed once, in O(T d) work for T rows, by a key per ray:
     its phase-fixed coordinates (``_ray_coordinates``) rounded to a grid.  A
     query is answered from the index, in O(d) work, when its key holds a row
-    whose phase-fixed coordinates lie within ``TABLE_MATCH_TOL`` of its own,
-    a distance that bounds the ray distance from above.  Rows that may key
+    within ``TABLE_MATCH_TOL`` of it: at once when their phase-fixed
+    coordinates lie that close, a distance that bounds the ray distance from
+    above, and by the exact ray distance when they lie at most
+    (1 + sqrt(8d)) ``TABLE_MATCH_TOL`` apart, as a query within tolerance of
+    its row may, when its phase is fixed on a turned entry.  Rows that may key
     apart from a row within 2 ``TABLE_MATCH_TOL`` of them (those near a grid
     edge or the 1/(2d) reference threshold) and keys shared by several rows
     are left out of the index, so an index hit is the only row within
@@ -280,14 +314,22 @@ class TabulatedOracle(ValuationOracle):
     def _indexed(self, rows: np.ndarray) -> np.ndarray:
         """The index kernel: each row's table row if its key holds one within
         tolerance, else -1.  The distance of the phase-fixed rows bounds their
-        ray distance above, so a row it rejects is left to the similarity
-        kernel's exact test."""
+        ray distance above, so a hit within ``TABLE_MATCH_TOL`` of them is
+        taken as it is.  A row within tolerance of its hit has them at most
+        (1 + sqrt(8d)) ``TABLE_MATCH_TOL`` apart, so a hit that far is taken
+        once its exact ray distance is within tolerance; every other row is
+        left to the similarity kernel."""
         coords = _ray_coordinates(rows)[0]
         keys = np.rint(coords) @ self._weights
         pos = np.searchsorted(self._keys, keys)
         idx = np.where(self._keys[pos] == keys, self._rows[pos], -1)
         coords -= self._coords[idx]  # a -1 reads the last row and stays -1
-        idx[~(np.einsum("ij,ij->i", coords, coords) <= (TABLE_MATCH_TOL * _KEY_GRID) ** 2)] = -1
+        dist2 = np.einsum("ij,ij->i", coords, coords) / (TABLE_MATCH_TOL * _KEY_GRID) ** 2
+        idx[~(dist2 <= (1 + np.sqrt(8 * self.dim)) ** 2)] = -1
+        check = np.flatnonzero((dist2 > 1) & (idx >= 0))
+        if check.size:
+            far = ~(_ray_distances(rows[check], self._table[idx[check]]) <= TABLE_MATCH_TOL)
+            idx[check[far]] = -1
         return idx
 
     def _nearest(self, rows: np.ndarray) -> np.ndarray:
@@ -320,14 +362,6 @@ def _ray_distances(vecs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     (k, d) stacks."""
     inner = np.einsum("ki,ki->k", rows.conj(), vecs)
     return np.linalg.norm(vecs - np.exp(1j * np.angle(inner))[:, None] * rows, axis=1)
-
-
-def _phases(field: str) -> tuple:
-    """The phases w of the probes x + w y in ``field``: 1, -1, i, -i, or 1, -1
-    in the real field; any other field is rejected."""
-    if field not in ("complex", "real"):
-        raise ValueError(f"unknown field {field!r}")
-    return (1, -1, 1j, -1j) if field == "complex" else (1, -1)
 
 
 def pair_probes(x: np.ndarray, y: np.ndarray, phases: tuple, out: np.ndarray) -> np.ndarray:

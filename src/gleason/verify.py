@@ -70,7 +70,7 @@ class CheckReport:
 def check_density(m: np.ndarray, tol: float = 1e-10) -> CheckReport:
     """Hermiticity, unit trace, and eigenvalue nonnegativity of a matrix; one
     whose deviations or spectrum overflow float64 raises ``ValueError``."""
-    _at_least(tol, 0, "tol")
+    _at_least(tol, 0, "tol", real=True)
     m = _square(m, "input")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         herm = float(np.max(np.abs(m - m.conj().T)))
@@ -110,7 +110,7 @@ def check_additivity(
     of its basis's.
     """
     _at_least(trials, 1, "trials")
-    _at_least(tol, 0, "tol")
+    _at_least(tol, 0, "tol", real=True)
     _at_least(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -165,7 +165,7 @@ def check_unistochastic(
     s: TransitionMatrix | np.ndarray, tol: float = 1e-12
 ) -> CheckReport:
     """Row sums, column sums, and entry range of a transition matrix."""
-    _at_least(tol, 0, "tol")
+    _at_least(tol, 0, "tol", real=True)
     arr = s.entries if isinstance(s, TransitionMatrix) else _square(s, "input", float)
     rows, cols, span = _stochastic_deviations(arr)
     return CheckReport("unistochastic", max(rows, cols, span), tol,
@@ -242,7 +242,7 @@ def check_basis_independence(
     this gate (useful as a negative control).
     """
     _at_least(num_bases, 2, "num_bases")
-    _at_least(tol, 0, "tol")
+    _at_least(tol, 0, "tol", real=True)
     _at_least(seed, 0, "seed")
     if oracle.field != "complex":
         raise ValueError("check_basis_independence needs a complex-mode oracle")

@@ -207,6 +207,7 @@ BOUNDS = {
     "haar_random_basis": ("dim", lambda v, o: haar_random_basis(v, 0), 0),
     "haar_random_basis-seed": ("seed", lambda v, o: haar_random_basis(2, v), -1),
     "random_density_matrix": ("dim", lambda v, o: random_density_matrix(v, 1, 0), 0),
+    "random_density_matrix-rank": ("rank", lambda v, o: random_density_matrix(2, v, 0), 0),
     "random_density_matrix-seed": ("seed", lambda v, o: random_density_matrix(2, 1, v), -1),
     "ValuationOracle": ("dim", lambda v, o: ValuationOracle(v), 0),
     "NoisyOracle": ("shots", lambda v, o: NoisyOracle(RHO, shots=v), 0),
@@ -243,16 +244,43 @@ def test_bounds_cover_every_call():
     assert calls == len(BOUNDS)
 
 
-@pytest.mark.parametrize("site, value", [
-    (site, value) for site, (_, _, below) in BOUNDS.items()
-    # a vector's size cannot be NaN
-    for value in ([below] if site == "UnitVector" else [NAN, below])
-])
-def test_scalar_bound_is_rejected_uncharged(monkeypatch, site, value):
+def bad_values(site):
+    """NaN, the value below the bound, and a value of the wrong kind within
+    it: a fraction and a bool for an integer, a string for a real number."""
+    name, _, below = BOUNDS[site]
+    if site == "UnitVector":
+        return [below]  # a vector's size is an integer
+    if name == "tol":
+        return [NAN, below, "1"]
+    return [NAN, below, below + 1.5, True]
+
+
+INTEGER_SITES = sorted(site for site, (name, _, _) in BOUNDS.items()
+                       if name != "tol" and site != "UnitVector")
+
+
+def assert_rejected_uncharged(site, value, message):
+    """``BOUNDS[site]``'s call on ``value`` raises the library's message for
+    its parameter, followed by ``message``, before any query."""
     name, call, _ = BOUNDS[site]
     oracle = ExactOracle(RHO)
-    monkeypatch.setattr(ValuationOracle, "query_batch",
-                        lambda self, rows: pytest.fail("a query was made"))
-    with pytest.raises(ValueError, match=f"^{name} must be >= "):
-        call(value, oracle)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ValuationOracle, "query_batch",
+                      lambda self, rows: pytest.fail("a query was made"))
+        with pytest.raises(ValueError, match=f"^{name} must be >= {message}"):
+            call(value, oracle)
     assert oracle.query_count == 0
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site in BOUNDS for value in bad_values(site)
+])
+def test_scalar_bound_is_rejected_uncharged(site, value):
+    assert_rejected_uncharged(site, value, "")
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+@settings(max_examples=20, deadline=None)
+@given(value=st.floats().filter(lambda x: not x.is_integer()))
+def test_non_integral_float_is_rejected_uncharged(site, value):
+    assert_rejected_uncharged(site, value, rf"{BOUNDS[site][2] + 1} and an integer, got ")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gleason.hilbert import (
+    ATOL,
     DensityMatrix,
     haar_random_basis,
     random_density_matrix,
@@ -135,6 +136,22 @@ class TestExactOracle:
         assert oracle.query_count == 8 * 100 * 2
 
 
+def assert_born_matches_einsum(rho, vecs, field):
+    """``_born`` against the three-index einsum on ``vecs``, as C-ordered,
+    strided and Fortran-ordered rows, with the complex rho and with the state
+    the field's oracle keeps (Re rho, as float64, in the real field)."""
+    ref = np.einsum("ki,ij,kj->k", vecs.conj(), rho, vecs).real
+    padded = np.zeros((len(vecs), 2 * vecs.shape[1]), dtype=np.complex128)
+    padded[:, ::2] = vecs
+    views = [vecs, padded[:, ::2], np.asfortranarray(vecs)]
+    assert not views[1].flags.c_contiguous
+    kept = ExactOracle(DensityMatrix(rho), field=field)._state
+    assert kept.dtype == (np.float64 if field == "real" else np.complex128)
+    for state in (rho, kept):
+        for view in views:
+            np.testing.assert_allclose(_born(view, state), ref, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("field", ["complex", "real"])
 @pytest.mark.parametrize("rows", [1, 2016])
 def test_born_kernel_matches_einsum_reference(rows, field):
@@ -146,13 +163,32 @@ def test_born_kernel_matches_einsum_reference(rows, field):
     rng = np.random.default_rng(rows)
     vecs = np.array([random_vec(rng, d, real=field == "real") for _ in range(rows)])
     vecs = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).astype(np.complex128)
-    ref = np.einsum("ki,ij,kj->k", vecs.conj(), rho, vecs).real
-    padded = np.zeros((rows, 2 * d), dtype=np.complex128)
-    padded[:, ::2] = vecs
-    views = [vecs, padded[:, ::2], np.asfortranarray(vecs)]
-    assert not views[1].flags.c_contiguous
-    for view in views:
-        np.testing.assert_allclose(_born(view, rho), ref, rtol=0, atol=1e-14)
+    assert_born_matches_einsum(rho, vecs, field)
+
+
+@pytest.mark.parametrize("dim, rows", [(4, 8192), (8, 16384)])
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_born_kernel_matches_einsum_reference_on_tall_batches(dim, rows, field):
+    """The Haar-average route's chunk shapes, several row blocks each."""
+    rho = random_density_matrix(dim, dim, seed=dim, field=field).matrix
+    vecs = unit_rows(np.random.default_rng(rows), rows, dim, field)
+    assert rows > _BLOCK_ENTRIES // dim
+    assert_born_matches_einsum(rho, vecs, field)
+
+
+def test_real_born_kernel_drops_imaginary_parts_within_atol():
+    # a real-field oracle accepts rows whose imaginary parts are at most ATOL;
+    # its kernel reads only their real parts, which moves a value by O(d ATOL^2)
+    d = 8
+    rho = random_density_matrix(d, d, seed=31, field="real")
+    rng = np.random.default_rng(32)
+    vecs = unit_rows(rng, 300, d, "real") + 1j * ATOL * rng.uniform(-1, 1, (300, d))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    assert np.abs(vecs.imag).max() > ATOL / 2
+    assert_born_matches_einsum(rho.matrix, vecs, "real")
+    ref = np.einsum("ki,ij,kj->k", vecs.conj(), rho.matrix, vecs).real
+    got = ExactOracle(rho, field="real").query_batch(vecs)
+    np.testing.assert_allclose(got, ref.clip(0.0, 1.0), rtol=0, atol=1e-14)
 
 
 def unit_rows(rng, k, d, field):
@@ -230,6 +266,15 @@ def one_shot_lookup(table, values, vecs):
     return values[idx]
 
 
+def one_shot_born(vecs, rho, field):
+    """Reference: the Born kernel's GEMM and row-wise dot of float64 arrays on
+    the whole batch at once."""
+    if field == "real":
+        rows = np.ascontiguousarray(vecs.real)
+        return np.vecdot(rows, rows @ np.ascontiguousarray(rho.matrix.real).T)
+    return np.vecdot(vecs.view(np.float64), (vecs @ rho.matrix.T).view(np.float64))
+
+
 class TestBlockedKernels:
     """The oracle kernels run over row blocks of at most
     ``_BLOCK_ENTRIES // width`` rows; at and around every block edge they give
@@ -249,7 +294,7 @@ class TestBlockedKernels:
         rng = np.random.default_rng(61)
         for k in self.batch_sizes(self.D):
             vecs = unit_rows(rng, k, self.D, field)
-            born = np.vecdot(vecs, vecs @ rho.matrix.T).real.clip(0.0, 1.0)
+            born = one_shot_born(vecs, rho, field).clip(0.0, 1.0)
             assert np.array_equal(ExactOracle(rho, field=field).query_batch(vecs), born)
             noisy = NoisyOracle(rho, shots=500, seed=k, field=field)
             draws = np.random.default_rng(k).binomial(500, born) / 500
@@ -453,14 +498,15 @@ class TestRayIndex:
         # Each query is a table row t moved 0.9 TABLE_MATCH_TOL along
         # i (t_j e_j - |t_j|^2 t), orthogonal to t, for t's reference entry j.
         # That turns the phase the index fixes on entry j, so the phase-fixed
-        # rows lie farther apart than TABLE_MATCH_TOL, the index leaves every
-        # query to the similarity kernel, and it takes them in blocks of
-        # _BLOCK_ENTRIES // T rows.
+        # rows lie farther apart than TABLE_MATCH_TOL.  The index kernel is
+        # made to answer nothing, so the similarity kernel gets every query
+        # and takes them in blocks of _BLOCK_ENTRIES // T rows.
         T, d = 200, 8
         rng = np.random.default_rng(80)
         table = unit_rows(rng, T, d, "complex")
         values = rng.random(T)
         oracle = TabulatedOracle(table, values)
+        monkeypatch.setattr(TabulatedOracle, "_indexed", lambda self, rows: np.full(len(rows), -1))
         seen = spy_on_similarity_kernel(monkeypatch)
         step = _BLOCK_ENTRIES // T
         for k in [step - 1, step, step + 1, 3 * step + 5]:
@@ -479,6 +525,48 @@ class TestRayIndex:
             assert sum(seen) == k and len(seen) == -(-k // step)
 
 
+def near_queries(rng, rows, field="complex"):
+    """Each row moved 0.9 TABLE_MATCH_TOL in a random direction orthogonal to
+    it, turned by a random phase and scaled to unit norm."""
+    step = unit_rows(rng, len(rows), rows.shape[1], field)
+    step -= np.einsum("ki,ki->k", rows.conj(), step)[:, None] * rows
+    step *= 0.9 * TABLE_MATCH_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+    queries = rotated(rng, rows + step, field)
+    return queries / np.linalg.norm(queries, axis=1, keepdims=True)
+
+
+def rows_on_a_grid_edge(rng, n, d):
+    """Unit rows whose first entry, real and positive, is the one their phase
+    is fixed on, and whose second is real and on an edge of the key grid, so
+    the index leaves them out."""
+    rows = unit_rows(rng, n, d, "complex") * np.sqrt(0.5)
+    rows[:, 1] = (np.floor(rows[:, 1].real * _KEY_GRID) + 0.5) / _KEY_GRID
+    rows[:, 0] = 0.0
+    rows[:, 0] = np.sqrt(1.0 - np.sum(np.abs(rows) ** 2, axis=1))
+    return rows
+
+
+def test_near_queries_stay_on_the_index(monkeypatch):
+    # 2,000 queries 0.9 TABLE_MATCH_TOL from the rows of a 200-row d = 8
+    # table, 10 of whose rows sit on a grid edge: a query reaches the
+    # similarity kernel only when its row is left out of the index
+    rng = np.random.default_rng(82)
+    table = np.concatenate([unit_rows(rng, 190, 8, "complex"), rows_on_a_grid_edge(rng, 10, 8)])
+    values = rng.random(len(table))
+    oracle = TabulatedOracle(table, values)
+    left_out = ~np.isin(np.arange(len(table)), oracle._rows)
+    assert np.all(left_out[190:])
+    pick = rng.integers(0, len(table), 2000)
+    queries = near_queries(rng, table[pick])
+    reached, kernel = [], TabulatedOracle._nearest
+    monkeypatch.setattr(TabulatedOracle, "_nearest",
+                        lambda self, rows: reached.append(rows) or kernel(self, rows))
+    got = oracle.query_batch(queries)
+    assert np.array_equal(got, in_chunks(one_shot_lookup, table, values, queries))
+    assert np.array_equal(got, values[pick])
+    assert np.array_equal(np.concatenate(reached), queries[left_out[pick]])
+
+
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -492,6 +580,14 @@ def test_born_kernel_peak_is_bounded_on_the_d32_explicit_block():
     # the 2016 x 32 block's one-shot `vecs @ state.T` product alone is 1.03 MB
     oracle = ExactOracle(random_density_matrix(32, 32, seed=66))
     rows = explicit_query_vectors(haar_random_basis(32, 67))
+    assert traced_peak(lambda: oracle.query_batch(rows)) <= 0.5e6
+
+
+def test_real_born_kernel_peak_is_bounded_on_the_d32_explicit_block():
+    # its one-shot real parts and `rows @ form` product alone are 0.52 MB
+    oracle = ExactOracle(random_density_matrix(32, 32, seed=66, field="real"), field="real")
+    rows = explicit_query_vectors(haar_random_basis(32, 67, "real"), "real")
+    assert len(rows) == 1024
     assert traced_peak(lambda: oracle.query_batch(rows)) <= 0.5e6
 
 
