@@ -525,12 +525,12 @@ class TestRayIndex:
             assert sum(seen) == k and len(seen) == -(-k // step)
 
 
-def near_queries(rng, rows, field="complex"):
-    """Each row moved 0.9 TABLE_MATCH_TOL in a random direction orthogonal to
-    it, turned by a random phase and scaled to unit norm."""
+def near_queries(rng, rows, dist=0.9 * TABLE_MATCH_TOL, field="complex"):
+    """Each row moved ``dist`` in a random direction orthogonal to it, turned
+    by a random phase and scaled to unit norm."""
     step = unit_rows(rng, len(rows), rows.shape[1], field)
     step -= np.einsum("ki,ki->k", rows.conj(), step)[:, None] * rows
-    step *= 0.9 * TABLE_MATCH_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+    step *= dist / np.linalg.norm(step, axis=1, keepdims=True)
     queries = rotated(rng, rows + step, field)
     return queries / np.linalg.norm(queries, axis=1, keepdims=True)
 
@@ -565,6 +565,18 @@ def test_near_queries_stay_on_the_index(monkeypatch):
     assert np.array_equal(got, in_chunks(one_shot_lookup, table, values, queries))
     assert np.array_equal(got, values[pick])
     assert np.array_equal(np.concatenate(reached), queries[left_out[pick]])
+
+
+def test_queries_beyond_tolerance_of_their_key_row_miss():
+    # queries 3 TABLE_MATCH_TOL from a row mostly key with it and lie within
+    # the index's widened radius; the exact ray distance turns each away
+    rng = np.random.default_rng(84)
+    table = unit_rows(rng, 50, 8, "complex")
+    oracle = TabulatedOracle(table, rng.random(len(table)))
+    for query in near_queries(rng, table, dist=3 * TABLE_MATCH_TOL):
+        with pytest.raises(OracleLookupError, match=r"nearest at distance 3\.000e-09"):
+            oracle.query_batch(query)
+    assert oracle.query_count == 0
 
 
 def traced_peak(call) -> int:
