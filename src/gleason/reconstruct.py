@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hilbert import (
+    ATOL,
     DensityMatrix,
     OrthonormalBasis,
     _at_least,
@@ -86,12 +87,17 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _square(self.entries, "transition matrix", float)
-        rows, cols, span = _stochastic_deviations(arr)
-        if not max(rows, cols, span) <= 1e-12:
-            raise ValueError(f"not doubly stochastic within 1e-12: row sums off by {rows:.3e}, "
-                             f"column sums by {cols:.3e}, entries outside [0, 1] by {span:.3e}")
+        arr = _doubly_stochastic(_square(self.entries, "transition matrix", float), 1e-12)
         object.__setattr__(self, "entries", arr)
+
+
+def _doubly_stochastic(arr: np.ndarray, bound: float) -> np.ndarray:
+    """``arr``, after checking that it is doubly stochastic within ``bound``."""
+    rows, cols, span = _stochastic_deviations(arr)
+    if not max(rows, cols, span) <= bound:
+        raise ValueError(f"not doubly stochastic within {bound:.3g}: row sums off by {rows:.3e}, "
+                         f"column sums by {cols:.3e}, entries outside [0, 1] by {span:.3e}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,11 +302,28 @@ def transition_matrix(
     S is unistochastic by construction, and links the valuations of the
     two bases through  v(p_j) = sum_i v(q_i) S_ij  whenever the q_i
     diagonalize the hidden state.
+
+    S is checked at the bound its validated inputs imply, not at
+    ``TransitionMatrix``'s 1e-12.  A basis passes when its computed Gram
+    matrix is within ATOL of I entrywise, so its exact Gram matrix I + E has
+    |E_ij| <= a = ATOL + 2(d+2) eps (a Gram entry is a length-d dot).  Row i
+    of S sums to q_i^H P P^H q_i, where |q_i|^2 is within a of 1 and P P^H has
+    the eigenvalues of P^H P = I + E_P, within ||E_P||_2 <= d a of 1: the sum
+    is within (1 + a)(1 + d a) - 1 = (d+1) a + d a^2 of 1, and a column sum
+    likewise; an entry is at most (1 + a)^2.  Forming S rounds each overlap
+    by at most 2(d+2) eps, which moves a row sum by 4(d+2) sqrt(d) eps, and
+    the squares and the sum add (d+1) eps.  All of it is within
+    (d+1) ATOL + 8 (d+2)^2 eps.
     """
     if q_basis.dim != p_basis.dim:
         raise ValueError("bases must share a dimension")
-    overlap = q_basis.matrix.conj().T @ p_basis.matrix
-    return TransitionMatrix(np.abs(overlap) ** 2)
+    d = q_basis.dim
+    entries = np.abs(q_basis.matrix.conj().T @ p_basis.matrix) ** 2
+    entries.setflags(write=False)
+    bound = (d + 1) * ATOL + 8 * (d + 2) ** 2 * np.finfo(float).eps
+    s = object.__new__(TransitionMatrix)  # the check here stands for __post_init__'s
+    object.__setattr__(s, "entries", _doubly_stochastic(entries, bound))
+    return s
 
 
 def _column_error(d: int) -> float:

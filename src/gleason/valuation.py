@@ -202,6 +202,8 @@ class NoisyOracle(ExactOracle):
     ):
         super().__init__(state, field)
         _at_least(shots, 1, "shots")
+        if not shots < 2**63:  # numpy's binomial takes an int64 count
+            raise ValueError(f"shots must be <= {2**63 - 1}, got {shots!r}")
         _at_least(seed, 0, "seed")
         self.shots = int(shots)
         self._rng = np.random.default_rng(seed)

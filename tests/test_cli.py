@@ -561,6 +561,23 @@ class TestBoundsBeforeQueries:
         assert result.stdout == ""
         assert "error:" in result.stderr and "shots" in result.stderr
 
+    @pytest.mark.parametrize("command", [
+        ("reconstruct", "--method", "explicit"), ("verify", "--suite", "additivity"),
+    ], ids=["reconstruct", "additivity"])
+    def test_shots_beyond_int64_is_parse_error_without_queries(self, tmp_path, monkeypatch,
+                                                               command):
+        # numpy's binomial cannot take 2**63 shots; the oracle refuses them
+        # before a query, where each query used to end in an OverflowError
+        state = tmp_path / "s.json"
+        run("gen", "--dim", 2, "--seed", 28, "--out", state)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run(*command, "--in", state, "--shots", 2**63)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert f"error: shots must be <= {2**63 - 1}" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_negative_implicit_seed_is_usage_error_without_queries(self, tmp_path, monkeypatch):
         state = tmp_path / "s.json"
         run("gen", "--dim", 2, "--seed", 28, "--out", state)

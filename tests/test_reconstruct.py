@@ -803,6 +803,21 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             transition_matrix(standard_basis(2), standard_basis(3))
 
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_bases_at_the_orthonormality_edge(self, dim):
+        # columns scaled by 1 + 4.9e-13 still pass OrthonormalBasis's ATOL,
+        # and their overlaps sum to 1 + 1.96e-12, beyond TransitionMatrix's 1e-12
+        for seed in range(20):
+            q, p = (OrthonormalBasis(haar_random_basis(dim, s).matrix * (1 + 4.9e-13))
+                    for s in (seed, seed + 100))
+            s = transition_matrix(q, p)
+            deviation = np.abs(s.entries.sum(axis=1) - 1).max()
+            assert 1e-12 < deviation <= (dim + 1) * 1e-12
+
+    def test_callers_matrix_keeps_the_strict_gate(self):
+        with pytest.raises(ValueError, match="within 1e-12: row sums off by 1.100e-12"):
+            TransitionMatrix(np.array([[1 + 1.1e-12, 0.0], [0.0, 1.0]]))
+
     def test_validation_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             TransitionMatrix(np.array([[0.9, 0.2], [0.1, 0.8]]))

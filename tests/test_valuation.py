@@ -830,6 +830,16 @@ class TestNoisyOracle:
             oracle.query_batch(e(0, 3) * 1j)
         assert oracle.query_count == 0
 
+    def test_shots_beyond_int64_are_rejected(self):
+        # numpy's binomial takes an int64 count: 2**63 would raise OverflowError
+        # on every query, so the constructor refuses it
+        rho = random_density_matrix(2, 2, seed=36)
+        with pytest.raises(ValueError, match=rf"^shots must be <= {2**63 - 1}, got {2**63}$"):
+            NoisyOracle(rho, shots=2**63)
+        oracle = NoisyOracle(rho, shots=2**63 - 1, seed=1)
+        values = oracle.query_batch(np.eye(2))
+        assert values.shape == (2,) and oracle.query_count == 2
+
     def test_seed_determinism(self):
         rho = random_density_matrix(3, 3, seed=36)
         a = NoisyOracle(rho, shots=500, seed=37).query_batch(np.eye(3))

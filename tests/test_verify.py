@@ -15,7 +15,7 @@ from gleason.hilbert import (
     random_density_matrix,
 )
 from gleason.reconstruct import explicit_reconstruct, transition_matrix
-from gleason.valuation import ExactOracle, NoisyOracle
+from gleason.valuation import ExactOracle, NoisyOracle, ValuationOracle
 from gleason.verify import (
     _ADDITIVITY_CHUNK,
     CheckReport,
@@ -99,23 +99,27 @@ class TestCheckAdditivity:
 
 def loop_additivity(oracle, trials, seed):
     """Reference: the additivity check one trial and one subspace at a time,
-    one ``query_batch`` per subspace measured."""
+    one ``query_batch`` per subspace measured: per chunk, every part of every
+    trial, then every joined span in ascending width, the batch's row order."""
     d = oracle.dim
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        b = haar_basis_matrices(d, 1, rng, oracle.field)[0]
-        cuts = np.flatnonzero(rng.random(d - 1) < 0.5) + 1 if d > 1 else []
-        sizes = np.diff([0, *cuts, d])
-        parts = np.split(b, np.cumsum(sizes)[:-1], axis=1)
-        total = sum(oracle.query_batch(m.T).sum() for m in parts)
-        worst = max(worst, abs(total - 1.0))
-        if len(parts) >= 2:
-            m = b[:, : sizes[0] + sizes[1]]
-            rot = haar_basis_matrices(m.shape[1], 1, rng, oracle.field)[0]
-            lhs = oracle.query_batch((m @ rot).T).sum()
-            rhs = oracle.query_batch(parts[0].T).sum() + oracle.query_batch(parts[1].T).sum()
-            worst = max(worst, abs(lhs - rhs))
+    for first in range(0, trials, _ADDITIVITY_CHUNK):
+        count = min(_ADDITIVITY_CHUNK, trials - first)
+        bases = haar_basis_matrices(d, count, rng, oracle.field)
+        cuts = rng.random((count, d - 1)) < 0.5
+        sizes = [np.diff([0, *(np.flatnonzero(c) + 1), d]) for c in cuts]
+        parts = []
+        for b, s in zip(bases, sizes):
+            values = [oracle.query_batch(m.T).sum()
+                      for m in np.split(b, np.cumsum(s)[:-1], axis=1)]
+            worst = max(worst, abs(sum(values) - 1.0))
+            parts.append(values[0] + values[1] if len(s) >= 2 else None)
+        for k in sorted({s[0] + s[1] for s in sizes if len(s) >= 2}):
+            joined = [t for t, s in enumerate(sizes) if len(s) >= 2 and s[0] + s[1] == k]
+            for t, rot in zip(joined, haar_basis_matrices(k, len(joined), rng, oracle.field)):
+                lhs = oracle.query_batch((bases[t, :, :k] @ rot).T).sum()
+                worst = max(worst, abs(lhs - parts[t]))
     return worst
 
 
@@ -133,6 +137,22 @@ def test_additivity_matches_loop_reference(dim, field):
         r = check_additivity(batched, trials, seed)
         assert abs(r.deviation - loop_additivity(looped, trials, seed)) <= 1e-14
         assert batched.query_count == looped.query_count
+
+
+class QuarticOracle(ValuationOracle):
+    """v(n) = sum_j |n_j|^4: a phase-invariant valuation into [0, 1] that is
+    no Born rule, as its values over a basis do not sum to 1.  At d = 2 the
+    joined span of the first two parts is the whole space, so the check
+    reduces to normalization there: Gleason's theorem needs d >= 3."""
+
+    def _values(self, vecs):
+        return (np.abs(vecs) ** 4).sum(axis=1)
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_additivity_fails_a_valuation_that_is_no_born_rule(dim):
+    r = check_additivity(QuarticOracle(dim), trials=50, seed=dim, tol=1e-10)
+    assert r.deviation > 1e6 * r.tolerance, r.deviation
 
 
 class CallCountingOracle(ExactOracle):
