@@ -51,8 +51,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def oracle_table_to_json(vectors: np.ndarray, values: np.ndarray) -> list:
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
     values = np.asarray(values, dtype=float).reshape(-1)
+    if vectors.ndim != 2:
+        raise ValueError(f"table vectors of shape {vectors.shape}: need a stack of rows")
     if vectors.shape[0] != values.size:
         raise ValueError("one value per vector required")
+    if values.size == 0:
+        raise ValueError("empty table")
     return [
         {"vector": {"dim": vec.size, "re": vec.real.tolist(), "im": vec.imag.tolist()},
          "value": float(val)}

@@ -33,6 +33,7 @@ only the rows the table's ray index cannot answer.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -45,16 +46,6 @@ TABLE_MATCH_TOL = 1e-9
 # process already holds; a product as large as the batch (1 MB for d=32's
 # explicit block) is returned to the system and first-touched again per call.
 _BLOCK_ENTRIES = 2**14
-# Steps per unit of the table index's key grid.  Coarse, so few rows sit near
-# a step edge, and fine, so distinct rays of a table get distinct keys.
-_KEY_GRID = 2.0**10
-# A key is the dot product of a row's grid steps with the weights
-# _KEY_MIX**j mod 2**64, cut to their top 32 bits.  A unit row's steps sum in
-# magnitude to at most sqrt(2d) _KEY_GRID, so below d ~ 10**5 every key is an
-# integer below 2**53, exact in float64 whatever order BLAS sums it in.  Rows
-# that only hash alike share a key, which costs them their index entries and
-# nothing else.
-_KEY_MIX = 0x9E3779B97F4A7C15
 # A view to a dtype object skips converting the scalar type on every call.
 _FLOAT64 = np.dtype(np.float64)
 
@@ -231,18 +222,16 @@ class TabulatedOracle(ValuationOracle):
     vector returns its value.  Rows must be a stack of finite rows of unit
     norm within ``TABLE_MATCH_TOL``.
 
-    The table is indexed once, in O(T d) work for T rows, by a key per ray:
-    its phase-fixed coordinates (``_ray_coordinates``) rounded to a grid.  A
-    query is answered from the index, in O(d) work, when its key holds a row
-    within ``TABLE_MATCH_TOL`` of it: at once when their phase-fixed
-    coordinates lie that close, a distance that bounds the ray distance from
-    above, and by the exact ray distance when they lie at most
-    (1 + sqrt(8d)) ``TABLE_MATCH_TOL`` apart, as a query within tolerance of
-    its row may, when its phase is fixed on a turned entry.  Rows that may key
-    apart from a row within 2 ``TABLE_MATCH_TOL`` of them (those near a grid
-    edge or the 1/(2d) reference threshold) and keys shared by several rows
-    are left out of the index, so an index hit is the only row within
-    tolerance.  Only the queries the index leaves reach the similarity
+    The table is indexed once, in O(T d + T log T) work for T rows, by one
+    key per ray: its phase-fixed coordinates (``_ray_coordinates``) projected
+    on a fixed unit direction of R^{2d} (``_key_direction``), then sorted.  A
+    query and a row within ``TABLE_MATCH_TOL`` that fix their phase on the
+    same entry have phase-fixed coordinates at most (1 + sqrt(8d))
+    ``TABLE_MATCH_TOL`` apart, and a projection on a unit vector brings no
+    two points farther apart, so their keys lie as close.  The index kernel
+    (``_indexed``) answers a query, in O(d + log T) work, from a window of
+    keys around its own that holds exactly one row and is wide enough for
+    every row within tolerance; every other query is left to the similarity
     kernel (``_nearest``, per row block of ``_by_blocks`` of width T), which
     compares the rows nearest in |<t|q>| by exact distance.  A miss raises
     :class:`OracleLookupError` for the batch's first missed row.
@@ -271,30 +260,11 @@ class TabulatedOracle(ValuationOracle):
         self._table = vectors
         self._vals = np.clip(values, 0.0, 1.0)
         self._sq_norms = norms * norms
-        d = self.dim
-        mix = np.cumprod(np.full(2 * d, _KEY_MIX, dtype=np.uint64))
-        self._weights = (mix >> 32).astype(float)
-        self._coords, power = _ray_coordinates(vectors)
-        steps = np.rint(self._coords)
-        keys = steps @ self._weights
-        # Two rows within 2 TABLE_MATCH_TOL of each other have phase-fixed
-        # coordinates within 2 TABLE_MATCH_TOL (1 + sqrt(8d)) and each |x_j|^2
-        # within 4 TABLE_MATCH_TOL of the other's.  With a factor 2 to spare,
-        # they share a key unless both sit within `margin` of a grid edge or
-        # within 8 TABLE_MATCH_TOL of the 1/(2d) threshold, so such rows and
-        # shared keys are left out of the index.
-        margin = 4 * TABLE_MATCH_TOL * (1 + np.sqrt(8 * d)) * _KEY_GRID
-        off_step = np.subtract(self._coords, steps, out=steps)
-        off_ref = np.subtract(power, 0.5 / d, out=power)
-        edge = (np.abs(off_step, out=off_step) > 0.5 - margin).any(axis=1)
-        edge |= (np.abs(off_ref, out=off_ref) < 8 * TABLE_MATCH_TOL).any(axis=1)
-        order = np.argsort(keys)
-        keys, keep = keys[order], ~edge[order]
-        shared = np.flatnonzero(keys[1:] == keys[:-1])
-        keep[shared] = keep[shared + 1] = False
-        # a last key that no query passes keeps every search position in range
-        self._keys = np.append(keys[keep], np.inf)
-        self._rows = np.append(order[keep], -1)
+        # the index: each row's key, sorted, and the row behind each sorted key
+        self._coords = _ray_coordinates(vectors)[0]
+        keys = self._coords @ _key_direction(self.dim)
+        self._rows = np.argsort(keys)
+        self._keys = keys[self._rows]
 
     def _values(self, vecs: np.ndarray) -> np.ndarray:
         idx = _by_blocks(self._indexed, vecs, self.dim).astype(np.intp)
@@ -314,20 +284,31 @@ class TabulatedOracle(ValuationOracle):
         return self._vals[idx]
 
     def _indexed(self, rows: np.ndarray) -> np.ndarray:
-        """The index kernel: each row's table row if its key holds one within
-        tolerance, else -1.  The distance of the phase-fixed rows bounds their
-        ray distance above, so a hit within ``TABLE_MATCH_TOL`` of them is
-        taken as it is.  A row within tolerance of its hit has them at most
-        (1 + sqrt(8d)) ``TABLE_MATCH_TOL`` apart, so a hit that far is taken
-        once its exact ray distance is within tolerance; every other row is
-        left to the similarity kernel."""
-        coords = _ray_coordinates(rows)[0]
-        keys = np.rint(coords) @ self._weights
-        pos = np.searchsorted(self._keys, keys)
-        idx = np.where(self._keys[pos] == keys, self._rows[pos], -1)
-        coords -= self._coords[idx]  # a -1 reads the last row and stays -1
-        dist2 = np.einsum("ij,ij->i", coords, coords) / (TABLE_MATCH_TOL * _KEY_GRID) ** 2
-        idx[~(dist2 <= (1 + np.sqrt(8 * self.dim)) ** 2)] = -1
+        """The index kernel: each row's table row if it is the only one within
+        tolerance, else -1.  Two binary searches bound each row's window, the
+        keys within w = 2 (1 + sqrt(8d)) ``TABLE_MATCH_TOL`` of its own; the
+        factor 2 covers table rows of unit norm only within tolerance and the
+        keys' rounding.  A row with no |q_j|^2 within 8 ``TABLE_MATCH_TOL``
+        of 1/(2d) fixes its phase on the entry every row within tolerance of
+        it does, so all those rows are in its window: one that holds a single
+        key names the only candidate.  The phase-fixed rows' distance bounds
+        the ray distance above, so a candidate that close is taken as it is,
+        and one at most (1 + sqrt(8d)) ``TABLE_MATCH_TOL`` away once its exact
+        ray distance is within tolerance; every other row is left to the
+        similarity kernel."""
+        d = self.dim
+        bound = 1 + np.sqrt(8 * d)
+        coords, power = _ray_coordinates(rows)
+        keys = coords @ _key_direction(d)
+        width = 2 * bound * TABLE_MATCH_TOL
+        lo = np.searchsorted(self._keys, keys - width)
+        one = np.searchsorted(self._keys, keys + width, side="right") - lo == 1
+        power -= 0.5 / d
+        one &= ~(np.abs(power, out=power) < 8 * TABLE_MATCH_TOL).any(axis=1)
+        idx = np.where(one, self._rows.take(lo, mode="clip"), -1)  # lo = T past the last key
+        coords -= self._coords.take(idx, axis=0)  # a -1 reads the last row and stays -1
+        dist2 = np.einsum("ij,ij->i", coords, coords) / TABLE_MATCH_TOL**2
+        idx[~(dist2 <= bound**2)] = -1
         check = np.flatnonzero((dist2 > 1) & (idx >= 0))
         if check.size:
             far = ~(_ray_distances(rows[check], self._table[idx[check]]) <= TABLE_MATCH_TOL)
@@ -348,15 +329,26 @@ class TabulatedOracle(ValuationOracle):
         return t[order][np.flatnonzero(np.diff(q, prepend=-1))]
 
 
+@functools.cache
+def _key_direction(d: int) -> np.ndarray:
+    """The unit vector of R^{2d} the table index projects phase-fixed rows
+    on: a seeded Gaussian draw, read-only, computed once per d.  A regular
+    one would give the standard basis's probe rows colliding keys."""
+    r = np.random.default_rng(d).standard_normal(2 * d)
+    r /= np.linalg.norm(r)
+    r.flags.writeable = False
+    return r
+
+
 def _ray_coordinates(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's phase-fixed coordinates in units of the key grid, as a
-    (n, 2d) float64 view, and |x_j|^2 of its entries, shape (n, d).  The phase
-    makes the row's first entry with |x_j|^2 > 1/(2d), which a unit row
-    always has, real and positive."""
+    """Each row's phase-fixed coordinates, as a (n, 2d) float64 view, and
+    |x_j|^2 of its entries, shape (n, d).  The phase makes the row's first
+    entry with |x_j|^2 > 1/(2d), which a unit row always has, real and
+    positive."""
     power = np.square(rows.real)
     power += np.square(rows.imag)
     ref = rows[np.arange(len(rows)), np.argmax(power > 0.5 / rows.shape[1], axis=1)]
-    return (rows * (ref.conj() * (_KEY_GRID / np.abs(ref)))[:, None]).view(np.float64), power
+    return (rows * (ref.conj() / np.abs(ref))[:, None]).view(np.float64), power
 
 
 def _ray_distances(vecs: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -118,6 +118,18 @@ def test_oracle_table_to_json_needs_one_value_per_vector():
         oracle_table_to_json(np.eye(3), [0.5, 0.5])
 
 
+def test_oracle_table_to_json_needs_a_stack_of_rows():
+    # a (2, 2, 2) stack would be written as records its reader rejects
+    with pytest.raises(ValueError, match="need a stack of rows"):
+        oracle_table_to_json(np.ones((2, 2, 2)) / 2, [0.5, 0.5])
+
+
+def test_oracle_table_to_json_rejects_an_empty_table():
+    # an empty list is no table to its reader
+    with pytest.raises(ValueError, match="empty table"):
+        oracle_table_to_json(np.zeros((0, 3)), [])
+
+
 @pytest.mark.parametrize("table", [[], {}, "table", None])
 def test_oracle_table_must_be_a_nonempty_list(table):
     with pytest.raises(ValueError, match="nonempty list"):

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gleason.hilbert import (
     ATOL,
@@ -19,7 +21,6 @@ from gleason.reconstruct import explicit_query_vectors
 from gleason.serialize import dump_json, load_json, oracle_table_from_json, oracle_table_to_json
 from gleason.valuation import (
     _BLOCK_ENTRIES,
-    _KEY_GRID,
     TABLE_MATCH_TOL,
     ExactOracle,
     NoisyOracle,
@@ -32,6 +33,11 @@ from gleason.valuation import (
     pair_probes,
     polarize,
 )
+
+# Steps per unit of a 2**-10 grid of phase-fixed coordinates.  The crafted
+# rows below sit on or near its edges, where a grid-keyed ray index would key
+# a row apart from its near queries; they stay as adversarial inputs.
+KEY_GRID = 2.0**10
 
 
 def e(i, d):
@@ -370,9 +376,10 @@ def rotated(rng, rows, field):
 
 
 def ray_keys(rows):
-    """Each row's grid steps and reference entry, as the table index keys it."""
+    """Each row's steps on the ``KEY_GRID`` grid of its phase-fixed
+    coordinates, and its reference entry."""
     coords, power = _ray_coordinates(np.ascontiguousarray(rows, dtype=np.complex128))
-    return np.rint(coords), np.argmax(power > 0.5 / rows.shape[1], axis=1)
+    return np.rint(coords * KEY_GRID), np.argmax(power > 0.5 / rows.shape[1], axis=1)
 
 
 class TestRayIndex:
@@ -406,6 +413,16 @@ class TestRayIndex:
     def test_d32_explicit_table_matches_one_shot_lookup(self, monkeypatch):
         rows, values = self.explicit_table(haar_random_basis(32, 74))
         assert len(rows) == 2016
+        # rows the index must leave: a near-duplicate pair at most 5e-10
+        # apart, whose windows hold two keys, and a row with |x_0|^2 1e-10
+        # above 1/(2d).  The pair shares a value, as one_shot_lookup's
+        # |<t|q>| cannot tell the two apart in float64.
+        twin = rows[5] + 5e-10 * rows[6]
+        edge = rows[7].copy()
+        edge[0] = np.sqrt(1 / 64 + 1e-10)
+        edge[1:] *= np.sqrt((1 - abs(edge[0]) ** 2) / np.sum(np.abs(edge[1:]) ** 2))
+        rows = np.concatenate([rows, [twin / np.linalg.norm(twin), edge]])
+        values = np.append(values, [values[5], 0.75])
         oracle = TabulatedOracle(rows, values)
         seen = spy_on_similarity_kernel(monkeypatch)
         pick = np.random.default_rng(75).permutation(len(rows))
@@ -423,7 +440,7 @@ class TestRayIndex:
         1/(2d) reference threshold and its query's 1e-10 below, so the two
         fix their phase on different entries."""
         cplx = field == "complex"
-        x = (300.5 / _KEY_GRID) - 1e-10
+        x = (300.5 / KEY_GRID) - 1e-10
         rest = np.array([0.3 * np.exp(0.4j), 0.2 * np.exp(-1.1j)] if cplx else [-0.3, 0.2])
         edge_row = np.array([np.sqrt(1 - x * x - np.sum(np.abs(rest) ** 2)), x, *rest])
         edge_query = edge_row + 3e-10 * e(1, 4)
@@ -472,7 +489,7 @@ class TestRayIndex:
         # two rows 1e-9 apart, on either side of a grid edge, get different
         # keys; the query keys with the farther one (0.6e-9 away), not with
         # the nearer one (0.4e-9 away)
-        edge = 300.5 / _KEY_GRID
+        edge = 300.5 / KEY_GRID
         rest = np.array([0.3 * np.exp(0.4j), 0.2 * np.exp(-1.1j)])
 
         def row(x):
@@ -483,6 +500,24 @@ class TestRayIndex:
         assert steps[0] == steps[2] != steps[1]
         for table, values in [([below, above], [0.3, 0.7]), ([above, below], [0.7, 0.3])]:
             queries = np.array([query * np.exp(2.0j), below, above])
+            got = TabulatedOracle(table, values).query_batch(queries)
+            assert np.array_equal(got, [0.7, 0.3, 0.7])
+            assert np.array_equal(got, nearest_lookup(np.array(table), np.array(values), queries))
+
+    def test_near_duplicates_across_the_reference_threshold_answer_the_nearest(self):
+        # two rows 0.6e-9 apart whose |x_0|^2 lie 5e-10 above and 1e-10 below
+        # 1/(2d), so they fix their phase on entries 0 and 1; the query's lies
+        # 1e-10 above, so its window holds the farther row alone
+        rest = np.array([0.6 * np.exp(0.9j), 0.3 * np.exp(-0.4j)])
+
+        def row(offset):
+            x0 = np.sqrt(0.125 + offset)
+            return np.array([x0, *rest, np.sqrt(1 - x0 * x0 - np.sum(np.abs(rest) ** 2))])
+
+        above, below, query = row(5e-10), row(-1e-10), row(1e-10)
+        assert list(ray_keys(np.array([above, below, query]))[1]) == [0, 1, 0]
+        for table, values in [([above, below], [0.3, 0.7]), ([below, above], [0.7, 0.3])]:
+            queries = np.array([query * np.exp(2.0j), above, below])
             got = TabulatedOracle(table, values).query_batch(queries)
             assert np.array_equal(got, [0.7, 0.3, 0.7])
             assert np.array_equal(got, nearest_lookup(np.array(table), np.array(values), queries))
@@ -537,10 +572,10 @@ def near_queries(rng, rows, dist=0.9 * TABLE_MATCH_TOL, field="complex"):
 
 def rows_on_a_grid_edge(rng, n, d):
     """Unit rows whose first entry, real and positive, is the one their phase
-    is fixed on, and whose second is real and on an edge of the key grid, so
-    the index leaves them out."""
+    is fixed on, and whose second is real and on an edge of ``KEY_GRID``,
+    where a grid-keyed index would leave them out."""
     rows = unit_rows(rng, n, d, "complex") * np.sqrt(0.5)
-    rows[:, 1] = (np.floor(rows[:, 1].real * _KEY_GRID) + 0.5) / _KEY_GRID
+    rows[:, 1] = (np.floor(rows[:, 1].real * KEY_GRID) + 0.5) / KEY_GRID
     rows[:, 0] = 0.0
     rows[:, 0] = np.sqrt(1.0 - np.sum(np.abs(rows) ** 2, axis=1))
     return rows
@@ -548,14 +583,12 @@ def rows_on_a_grid_edge(rng, n, d):
 
 def test_near_queries_stay_on_the_index(monkeypatch):
     # 2,000 queries 0.9 TABLE_MATCH_TOL from the rows of a 200-row d = 8
-    # table, 10 of whose rows sit on a grid edge: a query reaches the
-    # similarity kernel only when its row is left out of the index
+    # table, 10 of whose rows sit on an edge of KEY_GRID: the projection
+    # index has no grid edges, so no query reaches the similarity kernel
     rng = np.random.default_rng(82)
     table = np.concatenate([unit_rows(rng, 190, 8, "complex"), rows_on_a_grid_edge(rng, 10, 8)])
     values = rng.random(len(table))
     oracle = TabulatedOracle(table, values)
-    left_out = ~np.isin(np.arange(len(table)), oracle._rows)
-    assert np.all(left_out[190:])
     pick = rng.integers(0, len(table), 2000)
     queries = near_queries(rng, table[pick])
     reached, kernel = [], TabulatedOracle._nearest
@@ -564,7 +597,7 @@ def test_near_queries_stay_on_the_index(monkeypatch):
     got = oracle.query_batch(queries)
     assert np.array_equal(got, in_chunks(one_shot_lookup, table, values, queries))
     assert np.array_equal(got, values[pick])
-    assert np.array_equal(np.concatenate(reached), queries[left_out[pick]])
+    assert reached == []
 
 
 def test_queries_beyond_tolerance_of_their_key_row_miss():
@@ -577,6 +610,80 @@ def test_queries_beyond_tolerance_of_their_key_row_miss():
         with pytest.raises(OracleLookupError, match=r"nearest at distance 3\.000e-09"):
             oracle.query_batch(query)
     assert oracle.query_count == 0
+
+
+def rows_near_the_threshold(rng, n, d, field):
+    """Unit rows with 1 to 3 entries (at most d - 1) whose |x_j|^2 lie within
+    2e-8 of the 1/(2d) reference threshold, at random places."""
+    rows = unit_rows(rng, n, d, field)
+    for row in rows:
+        at = rng.permutation(d)[: rng.integers(1, min(3, d - 1) + 1)]
+        power = 0.5 / d + rng.uniform(-2e-8, 2e-8, len(at))
+        rest = np.setdiff1d(np.arange(d), at)
+        row[rest] *= np.sqrt((1 - power.sum()) / np.sum(np.abs(row[rest]) ** 2))
+        row[at] = np.sqrt(power) * rotated(rng, np.ones((len(at), 1)), field)[:, 0]
+    return rows
+
+
+def moved(rng, rows, dist, field):
+    """Each row moved its ``dist`` orthogonally to it, in the complex field
+    half of them along i (t_j e_j - |t_j|^2 t), which turns the phase of the
+    reference entry j; then turned by a random phase (sign), and scaled to
+    unit norm."""
+    k, d = rows.shape
+    step = unit_rows(rng, k, d, field)
+    if field == "complex":
+        turn = rng.random(k) < 0.5
+        ref = ray_keys(rows)[1]
+        towards = -np.abs(rows[np.arange(k), ref, None]) ** 2 * rows
+        towards[np.arange(k), ref] += rows[np.arange(k), ref]
+        step[turn] = 1j * towards[turn]
+    step -= np.einsum("ki,ki->k", rows.conj(), step)[:, None] * rows
+    step *= (dist / np.linalg.norm(step, axis=1))[:, None]
+    out = rotated(rng, rows + step, field)
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+def lookup_or_miss(lookup, *args):
+    """``lookup``'s values, or the text of the ``OracleLookupError`` it raises."""
+    try:
+        return lookup(*args)
+    except OracleLookupError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
+       field=st.sampled_from(["complex", "real"]), sizes=st.tuples(
+           st.integers(1, 12), st.integers(0, 4), st.integers(0, 4), st.integers(1, 24)))
+def test_tabulated_lookup_answers_the_nearest_row(seed, d, field, sizes):
+    # Tables of random rows, rows near the 1/(2d) threshold and near
+    # duplicates 1e-10 to 2e-8 from either; queries up to TABLE_MATCH_TOL
+    # from table rows, one in five up to 3 TABLE_MATCH_TOL, one in ten
+    # exactly on one.  Each batch, and each of its rows alone, gets
+    # nearest_lookup's values or its miss, uncharged.
+    n_random, n_edge, n_twin, k = sizes
+    rng = np.random.default_rng(seed)
+    table = unit_rows(rng, n_random, d, field)
+    if n_edge:
+        table = np.concatenate([table, rows_near_the_threshold(rng, n_edge, d, field)])
+    if n_twin:
+        source = table[rng.integers(0, len(table), n_twin)]
+        twins = moved(rng, source, rng.uniform(1e-10, 2e-8, n_twin), field)
+        table = np.concatenate([table, twins])
+    values = rng.random(len(table))
+    dist = rng.uniform(0, rng.choice([1, 3], k, p=[0.8, 0.2]) * TABLE_MATCH_TOL)
+    dist[rng.random(k) < 0.1] = 0.0
+    queries = moved(rng, table[rng.integers(0, len(table), k)], dist, field)
+    oracle = TabulatedOracle(table, values, field=field)
+    for batch in [queries, *queries[:, None]]:
+        want = lookup_or_miss(nearest_lookup, table, values, batch)
+        count = oracle.query_count
+        got = lookup_or_miss(oracle.query_batch, batch)
+        if isinstance(want, str):
+            assert got == want and oracle.query_count == count
+        else:
+            assert np.array_equal(got, want) and oracle.query_count == count + len(batch)
 
 
 def traced_peak(call) -> int:
@@ -610,6 +717,15 @@ def test_table_lookup_peak_is_bounded_on_a_496_row_table():
     oracle = TabulatedOracle(rows, ExactOracle(rho).query_batch(rows))
     queries = np.ascontiguousarray(rows[::-1] * 1j)
     assert traced_peak(lambda: oracle.query_batch(queries)) <= 1e6
+
+
+def test_table_build_peak_is_bounded_on_the_d32_explicit_table():
+    # its phase-fixed coordinates alone are 1.03 MB; a grid-keyed index,
+    # with its grid steps and exclusion masks, peaked at 2.78 MB
+    rows = explicit_query_vectors(haar_random_basis(32, 74))
+    assert len(rows) == 2016
+    values = np.random.default_rng(70).random(len(rows))
+    assert traced_peak(lambda: TabulatedOracle(rows, values)) <= 2.0e6
 
 
 # each phase's probe rows as whole-array numpy expressions
