@@ -612,13 +612,19 @@ def test_queries_beyond_tolerance_of_their_key_row_miss():
     assert oracle.query_count == 0
 
 
+def log_uniform(rng, low, high, n):
+    """``n`` draws whose logarithm is uniform on [log low, log high]."""
+    return np.exp(rng.uniform(np.log(low), np.log(high), n))
+
+
 def rows_near_the_threshold(rng, n, d, field):
-    """Unit rows with 1 to 3 entries (at most d - 1) whose |x_j|^2 lie within
-    2e-8 of the 1/(2d) reference threshold, at random places."""
+    """Unit rows with 1 to 3 entries (at most d - 1) whose |x_j|^2 lie 1e-11
+    to 2e-8 (log-uniform) above or below the 1/(2d) reference threshold, at
+    random places."""
     rows = unit_rows(rng, n, d, field)
     for row in rows:
         at = rng.permutation(d)[: rng.integers(1, min(3, d - 1) + 1)]
-        power = 0.5 / d + rng.uniform(-2e-8, 2e-8, len(at))
+        power = 0.5 / d + rng.choice([-1, 1], len(at)) * log_uniform(rng, 1e-11, 2e-8, len(at))
         rest = np.setdiff1d(np.arange(d), at)
         row[rest] *= np.sqrt((1 - power.sum()) / np.sum(np.abs(row[rest]) ** 2))
         row[at] = np.sqrt(power) * rotated(rng, np.ones((len(at), 1)), field)[:, 0]
@@ -652,29 +658,40 @@ def lookup_or_miss(lookup, *args):
         return str(exc)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
        field=st.sampled_from(["complex", "real"]), sizes=st.tuples(
            st.integers(1, 12), st.integers(0, 4), st.integers(0, 4), st.integers(1, 24)))
 def test_tabulated_lookup_answers_the_nearest_row(seed, d, field, sizes):
     # Tables of random rows, rows near the 1/(2d) threshold and near
-    # duplicates 1e-10 to 2e-8 from either; queries up to TABLE_MATCH_TOL
-    # from table rows, one in five up to 3 TABLE_MATCH_TOL, one in ten
-    # exactly on one.  Each batch, and each of its rows alone, gets
-    # nearest_lookup's values or its miss, uncharged.
+    # duplicates 1e-10 to 2e-8 (log-uniform) from either, half of them from
+    # rows near the threshold; queries up to TABLE_MATCH_TOL from table rows,
+    # half of them from near duplicates, one in five up to 3 TABLE_MATCH_TOL,
+    # one in ten exactly on one.  Close pairs straddling the threshold fix
+    # their phase on different entries, so the nearer row of a pair within
+    # tolerance may key far from its query.  Each batch, and each of its rows
+    # alone, gets nearest_lookup's values or its miss, uncharged.
     n_random, n_edge, n_twin, k = sizes
     rng = np.random.default_rng(seed)
     table = unit_rows(rng, n_random, d, field)
     if n_edge:
         table = np.concatenate([table, rows_near_the_threshold(rng, n_edge, d, field)])
     if n_twin:
-        source = table[rng.integers(0, len(table), n_twin)]
-        twins = moved(rng, source, rng.uniform(1e-10, 2e-8, n_twin), field)
+        source = rng.integers(0, len(table), n_twin)
+        if n_edge:  # half the twins are of rows near the threshold
+            half = rng.random(n_twin) < 0.5
+            source[half] = rng.integers(n_random, len(table), half.sum())
+        source = table[source]
+        twins = moved(rng, source, log_uniform(rng, 1e-10, 2e-8, n_twin), field)
         table = np.concatenate([table, twins])
     values = rng.random(len(table))
     dist = rng.uniform(0, rng.choice([1, 3], k, p=[0.8, 0.2]) * TABLE_MATCH_TOL)
     dist[rng.random(k) < 0.1] = 0.0
-    queries = moved(rng, table[rng.integers(0, len(table), k)], dist, field)
+    pick = rng.integers(0, len(table), k)
+    if n_twin:  # half the queries near a near duplicate
+        half = rng.random(k) < 0.5
+        pick[half] = rng.integers(len(table) - n_twin, len(table), half.sum())
+    queries = moved(rng, table[pick], dist, field)
     oracle = TabulatedOracle(table, values, field=field)
     for batch in [queries, *queries[:, None]]:
         want = lookup_or_miss(nearest_lookup, table, values, batch)
