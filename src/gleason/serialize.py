@@ -5,7 +5,14 @@ d-by-d arrays; a vector is the same with flat length-d arrays.  A
 tabulated oracle is a JSON list of ``{"vector": {...}, "value": p}``
 records.  All loaders take JSON numbers only (no booleans or strings) and
 raise ``ValueError`` on malformed input so callers can map them to a
-parse-error exit code.  Outputs are one line of compact, strict JSON.
+parse-error exit code.
+
+Files are read by orjson, which takes RFC 8259 JSON in UTF-8 only: the
+``NaN`` and ``Infinity`` literals, a number that overflows float64, a byte
+order mark and invalid UTF-8 are invalid JSON, and an integer outside
+[-2**63, 2**64) is read as a float.  Outputs are written by the standard
+library's encoder, as one line of compact, strict JSON; orjson would write
+some floats in other digits and NaN as null.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .hilbert import _square
 
@@ -103,10 +111,13 @@ def oracle_table_from_json(obj: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_json(path: str | Path):
+    """The JSON value in the file at ``path``, parsed by orjson; text that is not
+    RFC 8259 JSON in UTF-8 is a ``ValueError`` naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -204,11 +204,11 @@ class TestVerifyCommand:
         state = tmp_path / "s.json"
         run("gen", "--dim", 2, "--seed", 15, "--out", state)
         payload = json.loads(state.read_text())
-        payload["re"][0][0] = float("nan")  # json writes and reads the NaN literal
+        payload["re"][0][0] = float("nan")  # json writes the NaN literal, which is not JSON
         state.write_text(json.dumps(payload))
         result = run("verify", "--suite", "density", "--in", state)
         assert result.returncode == 3
-        assert "error:" in result.stderr and "finite" in result.stderr
+        assert "error:" in result.stderr and "invalid JSON" in result.stderr
         assert result.stdout == ""
 
     @pytest.mark.parametrize("re, suite, code", [
