@@ -22,7 +22,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from .hilbert import _square
 
@@ -113,6 +112,8 @@ def oracle_table_from_json(obj: list) -> tuple[np.ndarray, np.ndarray]:
 def load_json(path: str | Path):
     """The JSON value in the file at ``path``, parsed by orjson; text that is not
     RFC 8259 JSON in UTF-8 is a ``ValueError`` naming the file."""
+    import orjson  # here, so that a process which reads no file does not load it
+
     with open(path, "rb") as fh:
         data = fh.read()
     try:
