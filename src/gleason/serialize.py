@@ -12,7 +12,7 @@ Files are read by orjson, which takes RFC 8259 JSON in UTF-8 only: the
 order mark and invalid UTF-8 are invalid JSON, and an integer outside
 [-2**63, 2**64) is read as a float.  Outputs are written by the standard
 library's encoder, as one line of compact, strict JSON; orjson would write
-some floats in other digits and NaN as null.
+many floats in another form (``1e-05`` as ``0.00001``) and NaN as null.
 """
 
 from __future__ import annotations

@@ -422,6 +422,53 @@ class TestFileFormat:
         assert result.returncode == 3
         assert result.stdout == "" and "error:" in result.stderr and "JSON" in result.stderr
 
+    # the standard library's parser recursed once per level of nesting, so it
+    # raised RecursionError on these, out of the CLI's error handling
+    @pytest.mark.parametrize("command, text", [
+        ("reconstruct", "[" * 100_000 + "]" * 100_000),
+        ("verify", '{"dim":1,"re":' + "[" * 5_000 + "1" + "]" * 5_000 + ',"im":[[0]]}'),
+        ("compare", '{"dim":1,"re":' + "[" * 5_000 + "1" + "]" * 5_000 + ',"im":[[0]]}'),
+    ], ids=["reconstruct", "verify", "compare"])
+    def test_deeply_nested_files_are_parse_errors_without_queries(self, tmp_path, monkeypatch,
+                                                                  command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run(*READS[command](path))
+        assert result.returncode == 3
+        assert result.stdout == "" and "error:" in result.stderr
+
+    # what json.loads took and RFC 8259 does not, and an integer beyond 64 bits,
+    # which the reader takes as a float
+    @pytest.mark.parametrize("data, message", [
+        (b'{"dim":1,"re":[[NaN]],"im":[[0]]}', "invalid JSON"),
+        (b'{"dim":1,"re":[[Infinity]],"im":[[0]]}', "invalid JSON"),
+        (b'{"dim":1,"re":[[1]],"im":[[-Infinity]]}', "invalid JSON"),
+        (b'{"dim":1,"re":[[1e999]],"im":[[0]]}', "invalid JSON"),
+        (b'{"dim":18446744073709551616,"re":[[1]],"im":[[0]]}', "dim must be an integer"),
+        (b'{"dim":1,"re":[[1]],"im":[[0]],"note":"\xff"}', "invalid JSON"),
+        (b'\xef\xbb\xbf{"dim":1,"re":[[1]],"im":[[0]]}', "invalid JSON"),
+    ], ids=["nan", "infinity", "minus-infinity", "overflow", "dim-2**64", "bad-utf8", "bom"])
+    @pytest.mark.parametrize("command", ["reconstruct", "verify", "compare"])
+    def test_known_parse_differences_are_parse_errors_without_queries(
+            self, tmp_path, monkeypatch, data, message, command):
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+        monkeypatch.setattr(ValuationOracle, "query_batch",
+                            lambda self, rows: pytest.fail("a query was made"))
+        result = run(*READS[command](path))
+        assert result.returncode == 3
+        assert result.stdout == "" and "error:" in result.stderr and message in result.stderr
+
+
+# For each command that reads input files, its arguments reading the file ``path``.
+READS = {
+    "reconstruct": lambda path: ("reconstruct", "--method", "explicit", "--in", path),
+    "verify": lambda path: ("verify", "--suite", "additivity", "--in", path),
+    "compare": lambda path: ("compare", path, path),
+}
+
 
 class TestDispatch:
     def test_two_commands_in_one_process(self, tmp_path):

@@ -4,6 +4,7 @@ function.  Every public name must also have a caller."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,31 @@ def test_every_private_name_in_the_docs_is_defined():
     written = written_private_names()
     assert {"_born", "_column_error", "_at_least"} <= written
     assert sorted(written - defined_names()) == []
+
+
+def imported_top_level_modules() -> set[str]:
+    """The top-level module of every absolute import in the package."""
+    names = set()
+    for path in (ROOT / "src" / "gleason").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names
+
+
+def declared_dependencies() -> set[str]:
+    """The distribution names in pyproject's ``dependencies`` line, read without
+    ``tomllib``, which Python 3.10 lacks."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    line = re.search(r"^dependencies = \[(.*)\]$", text, flags=re.MULTILINE)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+            for spec in re.findall(r'"([^"]+)"', line.group(1))}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # every distribution here installs a module of its own name
+    third_party = imported_top_level_modules() - set(sys.stdlib_module_names) - {"gleason"}
+    assert third_party == declared_dependencies()
+    assert third_party >= {"numpy", "orjson"}

@@ -1,10 +1,22 @@
 """Shared JSON matrix/vector/table formats."""
 
 import json
+import math
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gleason.hilbert import haar_random_basis, random_density_matrix
+from gleason.reconstruct import (
+    explicit_query_vectors,
+    explicit_reconstruct,
+    explicit_reconstruct_real,
+)
 from gleason.serialize import (
     dump_json,
     load_json,
@@ -13,6 +25,8 @@ from gleason.serialize import (
     oracle_table_from_json,
     oracle_table_to_json,
 )
+from gleason.valuation import ExactOracle
+from gleason.verify import check_additivity, check_basis_independence, check_density
 
 
 def test_matrix_round_trip():
@@ -149,6 +163,17 @@ def test_load_json_reports_parse_errors(tmp_path):
         load_json(path)
 
 
+def test_only_reading_a_file_loads_the_parser(tmp_path):
+    # a process that reads no file, such as a library user's, pays none of
+    # orjson's import time or memory
+    path = tmp_path / "m.json"
+    dump_json(matrix_to_json(np.eye(1)), path)
+    code = ("import sys; from gleason import cli; print('orjson' in sys.modules); "
+            f"cli.load_json({str(path)!r}); print('orjson' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_dump_and_load(tmp_path):
     path = tmp_path / "m.json"
     m = np.diag([0.25, 0.75]).astype(complex)
@@ -177,3 +202,65 @@ def test_dump_encodes_before_opening(tmp_path, obj, error):
     with pytest.raises(error):
         dump_json(obj, path)
     assert path.read_bytes() == old
+
+
+def typed(obj):
+    """``obj`` with every scalar replaced by its type and ``repr``, so equal
+    results hold the same types and the same float bits (``-0.0`` included)."""
+    if isinstance(obj, dict):
+        return {key: typed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [typed(value) for value in obj]
+    return type(obj), repr(obj)
+
+
+def test_written_files_read_back_as_the_standard_parser_reads_them(tmp_path):
+    """A state, a report, a table and a verify payload, each as ``dump_json``
+    writes it, parse to the same values and types as ``json.loads`` gives."""
+    path = tmp_path / "out.json"
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           field=st.sampled_from(["complex", "real"]))
+    def check(d, seed, field):
+        rho = random_density_matrix(d, d, seed, field=field)
+        oracle = ExactOracle(rho, field=field)
+        basis = haar_random_basis(d, seed, field=field)
+        route = explicit_reconstruct if field == "complex" else explicit_reconstruct_real
+        rows = explicit_query_vectors(basis, field)
+        checks = [check_density(rho.matrix), check_additivity(ExactOracle(rho), 3, seed)]
+        if d <= 8:  # it repeats the explicit route once per basis
+            checks.append(check_basis_independence(ExactOracle(rho), 2, seed))
+        for obj in (matrix_to_json(rho.matrix), route(oracle, basis).to_json(),
+                    oracle_table_to_json(rows, oracle.query_batch(rows)),
+                    [r.to_json() for r in checks]):
+            dump_json(obj, path)
+            assert typed(load_json(path)) == typed(json.loads(path.read_text()))
+
+    check()
+
+
+def bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: math.isfinite(bits_to_float(b)))
+
+
+def test_numbers_parse_as_the_standard_parser_parses_them(tmp_path):
+    """Finite floats from any 64-bit pattern (subnormals, -0.0 and 5e-324
+    too) and integers within 2**63 read back bit for bit, in their own type."""
+    path = tmp_path / "numbers.json"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(bits=st.lists(FINITE_BITS, max_size=200),
+           ints=st.lists(st.integers(-2**63, 2**63), max_size=20))
+    @example(bits=[0, 1, 2**63, 2**63 + 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
+                   0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF],
+             ints=[0, -1, 2**53 + 1, -2**63, 2**63 - 1, 2**63])
+    def check(bits, ints):
+        numbers = [*map(bits_to_float, bits), *ints]
+        path.write_text(json.dumps(numbers))
+        assert typed(load_json(path)) == typed(json.loads(path.read_text())) == typed(numbers)
+
+    check()
