@@ -17,6 +17,7 @@ Non-finite entries are rejected by every type.  The numerical contracts are:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -41,18 +42,19 @@ __all__ = [
 
 
 def _at_least(value, low, name: str, real: bool = False) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (a real number when
-    ``real``), not a bool, and ``value >= low``; NaN fails, as it compares
-    false.  The one check of every scalar a caller passes in.  An int, or a
-    float where a real number is asked for, is taken by its exact type: an
-    abstract-class ``isinstance`` costs ~0.5 us, and oracles are built per run."""
+    """Raise ``ValueError`` unless ``value`` is an integer (a finite real number,
+    a tolerance a report can hold in JSON, when ``real``), not a bool, and
+    ``value >= low``; NaN fails, as it compares false.  The one check of every
+    scalar a caller passes in.  An int, or a float where a real number is asked
+    for, is taken by its exact type: an abstract-class ``isinstance`` costs
+    ~0.5 us, and oracles are built per run."""
     exact = type(value) is int or (real and type(value) is float)
     if not exact and (isinstance(value, bool)
                       or not isinstance(value, numbers.Real if real else numbers.Integral)):
         kind = "a real number" if real else "an integer"
         raise ValueError(f"{name} must be >= {low} and {kind}, got {value!r}")
-    if not value >= low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    if not (low <= value < math.inf if real else value >= low):
+        raise ValueError(f"{name} must be >= {low}{' and finite' if real else ''}, got {value!r}")
 
 
 def _phases(field: str) -> tuple:
@@ -344,15 +346,20 @@ def _density_from_spectrum(w: np.ndarray, v: np.ndarray) -> DensityMatrix:
     """The density matrix sum_i p_i |v_i><v_i| for p the simplex projection of
     the ascending spectrum ``w`` and v_i the columns of ``v``: the repair of
     the Hermitian matrix with those eigenpairs, which ``nearest_density_matrix``
-    gets from its ``eigh`` and the implicit route from its Ritz pairs.  The
-    output's PSD and unit-trace checks read p in place of ``DensityMatrix``'s
-    own."""
+    gets from its ``eigh`` and every basis route from its coupling matrix's.
+    The output's PSD check reads p in place of ``DensityMatrix``'s own.  Its
+    trace is 1 to rounding for orthonormal v_i, and within d ATOL of 1 for the
+    v = B y of a basis B orthonormal within ATOL; one off by more than ATOL is
+    divided out."""
     if not np.isfinite(w).all():
         raise ValueError("the input's spectrum cannot be represented in float64")
     w = _project_to_simplex(w)
     if not (w.min() >= -EIG_ATOL and abs(w.sum() - 1.0) <= ATOL):
         raise ValueError(f"projected spectrum {w!r} is not a probability vector")
     out = _hermitian_part((v * w) @ v.conj().T).astype(np.complex128, copy=False)
+    trace = out.trace().real
+    if not abs(trace - 1.0) <= ATOL:
+        out /= trace
     out.setflags(write=False)
     rho = object.__new__(DensityMatrix)  # the checks above stand for __post_init__'s
     object.__setattr__(rho, "matrix", out)

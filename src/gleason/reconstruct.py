@@ -2,8 +2,9 @@
 
 The five routes consume nothing but valuations of unit vectors; README's
 route table lists them, and each route's docstring states its construction.
-Every basis route reads its couplings off one ``_probe_batch``
-(``_coupling_matrix``), the explicit family shares one assembly step, and
+Every basis route and the basis-independence check read their couplings off
+one ``_probe_batch`` (``_coupling_matrix``) of one basis or a stack, every
+basis route repairs from the ``eigh`` of its coupling matrix, and
 ``transition_matrix`` links the valuations of two bases.
 """
 
@@ -73,9 +74,10 @@ class ConvergenceError(RuntimeError):
 def _stochastic_deviations(arr: np.ndarray) -> tuple[float, float, float]:
     """Largest deviations of a nonempty real square matrix from double
     stochasticity: of its row sums and its column sums from 1, and of its
-    entries from [0, 1]."""
-    rows = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
-    cols = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
+    entries from [0, 1]; a sum beyond float64 is inf, with no warning."""
+    with np.errstate(over="ignore"):
+        rows = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
+        cols = float(np.max(np.abs(arr.sum(axis=0) - 1.0)))
     span = float(max(np.max(-arr), np.max(arr - 1.0), 0.0))
     return rows, cols, span
 
@@ -127,11 +129,8 @@ class ReconstructionReport:
 
 
 def _finish(method: str, estimate: np.ndarray, query_count: int,
-            repaired: DensityMatrix | None = None) -> ReconstructionReport:
-    """The report of a run; ``repaired`` is ``nearest_density_matrix(estimate)``
-    unless the route passes it in."""
-    if repaired is None:
-        repaired = nearest_density_matrix(estimate)
+            repaired: DensityMatrix) -> ReconstructionReport:
+    """The report of a run, from its estimate and the route's repair of it."""
     residual = float(np.linalg.norm(estimate - repaired.matrix))
     return ReconstructionReport(method, estimate, repaired, query_count, residual)
 
@@ -148,16 +147,22 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, 1)
 
 
-def _probe_batch(x: np.ndarray, phases: tuple) -> np.ndarray:
+def _probe_batch(x: np.ndarray, phases: tuple, unit: bool = False) -> np.ndarray:
     """The query block of the basis with rows x_j: those d rows, copied
     exactly, then ``pair_probes`` with ``phases`` of the rows x_j/sqrt(2) and
-    x_k/sqrt(2) of each pair j < k (``_pairs``)."""
+    x_k/sqrt(2) of each pair j < k (``_pairs``); for s bases, the rows of
+    basis t at x[:, t], the s blocks side by side, (m, s, d).  ``unit`` scales
+    each probe row to unit norm on its float64 view, as a basis is orthonormal
+    only within ATOL."""
     d = len(x)
     j, k = _pairs(d)
-    rows = np.empty((d + len(phases) * len(j), d), x.dtype)
+    rows = np.empty((d + len(phases) * len(j), *x.shape[1:]), x.dtype)
     rows[:d] = x
     half = rows[:d] / math.sqrt(2)
     pair_probes(half[j], half[k], phases, out=rows[d:])
+    if unit:
+        flat = rows[d:].view(np.float64)
+        flat *= (1 / _row_norms(rows[d:].reshape(-1, d))).reshape(*flat.shape[:-1], 1)
     return rows
 
 
@@ -165,16 +170,31 @@ def _coupling_matrix(vals: np.ndarray, d: int, phases: tuple) -> np.ndarray:
     """The Hermitian matrix <x_j|rho|x_k> of a basis from v on its
     ``_probe_batch`` with ``phases``: the d values of its rows on the
     diagonal, and above it the ``polarize`` of each pair's probes, whose -w
-    values are measured or, for the +w half, v(x_j) + v(x_k) - v(w)."""
+    values are measured or, for the +w half, v(x_j) + v(x_k) - v(w); for the
+    values of s bases side by side, (m, s), the s matrices (d, d, s)."""
     j, k = _pairs(d)
-    v = vals[d:].reshape(len(j), len(phases))
+    v = vals[d:].reshape(len(j), len(phases), *vals.shape[1:])
     plus, minus = (v[:, 0::2], v[:, 1::2]) if -1 in phases else (
         v, (vals[j] + vals[k])[:, None] - v)
     upper = polarize(plus, minus)
-    m = np.diag(vals[:d].astype(upper.dtype))
+    m = np.zeros((d, d, *vals.shape[1:]), upper.dtype)
+    m[range(d), range(d)] = vals[:d]
     m[j, k] = upper
     m[k, j] = np.conj(upper)
     return m
+
+
+def _basis_estimates(oracle: ValuationOracle, b: np.ndarray) -> np.ndarray:
+    """The explicit construction's raw estimates B M B^H in bases b (s, d, d),
+    from one ``query_batch`` of their ``explicit_query_vectors`` blocks in turn."""
+    s, d = b.shape[:2]
+    phases = _phases(oracle.field)
+    rows = _probe_batch(b.transpose(2, 0, 1), phases, unit=True)
+    vals = oracle.query_batch(rows.swapaxes(0, 1).reshape(-1, d))
+    m = _coupling_matrix(vals.reshape(s, -1).T, d, phases).transpose(2, 0, 1)
+    # contiguous, so that each product is the BLAS call a single basis makes
+    b, m = np.ascontiguousarray(b), np.ascontiguousarray(m)
+    return b @ m @ np.swapaxes(b.conj(), 1, 2)
 
 
 def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> np.ndarray:
@@ -184,35 +204,27 @@ def explicit_query_vectors(basis: OrthonormalBasis, field: str = "complex") -> n
     (n_j + n_k)/sqrt(2), (n_j - n_k)/sqrt(2) and, in complex mode, also
     (n_j + i n_k)/sqrt(2), (n_j - i n_k)/sqrt(2).  Total 2d^2 - d rows
     in complex mode, d^2 in real mode; any other field is rejected.  The rows
-    are the basis's ``_probe_batch``, each probe then scaled to unit norm on
-    its float64 view, as the basis is orthonormal only within ATOL."""
-    rows = _probe_batch(basis.matrix.T, _phases(field))
-    probes = rows[basis.dim:]
-    flat = probes.view(np.float64)
-    flat *= (1 / _row_norms(probes))[:, None]
-    return rows
-
-
-def _polarization_estimate(oracle: ValuationOracle, basis: OrthonormalBasis) -> np.ndarray:
-    """The raw estimate of the explicit construction shared by every
-    explicit-family route; 1, with no query, in one dimension."""
-    d = basis.dim
-    if d != oracle.dim:
-        raise ValueError(f"basis dim {d} != oracle dim {oracle.dim}")
-    if d == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    vals = oracle.query_batch(explicit_query_vectors(basis, oracle.field))
-    m = _coupling_matrix(vals, d, _phases(oracle.field))
-    b = basis.matrix
-    return b @ m @ b.conj().T
+    are the basis's ``_probe_batch`` with its probes scaled to unit norm."""
+    return _probe_batch(basis.matrix.T, _phases(field), unit=True)
 
 
 def _polarization_report(
     method: str, oracle: ValuationOracle, basis: OrthonormalBasis
 ) -> ReconstructionReport:
+    """The explicit construction's estimate B M B^H in ``basis``, repaired from
+    its eigenpairs (w, B y) for (w, y) those of M; 1, with no query, at d=1."""
+    d = basis.dim
+    if d != oracle.dim:
+        raise ValueError(f"basis dim {d} != oracle dim {oracle.dim}")
+    if d == 1:
+        return _trivial_report(method)
     before = oracle.query_count
-    estimate = _polarization_estimate(oracle, basis)
-    return _finish(method, estimate, oracle.query_count - before)
+    vals = oracle.query_batch(explicit_query_vectors(basis, oracle.field))
+    m = _coupling_matrix(vals, d, _phases(oracle.field))
+    b = basis.matrix
+    w, y = np.linalg.eigh(m)
+    return _finish(method, b @ m @ b.conj().T, oracle.query_count - before,
+                   _density_from_spectrum(w, b @ y))
 
 
 def explicit_reconstruct(
@@ -291,7 +303,8 @@ def haar_average_reconstruct(
     avg = total / num_bases
     estimate = (d + 1) * avg - np.eye(d)
     estimate = _hermitian_part(estimate)
-    return _finish("haar-average", estimate, oracle.query_count - before)
+    return _finish("haar-average", estimate, oracle.query_count - before,
+                   nearest_density_matrix(estimate))
 
 
 def transition_matrix(
@@ -361,8 +374,9 @@ class ImplicitConfig:
     ``tol`` is the error the run must reach (see ``implicit_reconstruct``):
     ``None`` accepts whatever its one batch gives, and a ``tol`` below the
     least it accepts raises ``ConvergenceError`` once the batch is paid for.
-    A NaN or negative ``tol`` could never be met on any oracle, so it is
-    rejected with ``ValueError``.  ``seed`` draws the Haar basis the run
+    A NaN or negative ``tol`` could never be met on any oracle, and an
+    infinite one would only say what ``None`` says, so each is rejected with
+    ``ValueError``.  ``seed`` draws the Haar basis the run
     measures; numpy takes no negative seed, so one is rejected with
     ``ValueError`` here, before the run queries anything.
     """

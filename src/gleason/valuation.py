@@ -365,8 +365,9 @@ def pair_probes(x: np.ndarray, y: np.ndarray, phases: tuple, out: np.ndarray) ->
     The phases are drawn from 1, -1, i, -i, the imaginary ones last, as i y is
     formed once in the last phase's rows: all of ``_phases(field)``, or its +w
     half ``_phases(field)[0::2]``.  ``y`` is a (p, d) stack, possibly empty,
-    and ``x`` one row or p rows.  The rows are written into ``out``, a block
-    of exactly that shape, which is returned."""
+    and ``x`` one row or p rows; the pairs of s bases at once, as (p, s, d)
+    stacks, give (n p, s, d) probes.  The rows are written into ``out``, a
+    block of exactly that shape, which is returned."""
     n = len(phases)
     iy = np.multiply(y, 1j, out=out[n - 1::n]) if phases[-1].imag else None
     for i, w in enumerate(phases):
@@ -377,7 +378,8 @@ def pair_probes(x: np.ndarray, y: np.ndarray, phases: tuple, out: np.ndarray) ->
 def polarize(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     """<x_p|rho|y_p> of each orthonormal row pair from v on its unit probes
     (x_p + w y_p)/sqrt2 (``plus``) and (x_p - w y_p)/sqrt2 (``minus``), one
-    column per phase w = 1, i (w = 1 in the real field): shape (p,)."""
+    column per phase w = 1, i (w = 1 in the real field): shape (p,), or
+    (p, s) for the values of s bases on a third axis."""
     diff = plus - minus
     re = diff[:, 0] / 2
     return re - 0.5j * diff[:, 1] if diff.shape[1] == 2 else re

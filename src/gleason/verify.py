@@ -1,8 +1,8 @@
 """Standalone checkers for the algebraic identities a valuation must satisfy.
 
 Each checker returns a :class:`CheckReport` rather than raising: failures
-are data.  Arguments no input could pass, such as a NaN or negative
-tolerance, raise ``ValueError`` before any query.
+are data.  Arguments no input could pass or no report could hold, such as
+a NaN, negative or infinite tolerance, raise ``ValueError`` before any query.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ import numpy as np
 from .hilbert import (
     _HOUSEHOLDER_MAX_DIM,
     _HOUSEHOLDER_MIN_COUNT,
-    OrthonormalBasis,
     _at_least,
     _check_orthonormal,
     _hermitian_part,
     _square,
     haar_basis_matrices,
 )
-from .reconstruct import TransitionMatrix, _polarization_estimate, _stochastic_deviations
+from .reconstruct import TransitionMatrix, _basis_estimates, _stochastic_deviations
 from .valuation import ValuationOracle
 
 __all__ = [
@@ -40,6 +39,9 @@ __all__ = [
 _MIN_SAMPLES = 100
 # Trials per oracle call of the additivity check; its arrays grow as chunk * d^2.
 _ADDITIVITY_CHUNK = 128
+# Rows per oracle call of the basis-independence check (2d^2 - d per basis):
+# no more than one d=32 basis's block, so its peak memory stays a basis's.
+_BASIS_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,13 @@ def _additivity_chunk(oracle: ValuationOracle, count: int, rng: np.random.Genera
 def check_unistochastic(
     s: TransitionMatrix | np.ndarray, tol: float = 1e-12
 ) -> CheckReport:
-    """Row sums, column sums, and entry range of a transition matrix."""
+    """Row sums, column sums, and entry range of a transition matrix; one whose
+    sums overflow float64 raises ``ValueError``."""
     _at_least(tol, 0, "tol", real=True)
     arr = s.entries if isinstance(s, TransitionMatrix) else _square(s, "input", float)
     rows, cols, span = _stochastic_deviations(arr)
+    if not max(rows, cols) < math.inf:
+        raise ValueError("the input's row or column sums cannot be represented in float64")
     return CheckReport("unistochastic", max(rows, cols, span), tol,
                        {"row_sums": rows, "col_sums": cols, "entry_range": span})
 
@@ -221,6 +226,8 @@ def check_basis_independence(
     Frobenius distance between the raw estimates of a complex-mode oracle.
     Exact oracles pass at 1e-10; shot-noise oracles are expected to fail
     this gate (useful as a negative control).
+    The bases are one Haar draw, checked at once; each chunk of them within
+    ``_BASIS_ROWS`` query rows (at least one basis) is one ``_basis_estimates``.
     """
     _at_least(num_bases, 2, "num_bases")
     _at_least(tol, 0, "tol", real=True)
@@ -228,11 +235,13 @@ def check_basis_independence(
     if oracle.field != "complex":
         raise ValueError("check_basis_independence needs a complex-mode oracle")
     d = oracle.dim
-    rng = np.random.default_rng(seed)
-    estimates = [
-        _polarization_estimate(oracle, OrthonormalBasis(m))
-        for m in haar_basis_matrices(d, num_bases, rng)
-    ]
-    worst = max(float(np.linalg.norm(a - b)) for a, b in combinations(estimates, 2))
+    worst = 0.0
+    if d > 1:  # in one dimension every estimate is 1, with no query
+        bases = haar_basis_matrices(d, num_bases, np.random.default_rng(seed))
+        _check_orthonormal(bases, "basis")
+        chunk = max(1, _BASIS_ROWS // (2 * d * d - d))
+        estimates = np.concatenate([_basis_estimates(oracle, bases[first : first + chunk])
+                                    for first in range(0, num_bases, chunk)])
+        worst = max(float(np.linalg.norm(a - b)) for a, b in combinations(estimates, 2))
     return CheckReport("basis-independence", worst, tol,
                        {"dim": d, "num_bases": num_bases, "seed": seed})

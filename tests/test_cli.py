@@ -172,7 +172,7 @@ class TestReconstruct:
         assert result.returncode == 5
         assert "non-convergence" in result.stderr
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf", "1e309"])
     def test_unreachable_tol_is_parse_error_without_queries(self, tmp_path, monkeypatch, tol):
         state = tmp_path / "s.json"
         run("gen", "--dim", 3, "--seed", 9, "--out", state)
@@ -505,7 +505,7 @@ def test_round_trip_gen_reconstruct_compare(tmp_path, dim):
 
 
 class TestVerifyOptions:
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e309"])
     @pytest.mark.parametrize("suite", ["density", "additivity", "basis-independence",
                                        "unistochastic", "all"])
     def test_unreachable_tol_is_parse_error_without_queries(self, tmp_path, monkeypatch,
@@ -519,7 +519,7 @@ class TestVerifyOptions:
         assert result.stdout == ""
         assert "error:" in result.stderr and "tol" in result.stderr
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e309"])
     def test_compare_rejects_unreachable_tol(self, tmp_path, tol):
         state = tmp_path / "s.json"
         run("gen", "--dim", 2, "--seed", 21, "--out", state)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gleason import cli, hilbert, reconstruct, valuation, verify
+from gleason import cli, hilbert, reconstruct, serialize, valuation, verify
 from gleason.hilbert import (
     DensityMatrix,
     OrthonormalBasis,
@@ -246,12 +246,13 @@ def test_bounds_cover_every_call():
 
 def bad_values(site):
     """NaN, the value below the bound, and a value of the wrong kind within
-    it: a fraction and a bool for an integer, a string for a real number."""
+    it: a fraction and a bool for an integer, a string for a real number, and
+    for a tolerance infinity, which no report can be written with."""
     name, _, below = BOUNDS[site]
     if site == "UnitVector":
         return [below]  # a vector's size is an integer
     if name == "tol":
-        return [NAN, below, "1"]
+        return [NAN, below, "1", np.inf]
     return [NAN, below, below + 1.5, True]
 
 
@@ -284,3 +285,60 @@ def test_scalar_bound_is_rejected_uncharged(site, value):
 @given(value=st.floats().filter(lambda x: not x.is_integer()))
 def test_non_integral_float_is_rejected_uncharged(site, value):
     assert_rejected_uncharged(site, value, rf"{BOUNDS[site][2] + 1} and an integer, got ")
+
+
+TOLS = st.one_of(st.floats(), st.integers(-1, 2))
+COUNTS = st.integers(-1, 5)
+ANY_SEEDS = st.integers(-1, 2**32 - 1)
+SCALES = st.sampled_from([1e308, -1e308]) | st.floats(-1e308, 1e308)
+
+
+def drawn_oracle(data, field="complex", dim=None):
+    """An exact or shot-noise oracle of a drawn state, of a drawn dim unless given."""
+    dim = dim or data.draw(st.integers(1, 4), label="dim")
+    rho = random_density_matrix(dim, dim, data.draw(st.integers(0, 99), label="state"), field)
+    shots = data.draw(st.sampled_from([0, 1, 30, 1000]), label="shots")
+    return NoisyOracle(rho, shots, seed=0, field=field) if shots else ExactOracle(rho, field)
+
+
+def basis_run(route, field, dim=None):
+    def run(data):
+        oracle = drawn_oracle(data, data.draw(FIELDS) if field is None else field, dim)
+        return route(oracle, haar_random_basis(oracle.dim, data.draw(SEEDS), oracle.field))
+    return run
+
+
+# Every public check and route, on arguments drawn with no regard to their bounds.
+RUNS = {
+    "check_density": lambda data: check_density(data.draw(SCALES) * RHO.matrix, data.draw(TOLS)),
+    "check_additivity": lambda data: check_additivity(
+        drawn_oracle(data), data.draw(COUNTS), data.draw(ANY_SEEDS), data.draw(TOLS)),
+    "check_unistochastic": lambda data: check_unistochastic(
+        np.full((2, 2), data.draw(SCALES)), data.draw(TOLS)),
+    # dim 1 included: its sigmas would be infinite for a deviation with no spread
+    "check_haar_moment": lambda data: check_haar_moment(
+        data.draw(st.integers(0, 3)), data.draw(st.integers(99, 300)), data.draw(ANY_SEEDS)),
+    "check_basis_independence": lambda data: check_basis_independence(
+        drawn_oracle(data), data.draw(COUNTS), data.draw(ANY_SEEDS), data.draw(TOLS)),
+    "explicit_reconstruct": basis_run(explicit_reconstruct, "complex"),
+    "explicit_reconstruct_real": basis_run(explicit_reconstruct_real, "real"),
+    "pauli_reconstruct_2d": basis_run(reconstruct.pauli_reconstruct_2d, None, dim=2),
+    "implicit_reconstruct": lambda data: implicit_reconstruct(
+        drawn_oracle(data, data.draw(FIELDS)),
+        ImplicitConfig(data.draw(st.none() | TOLS), data.draw(ANY_SEEDS))),
+    "haar_average_reconstruct": lambda data: haar_average_reconstruct(
+        drawn_oracle(data), data.draw(st.integers(-1, 50)), data.draw(ANY_SEEDS)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_accepted_argument_set_gives_a_writable_report(run, data):
+    # a refused argument raises ValueError, and a tol below the implicit
+    # route's floor ConvergenceError; every report made is strict JSON
+    try:
+        report = RUNS[run](data)
+    except (ValueError, reconstruct.ConvergenceError):
+        return
+    serialize._encode(report.to_json())

@@ -14,7 +14,7 @@ from gleason.hilbert import (
     haar_random_basis,
     random_density_matrix,
 )
-from gleason.reconstruct import explicit_reconstruct, transition_matrix
+from gleason.reconstruct import explicit_query_vectors, explicit_reconstruct, transition_matrix
 from gleason.valuation import ExactOracle, NoisyOracle, ValuationOracle
 from gleason.verify import (
     _ADDITIVITY_CHUNK,
@@ -165,6 +165,16 @@ class CallCountingOracle(ExactOracle):
         return super().query_batch(vectors)
 
 
+class BatchRecordingOracle(ExactOracle):
+    def __init__(self, state):
+        super().__init__(state)
+        self.batches = []
+
+    def query_batch(self, vectors):
+        self.batches.append(np.array(vectors))
+        return super().query_batch(vectors)
+
+
 @pytest.mark.parametrize("trials, calls", [
     (1, 1), (_ADDITIVITY_CHUNK, 1), (_ADDITIVITY_CHUNK + 1, 2),
 ])
@@ -195,6 +205,13 @@ class TestCheckUnistochastic:
     def test_non_square_rejected(self, s):
         with pytest.raises(ValueError, match="must be a nonempty square matrix"):
             check_unistochastic(s)
+
+    @pytest.mark.parametrize("entry", [1e308, -1e308])
+    def test_sums_beyond_float64_are_rejected(self, entry):
+        # finite entries whose sums overflow: a report of them could hold an
+        # infinite deviation, which no JSON writer takes
+        with pytest.raises(ValueError, match="cannot be represented in float64"):
+            check_unistochastic(np.full((2, 2), entry))
 
 
 class TestCheckHaarMoment:
@@ -336,19 +353,55 @@ class TestCheckBasisIndependence:
         assert np.array_equal(before_state, oracle._state)
         assert oracle.query_count == 3 * 15
 
-    def test_estimates_match_the_explicit_route_without_repair(self, monkeypatch):
-        rho = random_density_matrix(4, 2, seed=26)
-        bases = haar_basis_matrices(4, 3, np.random.default_rng(27))
-        estimates = [explicit_reconstruct(ExactOracle(rho), OrthonormalBasis(m)).estimate
-                     for m in bases]
+    @pytest.mark.parametrize("shots", [None, 1000])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_estimates_match_the_explicit_route_without_repair(self, d, shots, monkeypatch):
+        # the explicit route, one basis after another on one oracle, against
+        # the check's one batch on a fresh oracle of the same seed: a noisy
+        # oracle draws the same values for the same rows in the same order
+        rho = random_density_matrix(d, 2, seed=26)
+
+        def fresh():
+            return ExactOracle(rho) if shots is None else NoisyOracle(rho, shots, seed=d)
+
+        oracle = fresh()
+        bases = haar_basis_matrices(d, 3, np.random.default_rng(27))
+        estimates = [explicit_reconstruct(oracle, OrthonormalBasis(m)).estimate for m in bases]
         worst = max(np.linalg.norm(a - b) for i, a in enumerate(estimates)
                     for b in estimates[i + 1:])
-        monkeypatch.setattr(reconstruct, "nearest_density_matrix",
-                            lambda m: pytest.fail("an estimate was repaired"))
-        oracle = ExactOracle(rho)
+        for name in ("nearest_density_matrix", "_density_from_spectrum"):
+            monkeypatch.setattr(reconstruct, name, lambda *a: pytest.fail("a repair was made"))
+        oracle = fresh()
         r = check_basis_independence(oracle, num_bases=3, seed=27)
         assert r.deviation == worst
-        assert oracle.query_count == 3 * (2 * 4 * 4 - 4)
+        assert oracle.query_count == 3 * (2 * d * d - d)
+
+    def test_one_batch_holds_every_basis_query_block(self):
+        # cli-files' shape: one call of 8 blocks of 2d^2 - d rows, each basis's
+        # explicit_query_vectors bit for bit, in draw order
+        d, n = 8, 8
+        oracle = BatchRecordingOracle(random_density_matrix(d, d, seed=50))
+        assert check_basis_independence(oracle, n, seed=51).passed
+        (rows,) = oracle.batches
+        assert rows.shape == (n * (2 * d * d - d), d)
+        bases = haar_basis_matrices(d, n, np.random.default_rng(51))
+        blocks = [explicit_query_vectors(OrthonormalBasis(m)) for m in bases]
+        assert rows.tobytes() == np.concatenate(blocks).tobytes()
+
+    def test_batches_stay_within_the_row_cap(self, monkeypatch):
+        # above the cap the bases go in chunks, each one batch within it, and
+        # the deviation is the one batch's bit for bit
+        d, n = 8, 40
+        rho = random_density_matrix(d, d, seed=52)
+        oracle = BatchRecordingOracle(rho)
+        capped = check_basis_independence(oracle, n, seed=53)
+        sizes = [len(rows) for rows in oracle.batches]
+        assert len(sizes) > 1 and max(sizes) <= verify._BASIS_ROWS
+        assert sum(sizes) == n * (2 * d * d - d)
+        monkeypatch.setattr(verify, "_BASIS_ROWS", n * (2 * d * d - d))
+        oracle = BatchRecordingOracle(rho)
+        assert check_basis_independence(oracle, n, seed=53).deviation == capped.deviation
+        assert len(oracle.batches) == 1
 
     def test_real_oracle_rejected_before_any_query(self):
         oracle = ExactOracle(random_density_matrix(3, 3, seed=28, field="real"), field="real")
