@@ -356,8 +356,9 @@ def _density_from_spectrum(w: np.ndarray, v: np.ndarray) -> DensityMatrix:
     w = _project_to_simplex(w)
     if not (w.min() >= -EIG_ATOL and abs(w.sum() - 1.0) <= ATOL):
         raise ValueError(f"projected spectrum {w!r} is not a probability vector")
-    out = _hermitian_part((v * w) @ v.conj().T).astype(np.complex128, copy=False)
-    trace = out.trace().real
+    vw = v * w
+    out = _hermitian_part(vw @ v.conj().T).astype(np.complex128, copy=False)
+    trace = np.vdot(v, vw).real  # sum_i p_i |v_i|^2
     if not abs(trace - 1.0) <= ATOL:
         out /= trace
     out.setflags(write=False)

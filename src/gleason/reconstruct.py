@@ -156,7 +156,7 @@ def _probe_batch(x: np.ndarray, phases: tuple, unit: bool = False) -> np.ndarray
     only within ATOL."""
     d = len(x)
     j, k = _pairs(d)
-    rows = np.empty((d + len(phases) * len(j), *x.shape[1:]), x.dtype)
+    rows = np.empty((d + len(phases) * len(j),) + x.shape[1:], x.dtype)
     rows[:d] = x
     half = rows[:d] / math.sqrt(2)
     pair_probes(half[j], half[k], phases, out=rows[d:])
@@ -173,12 +173,12 @@ def _coupling_matrix(vals: np.ndarray, d: int, phases: tuple) -> np.ndarray:
     values are measured or, for the +w half, v(x_j) + v(x_k) - v(w); for the
     values of s bases side by side, (m, s), the s matrices (d, d, s)."""
     j, k = _pairs(d)
-    v = vals[d:].reshape(len(j), len(phases), *vals.shape[1:])
+    v = vals[d:].reshape((len(j), len(phases)) + vals.shape[1:])
     plus, minus = (v[:, 0::2], v[:, 1::2]) if -1 in phases else (
         v, (vals[j] + vals[k])[:, None] - v)
     upper = polarize(plus, minus)
-    m = np.zeros((d, d, *vals.shape[1:]), upper.dtype)
-    m[range(d), range(d)] = vals[:d]
+    m = np.zeros((d, d) + vals.shape[1:], upper.dtype)
+    m.reshape(d * d, -1)[:: d + 1] = vals[:d].reshape(d, -1)  # the diagonal
     m[j, k] = upper
     m[k, j] = np.conj(upper)
     return m

@@ -158,17 +158,11 @@ def test_additivity_fails_a_valuation_that_is_no_born_rule(dim):
 class CallCountingOracle(ExactOracle):
     def __init__(self, state):
         super().__init__(state)
-        self.calls = 0
-
-    def query_batch(self, vectors):
-        self.calls += 1
-        return super().query_batch(vectors)
-
-
-class BatchRecordingOracle(ExactOracle):
-    def __init__(self, state):
-        super().__init__(state)
         self.batches = []
+
+    @property
+    def calls(self):
+        return len(self.batches)
 
     def query_batch(self, vectors):
         self.batches.append(np.array(vectors))
@@ -380,7 +374,7 @@ class TestCheckBasisIndependence:
         # cli-files' shape: one call of 8 blocks of 2d^2 - d rows, each basis's
         # explicit_query_vectors bit for bit, in draw order
         d, n = 8, 8
-        oracle = BatchRecordingOracle(random_density_matrix(d, d, seed=50))
+        oracle = CallCountingOracle(random_density_matrix(d, d, seed=50))
         assert check_basis_independence(oracle, n, seed=51).passed
         (rows,) = oracle.batches
         assert rows.shape == (n * (2 * d * d - d), d)
@@ -393,13 +387,13 @@ class TestCheckBasisIndependence:
         # the deviation is the one batch's bit for bit
         d, n = 8, 40
         rho = random_density_matrix(d, d, seed=52)
-        oracle = BatchRecordingOracle(rho)
+        oracle = CallCountingOracle(rho)
         capped = check_basis_independence(oracle, n, seed=53)
         sizes = [len(rows) for rows in oracle.batches]
         assert len(sizes) > 1 and max(sizes) <= verify._BASIS_ROWS
         assert sum(sizes) == n * (2 * d * d - d)
         monkeypatch.setattr(verify, "_BASIS_ROWS", n * (2 * d * d - d))
-        oracle = BatchRecordingOracle(rho)
+        oracle = CallCountingOracle(rho)
         assert check_basis_independence(oracle, n, seed=53).deviation == capped.deviation
         assert len(oracle.batches) == 1
 
